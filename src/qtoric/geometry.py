@@ -215,20 +215,9 @@ def polytope_hull(points, dim: int | None = None) -> Polytope:
             raise ValueError("dimension mismatch among input points")
     if not points:
         raise ValueError("polytope needs at least one point")
-    kept = sorted(set(points))
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        if others and _in_hull(others, kept[i]):
-            kept.pop(i)
-        else:
-            i += 1
-    return Polytope(dim, tuple(kept))
-
-
-def _in_hull(points, target) -> bool:
-    lifted = [(1,) + p for p in points]
-    return nonneg_combination(lifted, (1,) + tuple(target)) is not None
+    # the extreme points are the extreme rays of the cone over {1} x points
+    lifted = _minimal_generators([(1,) + p for p in points], dim + 1)
+    return Polytope(dim, tuple(v[1:] for v in lifted))
 
 
 def _homog_dual_rays(p: Polytope):
@@ -255,24 +244,24 @@ def polar(p: Polytope) -> Polytope:
     return Polytope(p.dim, tuple(sorted(set(vertices))))
 
 
-def _support_sets(obj):
-    """Tight index sets of the irredundant supporting inequalities."""
+def _facets(obj):
+    """Irredundant supporting inequalities, each once, as (tight set, normal).
+
+    The tight set indexes the generators or vertices on the hyperplane; the
+    normal is primitive and points into the object.
+    """
     if isinstance(obj, Cone):
-        supports = []
-        for h in dual_cone(obj).generators:
-            supports.append(frozenset(
-                i for i, g in enumerate(obj.generators) if dot(h, g) == 0))
-        return supports
-    supports = []
+        return [(frozenset(i for i, g in enumerate(obj.generators)
+                           if dot(h, g) == 0), h)
+                for h in dual_cone(obj).generators]
+    facets = []
     for r in _homog_dual_rays(obj):
         c, y = r[0], r[1:]
-        if all(x == 0 for x in y):
-            continue
         tight = frozenset(i for i, v in enumerate(obj.vertices)
                           if c + dot(y, v) == 0)
-        if tight:
-            supports.append(tight)
-    return supports
+        if tight:  # nothing is tight when y == 0
+            facets.append((tight, primitive(y)))
+    return facets
 
 
 def _face_dim(obj, indices) -> int:
@@ -289,17 +278,19 @@ def faces(obj) -> tuple[Face, ...]:
     For a strongly convex cone the apex {0} appears with an empty index set;
     the empty face of a polytope is not enumerated.
     """
-    if isinstance(obj, Cone):
-        universe = frozenset(range(len(obj.generators)))
-    else:
-        universe = frozenset(range(len(obj.vertices)))
-    supports = _support_sets(obj)
+    return _face_lattice(obj, _facets(obj))
+
+
+def _face_lattice(obj, facets) -> tuple[Face, ...]:
+    """The faces of obj: intersections of the facets' tight index sets."""
+    points = obj.generators if isinstance(obj, Cone) else obj.vertices
+    universe = frozenset(range(len(points)))
     family = {universe}
     queue = [universe]
     while queue:
         s = queue.pop()
-        for sup in supports:
-            t = s & sup
+        for tight, _ in facets:
+            t = s & tight
             if t not in family:
                 if isinstance(obj, Cone) or t:
                     family.add(t)
@@ -345,20 +336,15 @@ def normal_fan(p: Polytope) -> Fan:
     """Fan of outer normal cones N(F) over the nonempty faces F of p."""
     if p.rank != p.dim:
         raise ValueError("polytope is not full-dimensional")
-    facet_data = []
-    for r in _homog_dual_rays(p):
-        c, y = r[0], r[1:]
-        if all(x == 0 for x in y):
-            continue
-        tight = frozenset(i for i, v in enumerate(p.vertices)
-                          if c + dot(y, v) == 0)
-        outer = primitive(tuple(-x for x in y))
-        facet_data.append((tight, outer))
+    facets = _facets(p)
     cones = []
-    for f in faces(p):
+    for f in _face_lattice(p, facets):
+        # the outer normals of the facets containing F are distinct and are
+        # the extreme rays of N(F): no redundancy check is needed
         fs = frozenset(f.indices)
-        normals = [outer for tight, outer in facet_data if fs <= tight]
-        cones.append(pos_hull(normals, p.dim))
+        outer = sorted(tuple(-x for x in inner) for tight, inner in facets
+                       if fs <= tight)
+        cones.append(Cone(p.dim, tuple(outer)))
     return make_fan(cones, p.dim)
 
 

@@ -8,6 +8,7 @@ Emitted documents are canonical: sorted keys, fixed list orders.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .geometry import Cone, Fan, Polytope, make_fan, polytope_hull, pos_hull
@@ -128,6 +129,8 @@ def _amplitude_part_in(x):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"amplitude parts must be finite, got {x!r}")
         return x
     raise ValueError(f"bad amplitude part {x!r}")
 
@@ -214,4 +217,5 @@ def torus_point_from_json(data):
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"

@@ -244,8 +244,3 @@ def nonneg_combination(vectors, target):
             lam[basis[r]] = rhs[r]
     return tuple(lam)
 
-
-def convex_combination(points, target):
-    """Exact feasibility of target in the convex hull of points."""
-    lifted = [(1,) + tuple(p) for p in points]
-    return nonneg_combination(lifted, (1,) + tuple(target))

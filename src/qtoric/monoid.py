@@ -61,7 +61,7 @@ def monoid_generators(cone: Cone, generators) -> MonoidGenerators:
         if not cone_contains(cone, g):
             raise ValueError(f"generator {g} lies outside the ambient cone")
     for i, g in enumerate(gens):
-        if _generates(gens[:i] + gens[i + 1:], g, cone.dim):
+        if _reachable(gens[:i] + gens[i + 1:], g, cone.dim):
             raise ValueError(f"generator {g} is generated by the others")
     return MonoidGenerators(cone, tuple(gens))
 
@@ -75,30 +75,12 @@ def _positive_functional(gens: tuple, dim: int):
     return w, dual.generators
 
 
-def _generates(gens, target, dim) -> bool:
-    """Exact test: target is a nonnegative-integer combination of gens.
-
-    Bounded depth-first search; a strictly positive functional on the pointed
-    cone pos{gens} caps every coefficient, and remainders are pruned to the
-    cone via its halfspace description.
-    """
-    target = tuple(target)
-    if all(x == 0 for x in target):
-        return True
-    if not gens:
-        return False
-    w, halfspaces = _positive_functional(tuple(gens), dim)
-    if any(dot(w, g) < 1 for g in gens):
-        raise ValueError("generator set does not span a pointed cone")
-    return _reachable(gens, target, w, halfspaces)
-
-
 def monoid_contains(g: MonoidGenerators, x) -> bool:
     """True iff x is a nonnegative-integer combination of the generators."""
     x = tuple(x)
     if len(x) != g.cone.dim:
         raise ValueError("point dimension mismatch")
-    return _generates(list(g.generators), x, g.cone.dim)
+    return _reachable(list(g.generators), x, g.cone.dim)
 
 
 def _parallelepiped_points(basis, dim):
@@ -151,17 +133,28 @@ def hilbert_basis(c: Cone) -> MonoidGenerators:
     ordered = sorted(candidates, key=lambda v: (dot(w, v), v))
     basis: list[tuple[int, ...]] = []
     for v in ordered:
-        if not _reachable(basis, v, w, halfspaces):
+        if not _reachable(basis, v, c.dim, (w, halfspaces)):
             basis.append(v)
     return MonoidGenerators(c, tuple(sorted(basis)))
 
 
-def _reachable(gens, target, w, halfspaces) -> bool:
-    """DFS variant of _generates with the positive functional precomputed."""
+def _reachable(gens, target, dim, functional=None) -> bool:
+    """Exact test: target is a nonnegative-integer combination of gens.
+
+    Bounded depth-first search; a strictly positive functional on the pointed
+    cone pos{gens} caps every coefficient, and remainders are pruned to the
+    cone via its halfspace description.  ``functional`` is (w, halfspaces) of
+    a pointed cone containing gens; by default that of pos{gens} itself.
+    """
     if all(x == 0 for x in target):
         return True
     if not gens:
         return False
+    if functional is None:
+        functional = _positive_functional(tuple(gens), dim)
+        if any(dot(functional[0], g) < 1 for g in gens):
+            raise ValueError("generator set does not span a pointed cone")
+    w, halfspaces = functional
     seen_fail = set()
     stack = [(target, 0)]
     while stack:

@@ -84,7 +84,10 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
     """Affine charts of a complete fan with smooth simplicial maximal cones.
 
     Adjacency is read off the simplicial structure: two maximal cones are
-    facet-adjacent exactly when they share all but one generator.
+    facet-adjacent exactly when they share all but one generator.  Every facet
+    of a maximal cone must lie between exactly two maximal cones, one on each
+    side, so overlapping and incomplete fans are rejected; a fan that winds
+    around the origin more than once passes this local check.
     """
     maximal = fan.maximal_cones()
     charts = []
@@ -101,10 +104,16 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
                             if t != drop)
             facet_owners.setdefault(key, []).append(pos_idx)
     adjacent = set()
-    for owners in facet_owners.values():
-        for i, j in product(owners, repeat=2):
-            if i != j:
-                adjacent.add((i, j))
+    for facet, owners in facet_owners.items():
+        base = sorted(facet)
+        sides = {det_int(base + [next(g for g in maximal[i].generators
+                                      if g not in facet)]) > 0
+                 for i in owners}
+        if len(owners) != 2 or len(sides) != 2:
+            raise ValueError(f"fan is not complete: facet {base} does not lie "
+                             "between two maximal cones on opposite sides")
+        i, j = owners
+        adjacent.update({(i, j), (j, i)})
     transitions = []
     for i, j in sorted(adjacent):
         rows = []

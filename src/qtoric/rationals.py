@@ -1,21 +1,10 @@
-"""Exact complex rational numbers and p/q string parsing."""
+"""Exact complex rational numbers and p/q string formatting."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-def parse_rational(value) -> Fraction:
-    """Parse an exact rational from an int, a Fraction, or a "p/q" string."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ValueError(f"not an exact rational: {value!r}")
 
 
 def rational_str(value: Fraction) -> str:

@@ -169,8 +169,8 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
     the rows of the tensor through its largest-magnitude amplitude; on a
     non-separable verdict the maximal violating minor is reported.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     peak = max(magnitude(v) for v in state.amplitudes.values())
     if peak == 0:
         raise ValueError("state is zero")

@@ -21,6 +21,8 @@ PRODUCT_STATE = {"shape": [2, 2],
                                 {"index": [1, 0], "re": "6", "im": "0"},
                                 {"index": [1, 1], "re": "8", "im": "0"}]}
 
+NAN_STATE = '{"shape":[2,2],"amplitudes":[{"index":[0,0],"re":NaN}]}'
+
 CUBE3 = {"dim": 3, "vertices": [[sx, sy, sz] for sx in (-1, 1)
                                 for sy in (-1, 1) for sz in (-1, 1)]}
 
@@ -236,6 +238,28 @@ class TestExitCodes:
         code, out = run_cli(capsys, "verify-param", "--m", "1",
                             "--z", "[0.5]")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("check-separable", NAN_STATE),
+        ("concurrence", NAN_STATE),
+        ("check-separable", json.dumps(BELL), "--tol", "nan"),
+        ("check-separable", json.dumps(BELL), "--tol", "inf"),
+        ("concurrence", json.dumps(BELL), "--weights", "[NaN]"),
+    ], ids=["nan-amplitude", "nan-amplitude-concurrence", "nan-tol",
+            "inf-tol", "nan-weights"])
+    def test_non_finite_input_rejected(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert "error" in json.loads(out)
+
+    def test_atlas_rejects_overlapping_fan(self, capsys):
+        # pos{e1, e2} and pos{-e1, e1 + e2} overlap and leave a gap
+        fan = {"dim": 2, "cones": [
+            {"dim": 2, "generators": [[1, 0], [0, 1]]},
+            {"dim": 2, "generators": [[-1, 0], [1, 1]]}]}
+        code, out = run_cli(capsys, "atlas", "--fan", json.dumps(fan))
+        assert code == 2
+        assert "not complete" in json.loads(out)["error"]
 
     def test_malformed_documents_never_exit_3(self, capsys):
         bad_inputs = [

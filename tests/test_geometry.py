@@ -297,10 +297,32 @@ class TestNormalFan:
                 continue
             fan = normal_fan(p)
             validate_fan(fan)
+            for c in fan.cones:
+                assert c == pos_hull(c.generators, p.dim)
             for x in oracles.ball(dim, 3):
                 assert any(oracles.cone_contains(c.generators, dim, x)
                            for c in fan.maximal_cones())
             done += 1
+
+    def test_normal_fan_solves_no_more_lps_than_faces(self, monkeypatch):
+        import qtoric.geometry as geometry
+        calls = [0]
+        lp = geometry.nonneg_combination
+
+        def counting(vectors, target):
+            calls[0] += 1
+            return lp(vectors, target)
+
+        monkeypatch.setattr(geometry, "nonneg_combination", counting)
+        cross3 = polytope_hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                (0, 0, 1), (0, 0, -1)])
+        for p in (multiqubit_polytope(3), cross3):
+            calls[0] = 0
+            faces(p)
+            by_faces = calls[0]
+            calls[0] = 0
+            normal_fan(p)
+            assert 0 < calls[0] <= by_faces
 
 
 class TestPredicates:

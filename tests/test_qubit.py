@@ -179,6 +179,14 @@ class TestChartAtlas:
         with pytest.raises(ValueError, match="simplicial"):
             chart_atlas(fan)
 
+    def test_cones_on_one_side_of_a_facet_rejected(self):
+        # every facet has two owners, but pos{e1, e2} and pos{e1, e1 + e2}
+        # both lie on the e2 side of their common facet pos{e1}
+        fan = make_fan([pos_hull([(1, 0), (0, 1)]), pos_hull([(1, 0), (1, 1)]),
+                        pos_hull([(1, 1), (0, 1)])], 2)
+        with pytest.raises(ValueError, match="opposite sides"):
+            chart_atlas(fan)
+
     def test_non_smooth_cone_rejected(self):
         fan = make_fan([pos_hull([(1, 0), (1, 2)])], 2)
         with pytest.raises(ValueError, match="smooth"):

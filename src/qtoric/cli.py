@@ -34,100 +34,71 @@ def _read_json_arg(arg: str):
     raise ValueError(f"input {arg!r} is neither a file nor inline JSON")
 
 
-def _emit(document) -> int:
-    sys.stdout.write(jsonio.canonical_dumps(document))
-    return 0
+def _cone(arg):
+    return jsonio.cone_from_json(_read_json_arg(arg))
 
 
-def _cmd_dual(args) -> int:
-    cone = jsonio.cone_from_json(_read_json_arg(args.cone))
-    return _emit(jsonio.cone_to_json(dual_cone(cone)))
+def _polytope(arg):
+    return jsonio.polytope_from_json(_read_json_arg(arg))
 
 
-def _cmd_polar(args) -> int:
-    p = jsonio.polytope_from_json(_read_json_arg(args.polytope))
-    return _emit(jsonio.polytope_to_json(polar(p)))
+def _state(arg):
+    return jsonio.state_from_json(_read_json_arg(arg))
 
 
-def _cmd_faces(args) -> int:
+def _faces(args):
     if (args.cone is None) == (args.polytope is None):
         raise ValueError("faces needs exactly one of --cone or --polytope")
     if args.cone is not None:
-        obj = jsonio.cone_from_json(_read_json_arg(args.cone))
-        kind = "cone"
-        points = {"generators": jsonio.cone_to_json(obj)["generators"]}
+        kind, key, obj = "cone", "generators", _cone(args.cone)
+        doc = jsonio.cone_to_json(obj)
     else:
-        obj = jsonio.polytope_from_json(_read_json_arg(args.polytope))
-        kind = "polytope"
-        points = {"vertices": jsonio.polytope_to_json(obj)["vertices"]}
+        kind, key, obj = "polytope", "vertices", _polytope(args.polytope)
+        doc = jsonio.polytope_to_json(obj)
     out = [{"indices": list(f.indices), "dim": f.dim} for f in faces(obj)]
-    return _emit({"object": kind, **points, "faces": out})
+    return {"object": kind, key: doc[key], "faces": out}
 
 
-def _cmd_normal_fan(args) -> int:
-    p = jsonio.polytope_from_json(_read_json_arg(args.polytope))
-    return _emit(jsonio.fan_to_json(normal_fan(p)))
-
-
-def _cmd_hilbert_basis(args) -> int:
-    cone = jsonio.cone_from_json(_read_json_arg(args.cone))
-    return _emit(jsonio.monoid_to_json(hilbert_basis(cone)))
-
-
-def _cmd_toric_ideal(args) -> int:
-    m = jsonio.map_from_json(_read_json_arg(args.map))
-    return _emit(jsonio.ideal_to_json(toric_ideal_binomials(m, args.degree)))
-
-
-def _cmd_projective_relations(args) -> int:
+def _projective_relations(args):
     data = _read_json_arg(args.exponents)
     if not isinstance(data, list):
         raise ValueError("--exponents must be a JSON list of integer vectors")
     exponents = [[jsonio.decode_int(x) for x in vec] for vec in data]
-    return _emit(jsonio.ideal_to_json(projective_relations(exponents, args.degree)))
+    return jsonio.ideal_to_json(projective_relations(exponents, args.degree))
 
 
-def _cmd_segre_minors(args) -> int:
+def _segre_minors(args):
     shape = tuple(jsonio.decode_int(n) for n in _read_json_arg(args.shape))
     minors = [jsonio.minor_to_json(minor) for minor in segre_minors(shape)]
-    return _emit({"shape": list(shape), "minors": minors})
+    return {"shape": list(shape), "minors": minors}
 
 
-def _cmd_check_separable(args) -> int:
-    state = jsonio.state_from_json(_read_json_arg(args.state))
-    verdict = is_separable(state, tol=args.tol)
+def _check_separable(args):
+    verdict = is_separable(_state(args.state), tol=args.tol)
     worst = None
     if verdict.worst_minor is not None:
         worst = jsonio.minor_to_json(verdict.worst_minor)
         worst["value"] = {"re": verdict.worst_value.real,
                           "im": verdict.worst_value.imag}
-    out = {
-        "separable": verdict.separable,
-        "maxViolation": verdict.max_violation,
-        "witness": (jsonio.product_state_to_json(verdict.witness)
-                    if verdict.witness is not None else None),
-        "worstMinor": worst,
-    }
-    return _emit(out)
+    return {"separable": verdict.separable, "maxViolation": verdict.max_violation,
+            "witness": (jsonio.product_state_to_json(verdict.witness)
+                        if verdict.witness is not None else None),
+            "worstMinor": worst}
 
 
-def _cmd_concurrence(args) -> int:
-    state = jsonio.state_from_json(_read_json_arg(args.state))
+def _concurrence(args):
+    state = _state(args.state)
     weights = None
     if args.weights is not None:
-        weights = [float(w) for w in _read_json_arg(args.weights)]
-    return _emit({"concurrence": concurrence(state, weights)})
+        weights = _read_json_arg(args.weights)
+        if not isinstance(weights, list) or any(
+                type(w) not in (int, float) for w in weights):
+            raise ValueError("--weights must be a JSON list of numbers")
+        weights = [float(w) for w in weights]
+    return {"concurrence": concurrence(state, weights)}
 
 
-def _cmd_qubit_fan(args) -> int:
-    return _emit(jsonio.fan_to_json(multiqubit_fan(args.m)))
-
-
-def _cmd_qubit_polytope(args) -> int:
-    return _emit(jsonio.polytope_to_json(multiqubit_polytope(args.m)))
-
-
-def _cmd_atlas(args) -> int:
+def _atlas(args):
     chosen = [x for x in (args.fan, args.qubits, args.projective) if x is not None]
     if len(chosen) != 1:
         raise ValueError("atlas needs exactly one of --fan, --qubits, --projective")
@@ -137,18 +108,74 @@ def _cmd_atlas(args) -> int:
         fan = multiqubit_fan(args.qubits)
     else:
         fan = projective_space_fan(args.projective)
-    return _emit(jsonio.atlas_to_json(chart_atlas(fan)))
+    return jsonio.atlas_to_json(chart_atlas(fan))
 
 
-def _cmd_param(args) -> int:
-    return _emit(jsonio.parameterization_to_json(parameterization(args.m)))
-
-
-def _cmd_verify_param(args) -> int:
+def _verify_param(args):
     z = jsonio.torus_point_from_json(_read_json_arg(args.z))
     if len(z) != args.m:
         raise ValueError(f"expected {args.m} torus coordinates, got {len(z)}")
-    return _emit({"m": args.m, "onVariety": verify_parameterization(args.m, z)})
+    return {"m": args.m, "onVariety": verify_parameterization(args.m, z)}
+
+
+_REQUIRED = {"required": True}
+_COUNT = {"type": int, "required": True}
+_STATE = ("state", {"help": "state JSON (path, inline, or '-')"})
+
+# verb -> (help, [(argument, add_argument keywords)], args -> output document);
+# the operations look library functions up when called, so tests can patch them
+VERBS = {
+    "dual": ("dual of a cone", [("--cone", _REQUIRED)],
+             lambda a: jsonio.cone_to_json(dual_cone(_cone(a.cone)))),
+    "polar": ("polar of a lattice polytope (0 interior)",
+              [("--polytope", _REQUIRED)],
+              lambda a: jsonio.polytope_to_json(polar(_polytope(a.polytope)))),
+    "faces": ("all faces of a cone or polytope",
+              [("--cone", {}), ("--polytope", {})], _faces),
+    "normal-fan": ("normal fan of a full-dimensional polytope",
+                   [("--polytope", _REQUIRED)],
+                   lambda a: jsonio.fan_to_json(normal_fan(_polytope(a.polytope)))),
+    "hilbert-basis": ("minimal generators of the lattice-point monoid",
+                      [("--cone", _REQUIRED)],
+                      lambda a: jsonio.monoid_to_json(hilbert_basis(_cone(a.cone)))),
+    "toric-ideal": ("degree-bounded binomial relations of a monomial map",
+                    [("--map", {**_REQUIRED,
+                                "help": "JSON list of integer exponent vectors"}),
+                     ("--degree", _COUNT)],
+                    lambda a: jsonio.ideal_to_json(toric_ideal_binomials(
+                        jsonio.map_from_json(_read_json_arg(a.map)), a.degree))),
+    "projective-relations": ("homogeneous relations of a projective parameterization",
+                             [("--exponents", _REQUIRED), ("--degree", _COUNT)],
+                             _projective_relations),
+    "segre-minors": ("canonical two-by-two minors for a system shape",
+                     [("--shape", {**_REQUIRED, "help": "JSON list, e.g. [2,2,2]"})],
+                     _segre_minors),
+    "check-separable": ("separability verdict for a state file",
+                        [_STATE, ("--tol", {
+                            "type": float, "default": 1e-10,
+                            "help": "relative tolerance against (max |amplitude|)^2 "
+                                    "(default 1e-10)"})],
+                        _check_separable),
+    "concurrence": ("minor-norm concurrence of a state file",
+                    [_STATE,
+                     ("--weights", {"help": "JSON list of per-minor weights"})],
+                    _concurrence),
+    "qubit-fan": ("orthant fan of the m-qubit system", [("--m", _COUNT)],
+                  lambda a: jsonio.fan_to_json(multiqubit_fan(a.m))),
+    "qubit-polytope": ("sign cube of the m-qubit system", [("--m", _COUNT)],
+                       lambda a: jsonio.polytope_to_json(multiqubit_polytope(a.m))),
+    "atlas": ("chart atlas of a smooth complete fan",
+              [("--fan", {}), ("--qubits", {"type": int}),
+               ("--projective", {"type": int})], _atlas),
+    "param": ("subset-product parameterization exponents", [("--m", _COUNT)],
+              lambda a: jsonio.parameterization_to_json(parameterization(a.m))),
+    "verify-param": ("check a torus point lands on the Segre variety",
+                     [("--m", _COUNT),
+                      ("--z", {**_REQUIRED,
+                               "help": "JSON list of nonzero exact coordinates, "
+                                       "e.g. '[\"1/2\", \"-3\"]'"})],
+                     _verify_param),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,104 +185,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "Inputs are file paths, inline JSON, or '-' for stdin; "
                     "output is canonical JSON on stdout.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("dual", help="dual of a cone")
-    p.add_argument("--cone", required=True)
-    p.set_defaults(func=_cmd_dual)
-
-    p = sub.add_parser("polar", help="polar of a lattice polytope (0 interior)")
-    p.add_argument("--polytope", required=True)
-    p.set_defaults(func=_cmd_polar)
-
-    p = sub.add_parser("faces", help="all faces of a cone or polytope")
-    p.add_argument("--cone")
-    p.add_argument("--polytope")
-    p.set_defaults(func=_cmd_faces)
-
-    p = sub.add_parser("normal-fan", help="normal fan of a full-dimensional polytope")
-    p.add_argument("--polytope", required=True)
-    p.set_defaults(func=_cmd_normal_fan)
-
-    p = sub.add_parser("hilbert-basis",
-                       help="minimal generators of the lattice-point monoid")
-    p.add_argument("--cone", required=True)
-    p.set_defaults(func=_cmd_hilbert_basis)
-
-    p = sub.add_parser("toric-ideal",
-                       help="degree-bounded binomial relations of a monomial map")
-    p.add_argument("--map", required=True,
-                   help="JSON list of integer exponent vectors")
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=_cmd_toric_ideal)
-
-    p = sub.add_parser("projective-relations",
-                       help="homogeneous relations of a projective parameterization")
-    p.add_argument("--exponents", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=_cmd_projective_relations)
-
-    p = sub.add_parser("segre-minors",
-                       help="canonical two-by-two minors for a system shape")
-    p.add_argument("--shape", required=True, help="JSON list, e.g. [2,2,2]")
-    p.set_defaults(func=_cmd_segre_minors)
-
-    p = sub.add_parser("check-separable", help="separability verdict for a state file")
-    p.add_argument("state", help="state JSON (path, inline, or '-')")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="relative tolerance against (max |amplitude|)^2 "
-                        "(default 1e-10)")
-    p.set_defaults(func=_cmd_check_separable)
-
-    p = sub.add_parser("concurrence", help="minor-norm concurrence of a state file")
-    p.add_argument("state", help="state JSON (path, inline, or '-')")
-    p.add_argument("--weights", help="JSON list of per-minor weights")
-    p.set_defaults(func=_cmd_concurrence)
-
-    p = sub.add_parser("qubit-fan", help="orthant fan of the m-qubit system")
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_qubit_fan)
-
-    p = sub.add_parser("qubit-polytope", help="sign cube of the m-qubit system")
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_qubit_polytope)
-
-    p = sub.add_parser("atlas", help="chart atlas of a smooth complete fan")
-    p.add_argument("--fan")
-    p.add_argument("--qubits", type=int)
-    p.add_argument("--projective", type=int)
-    p.set_defaults(func=_cmd_atlas)
-
-    p = sub.add_parser("param", help="subset-product parameterization exponents")
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_param)
-
-    p = sub.add_parser("verify-param",
-                       help="check a torus point lands on the Segre variety")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--z", required=True,
-                   help="JSON list of nonzero exact coordinates, e.g. "
-                        "'[\"1/2\", \"-3\"]'")
-    p.set_defaults(func=_cmd_verify_param)
-
+    for verb, (help_text, arguments, operation) in VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(operation=operation)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        out, code = jsonio.canonical_dumps(args.operation(args)), 0
     except (ValueError, TypeError, KeyError, IndexError, OverflowError,
             ZeroDivisionError, json.JSONDecodeError, OSError) as exc:
-        sys.stdout.write(jsonio.canonical_dumps({"error": str(exc)}))
-        return 2
+        out, code = jsonio.canonical_dumps({"error": str(exc)}), 2
     except Exception as exc:  # internal invariant failure
-        sys.stdout.write(jsonio.canonical_dumps(
-            {"error": str(exc), "kind": "internal"}))
-        return 3
+        out, code = jsonio.canonical_dumps(
+            {"error": str(exc), "kind": "internal"}), 3
+    sys.stdout.write(out)
+    return code
 
 
 if __name__ == "__main__":

@@ -136,18 +136,14 @@ class Subvariety:
 
 
 def invariant_subvarieties(fan: Fan) -> tuple[Subvariety, ...]:
-    """Ray and fixed-point subvarieties of multiqubit_fan(m), m <= 3.
+    """Ray and fixed-point subvarieties of multiqubit_fan(m), 1 <= m <= 10.
 
     Ray +e_j pins factor j to 0, ray -e_j pins it to the point at infinity;
-    each orthant is a torus fixed point.
+    each orthant is a torus fixed point.  Any other fan is unsupported.
     """
-    m = None
-    for candidate in (1, 2, 3):
-        if fan == multiqubit_fan(candidate):
-            m = candidate
-            break
-    if m is None:
-        raise ValueError("unsupported fan: expected multiqubit_fan(m), m <= 3")
+    m = fan.dim
+    if not (1 <= m <= 10 and fan == multiqubit_fan(m)):
+        raise ValueError("unsupported fan: expected multiqubit_fan(m), 1 <= m <= 10")
     out = []
     for cone in fan.cones:
         if len(cone.generators) == 1:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .rationals import magnitude
+from .rationals import ComplexRational, magnitude
 
 
 def check_shape(shape) -> tuple[int, ...]:
@@ -167,10 +167,56 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
 
     On a separable verdict the witness product state is reconstructed from
     the rows of the tensor through its largest-magnitude amplitude; on a
-    non-separable verdict the maximal violating minor is reported.
+    non-separable verdict the maximal violating minor is reported.  Scaling
+    a state never changes the verdict, also for exact states beyond float
+    range; their reported minor magnitudes are rounded to floats (infinite
+    above the float range).
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+    k = _float_range_shift(state)
+    if k == 0:
+        return _float_verdict(state, tol)
+    # an exact state whose peak |a|^2 lies outside float range is decided on
+    # state / 2^k, which has the same relative verdict, and scaled back
+    r = _float_verdict(state.scaled(Fraction(2) ** -k), tol)
+    if r.witness is not None:
+        first = tuple(x * Fraction(2) ** k for x in r.witness.locals[0])
+        r.witness = ProductState((first,) + r.witness.locals[1:])
+    if r.worst_value is not None:
+        r.worst_value = complex(_ldexp(r.worst_value.real, 2 * k),
+                                _ldexp(r.worst_value.imag, 2 * k))
+    r.max_violation = _ldexp(r.max_violation, 2 * k)
+    return r
+
+
+# the peak |a|^2 of an exact state decided as it is: a normal float whose
+# double, the largest possible minor, is still finite
+_FLOAT_SAFE = (Fraction(2) ** -1022, Fraction(2) ** 1023)
+
+
+def _float_range_shift(state: PureState) -> int:
+    """0, or for an exact state whose peak |a|^2 lies outside _FLOAT_SAFE
+    the k that brings the peak |a|^2 of state / 2^k near 1."""
+    values = state.amplitudes.values()
+    if not all(isinstance(v, (int, Fraction, ComplexRational)) for v in values):
+        return 0
+    peak2 = max(v.magnitude_squared() if isinstance(v, ComplexRational)
+                else Fraction(v) ** 2 for v in values)
+    if _FLOAT_SAFE[0] <= peak2 < _FLOAT_SAFE[1]:
+        return 0
+    return (peak2.numerator.bit_length() - peak2.denominator.bit_length()) // 2
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x * 2^e, infinite where that exceeds the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _float_verdict(state: PureState, tol: float) -> SeparabilityResult:
     peak = max(magnitude(v) for v in state.amplitudes.values())
     if peak == 0:
         raise ValueError("state is zero")
@@ -226,7 +272,8 @@ def concurrence(state: PureState, weights=None) -> float:
     """2 * sqrt(sum of weighted squared minor magnitudes); needs a normalized state.
 
     Default weight is 1 per canonical minor, which reproduces the standard
-    two-qubit concurrence 2|a00 a11 - a01 a10|.
+    two-qubit concurrence 2|a00 a11 - a01 a10|; weights must be finite and
+    nonnegative.
     """
     norm2 = state.norm_squared()
     if abs(norm2 - 1.0) > 1e-9:
@@ -236,6 +283,8 @@ def concurrence(state: PureState, weights=None) -> float:
         weights = [1.0] * len(minors)
     elif len(weights) != len(minors):
         raise ValueError(f"expected {len(minors)} weights, got {len(weights)}")
+    elif not all(0 <= w < math.inf for w in weights):
+        raise ValueError("weights must be finite and nonnegative")
     total = 0.0
     for w, minor in zip(weights, minors):
         total += w * abs(complex(minor_value(state, minor))) ** 2

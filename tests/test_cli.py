@@ -4,10 +4,12 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from qtoric.cli import main
+from qtoric.cli import VERBS, main
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -20,6 +22,10 @@ PRODUCT_STATE = {"shape": [2, 2],
                                 {"index": [0, 1], "re": "4", "im": "0"},
                                 {"index": [1, 0], "re": "6", "im": "0"},
                                 {"index": [1, 1], "re": "8", "im": "0"}]}
+
+GHZ = {"shape": [2, 2, 2],
+       "amplitudes": [{"index": [0, 0, 0], "re": SQ2, "im": 0.0},
+                      {"index": [1, 1, 1], "re": SQ2, "im": 0.0}]}
 
 NAN_STATE = '{"shape":[2,2],"amplitudes":[{"index":[0,0],"re":NaN}]}'
 
@@ -137,6 +143,18 @@ class TestVerbs:
         code, out = run_cli(capsys, "check-separable", json.dumps(mixed))
         assert code == 0
         assert json.loads(out)["separable"] is False
+
+    def test_check_separable_beyond_float_range(self, capsys):
+        for scale in (Fraction(10) ** 400, Fraction(1, 10 ** 400)):
+            amps = [{**a, "re": str(int(a["re"]) * scale)}
+                    for a in PRODUCT_STATE["amplitudes"]]
+            code, out = run_cli(capsys, "check-separable", json.dumps(
+                {"shape": [2, 2], "amplitudes": amps}))
+            assert code == 0, out
+            doc = json.loads(out)
+            assert doc["separable"] is True
+            assert doc["maxViolation"] == 0.0
+            assert doc["witness"] is not None
 
     def test_concurrence(self, capsys, bell_file):
         code, out = run_cli(capsys, "concurrence", bell_file)
@@ -284,6 +302,12 @@ class TestExitCodes:
             ("verify-param", "--m", "2", "--z", '["0","3"]'),
             ("atlas", "--fan", '{"dim":2,"cones":"zap"}'),
             ("param", "--m", "0"),
+            ("concurrence", json.dumps(BELL), "--weights", "[true]"),
+            ("concurrence", json.dumps(BELL), "--weights", '["2"]'),
+            ("concurrence", json.dumps(BELL), "--weights", '{"w":1}'),
+            ("concurrence", json.dumps(BELL), "--weights", "[-1]"),
+            ("concurrence", json.dumps(GHZ), "--weights",
+             json.dumps([-1] + [1] * 11)),
         ]
         for argv in bad_inputs:
             code, out = run_cli(capsys, *argv)
@@ -329,6 +353,16 @@ class TestDeterminism:
             code2, out2 = run_cli(capsys, *argv)
             assert code1 == code2 == 0, argv
             assert out1 == out2, argv
+
+    def test_golden_bytes(self, capsys):
+        """Acceptance criterion 10's invocations print the recorded bytes."""
+        golden = json.loads(
+            (Path(__file__).parent / "cli_golden.json").read_text())
+        assert set(VERBS) <= {entry["argv"][0] for entry in golden}
+        for entry in golden:
+            code, out = run_cli(capsys, *entry["argv"])
+            assert code == 0, entry["argv"]
+            assert out == entry["stdout"], entry["argv"]
 
     def test_subprocess_byte_identical(self, bell_file):
         for argv in (["qubit-fan", "--m", "2"],

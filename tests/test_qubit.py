@@ -205,7 +205,7 @@ class TestInvariantSubvarieties:
             {"(0, 0)", "(0, inf)", "(inf, 0)", "(inf, inf)"}
 
     def test_counts(self):
-        for m in (1, 2, 3):
+        for m in (1, 2, 3, 4, 5):
             subs = invariant_subvarieties(multiqubit_fan(m))
             assert sum(1 for s in subs if s.kind == "ray") == 2 * m
             assert sum(1 for s in subs if s.kind == "fixed_point") == 2 ** m

@@ -163,6 +163,31 @@ class TestSeparability:
         assert verdict.max_violation == 0.0
         assert is_separable(st, tol=1e-10).separable
 
+    @pytest.mark.parametrize("factor", [Fraction(10) ** 400,
+                                        Fraction(1, 10 ** 400)],
+                             ids=["1e400", "1e-400"])
+    def test_exact_verdict_survives_scaling_beyond_float_range(self, rng,
+                                                               factor):
+        st = segre_map(random_product_state(rng, (2, 2, 2))).scaled(factor)
+        verdict = is_separable(st)
+        assert verdict.separable
+        assert verdict.max_violation == 0.0
+        assert segre_map(verdict.witness).amplitudes == st.amplitudes
+        one = ComplexRational(Fraction(1))
+        ent = PureState((2, 2), {(0, 0): one, (1, 1): one}).scaled(factor)
+        verdict = is_separable(ent)
+        assert not verdict.separable
+        assert (verdict.worst_minor.k, verdict.worst_minor.l) == \
+            ((0, 0), (1, 1))
+        # the minor, factor^2, rounds to a float: infinite above its range,
+        # zero below it
+        assert verdict.max_violation == (math.inf if factor > 1 else 0.0)
+        tiny = ComplexRational(Fraction(1, 10 ** 400))
+        near = PureState((2, 2), {(0, 0): one, (0, 1): one, (1, 0): one,
+                                  (1, 1): one + tiny}).scaled(factor)
+        assert not is_separable(near, tol=0.0).separable
+        assert is_separable(near, tol=1e-10).separable
+
     def test_zero_state_unconstructible(self):
         with pytest.raises(ValueError, match="nonzero"):
             PureState((2, 2), {})
@@ -201,6 +226,9 @@ class TestConcurrence:
         assert concurrence(ghz(), weights) == 0.0
         with pytest.raises(ValueError, match="weights"):
             concurrence(ghz(), [1.0])
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="weights"):
+                concurrence(ghz(), [bad] + [1.0] * (len(minors) - 1))
 
     def test_unnormalized_rejected(self):
         st = PureState((2, 2), {(0, 0): 1.0, (1, 1): 1.0})

@@ -2,7 +2,8 @@
 
 All objects are immutable and canonicalised, so equality of canonical forms
 is plain ``==``.  Cone generators and polytope vertices are tuples of Python
-ints (arbitrary precision); intermediate rational work uses fractions.
+ints (arbitrary precision); linear programs and ranks run on the
+fraction-free integer elimination of ``linalg``, so no fractions arise there.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .linalg import (dot, nonneg_combination, primitive, rank_int,
                      vector_gcd)
@@ -150,10 +152,12 @@ def pos_hull(vectors, dim: int | None = None) -> Cone:
 
 def cone_contains(c: Cone, point) -> bool:
     """Exact membership of a rational point in the cone."""
-    point = tuple(point)
+    point = tuple(Fraction(x) for x in point)
     if len(point) != c.dim:
         raise ValueError("point dimension mismatch")
-    return nonneg_combination(c.generators, point) is not None
+    den = lcm(*(q.denominator for q in point))
+    return nonneg_combination(c.generators,
+                              tuple(int(q * den) for q in point)) is not None
 
 
 def _dd_rays(dim, constraints):
@@ -194,8 +198,13 @@ def dual_cone(c: Cone) -> Cone:
 
 
 def is_strongly_convex(c: Cone) -> bool:
-    """True iff c contains no line, i.e. c intersect -c is {0}."""
-    return not any(cone_contains(c, tuple(-x for x in g)) for g in c.generators)
+    """True iff c contains no line, i.e. c intersect -c is {0}.
+
+    c contains a line exactly when 0 is a nonnegative combination of its
+    generators with coefficients summing to 1: one feasibility problem.
+    """
+    return nonneg_combination([g + (1,) for g in c.generators],
+                              (0,) * c.dim + (1,)) is None
 
 
 def is_simplicial(c: Cone) -> bool:
@@ -234,13 +243,9 @@ def polar(p: Polytope) -> Polytope:
         c, y = r[0], r[1:]
         if c <= 0:
             raise ValueError("origin is not in the interior of the polytope")
-        vert = []
-        for x in y:
-            q = Fraction(x, c)
-            if q.denominator != 1:
-                raise ValueError("polar is not a lattice polytope")
-            vert.append(int(q))
-        vertices.append(tuple(vert))
+        if any(x % c for x in y):
+            raise ValueError("polar is not a lattice polytope")
+        vertices.append(tuple(x // c for x in y))
     return Polytope(p.dim, tuple(sorted(set(vertices))))
 
 

@@ -1,4 +1,9 @@
-"""Exact integer and rational linear algebra underpinning the geometry layer."""
+"""Exact integer linear algebra underpinning the geometry layer.
+
+Field eliminations (determinant, adjugate, rank, the feasibility simplex)
+share one fraction-free pivot step on Python ints; lattice kernels use the
+unimodular row echelon instead.
+"""
 
 from __future__ import annotations
 
@@ -81,12 +86,35 @@ def integer_row_echelon(rows):
     return m, u
 
 
+def _pivot(rows, r, c, d):
+    """One fraction-free Gauss-Jordan step (Bareiss) on integer rows, in place.
+
+    Clears column c from every row but r with the pivot rows[r][c]; d is the
+    previous pivot (1 before the first step) and divides every entry exactly.
+    Afterwards each row is the row a field elimination would give times the
+    returned new pivot.
+    """
+    p = rows[r]
+    pc = p[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(x * pc - f * y) // d for x, y in zip(row, p)]
+    return pc
+
+
 def rank_int(rows) -> int:
-    """Rank of an integer matrix, computed exactly."""
-    if not rows:
-        return 0
-    ech, _ = integer_row_echelon(rows)
-    return sum(1 for row in ech if any(x != 0 for x in row))
+    """Rank of an integer matrix: the number of fraction-free pivots."""
+    rows = [list(r) for r in rows]
+    rank, d = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        d = _pivot(rows, rank, c, d)
+        rank += 1
+    return rank
 
 
 def left_kernel_basis(rows):
@@ -111,136 +139,77 @@ def left_kernel_basis(rows):
     return sorted(basis)
 
 
-def det_int(mat) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(r) for r in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def det_adj(mat):
+    """Determinant and adjugate of a square integer matrix.
 
-
-def adjugate_int(mat):
-    """Adjugate of a square integer matrix: adj(M) @ M == det(M) * I."""
-    n = len(mat)
-    if n == 0:
-        return []
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[mat[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            adj[j][i] = (-1) ** (i + j) * det_int(minor)
-    return adj
-
-
-def solve_columns(cols, target):
-    """Solve sum_j x_j * cols[j] == target exactly over the rationals.
-
-    Requires the columns to be linearly independent; returns a tuple of
-    Fractions, or None when the system is inconsistent.
+    Returns (det, adj) with adj @ mat == mat @ adj == det * I, or (0, None)
+    when mat is singular.  Eliminates [mat | I] fraction-free: the last pivot
+    is det up to the sign of the row swaps, and the right block is then
+    that pivot times the inverse.
     """
-    k = len(cols)
-    n = len(target)
-    aug = [[Fraction(cols[j][r]) for j in range(k)] + [Fraction(target[r])]
-           for r in range(n)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = next((i for i in range(row, n) if aug[i][col] != 0), None)
+    n = len(mat)
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(mat)]
+    sign, d = 1, 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
         if piv is None:
-            raise ValueError("columns are linearly dependent")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(n):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append((row, col))
-        row += 1
-    for i in range(row, n):
-        if aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for r, c in pivots:
-        sol[c] = aug[r][k]
-    return tuple(sol)
+            return 0, None
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = -sign
+        d = _pivot(rows, c, c, d)
+    return sign * d, [[sign * x for x in row[n:]] for row in rows]
+
+
+def det_int(mat) -> int:
+    """Determinant of a square integer matrix."""
+    return det_adj(mat)[0]
 
 
 def nonneg_combination(vectors, target):
     """Exact feasibility: lambda >= 0 with sum lambda_i * vectors[i] == target.
 
-    Phase-1 simplex over the rationals with Bland's rule; returns the
-    coefficient tuple, or None when no such combination exists.
+    Phase-1 simplex with Bland's rule on the integer tableau [A | I | b] with
+    the reduced-cost row last, kept fraction-free by :func:`_pivot`: every
+    row is the rational tableau row times the common pivot d > 0, so signs
+    and ratio tests (cross-multiplied) read the same.  Returns the
+    coefficient tuple of Fractions, or None when no such combination exists.
     """
     k = len(vectors)
     n = len(target)
     if k == 0:
         return () if all(t == 0 for t in target) else None
-    tab = []
-    rhs = []
+    rows = []
     for r in range(n):
-        row = [Fraction(v[r]) for v in vectors]
-        b = Fraction(target[r])
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        tab.append(row + [Fraction(int(r == i)) for i in range(n)])
-        rhs.append(b)
-    basis = [k + r for r in range(n)]
-    ncols = k + n
+        s = -1 if target[r] < 0 else 1
+        rows.append([s * v[r] for v in vectors] + [int(r == i) for i in range(n)]
+                    + [s * target[r]])
     # reduced costs for minimising the sum of artificials
-    red = [Fraction(int(j >= k)) - sum(tab[r][j] for r in range(n))
-           for j in range(ncols)]
+    rows.append([-sum(row[j] for row in rows) for j in range(k)] + [0] * n
+                + [-sum(row[-1] for row in rows)])
+    basis = [k + r for r in range(n)]
+    d = 1
     while True:
-        enter = next((j for j in range(ncols) if red[j] < 0), None)
+        enter = next((j for j in range(k + n) if rows[n][j] < 0), None)
         if enter is None:
             break
-        leave = None
-        best = None
-        for r in range(n):
-            if tab[r][enter] > 0:
-                ratio = rhs[r] / tab[r][enter]
-                if best is None or ratio < best or \
-                        (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
-        if leave is None:
+        candidates = [r for r in range(n) if rows[r][enter] > 0]
+        if not candidates:
             return None
-        pv = tab[leave][enter]
-        tab[leave] = [x / pv for x in tab[leave]]
-        rhs[leave] /= pv
-        for r in range(n):
-            if r != leave and tab[r][enter] != 0:
-                f = tab[r][enter]
-                tab[r] = [x - f * y for x, y in zip(tab[r], tab[leave])]
-                rhs[r] -= f * rhs[leave]
-        f = red[enter]
-        red = [x - f * y for x, y in zip(red, tab[leave])]
+        leave = candidates[0]
+        for r in candidates[1:]:
+            cross = (rows[r][-1] * rows[leave][enter]
+                     - rows[leave][-1] * rows[r][enter])
+            if cross < 0 or (cross == 0 and basis[r] < basis[leave]):
+                leave = r
+        d = _pivot(rows, leave, enter, d)
         basis[leave] = enter
     lam = [Fraction(0)] * k
     for r in range(n):
         if basis[r] >= k:
-            if rhs[r] != 0:
+            if rows[r][-1] != 0:
                 return None
         else:
-            lam[basis[r]] = rhs[r]
+            lam[basis[r]] = Fraction(rows[r][-1], d)
     return tuple(lam)
-

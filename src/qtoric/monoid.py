@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .geometry import Cone, cone_contains, dual_cone, is_strongly_convex, pos_hull
-from .linalg import adjugate_int, det_int, dot, rank_int
+from .linalg import det_adj, dot, rank_int
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,7 @@ def _parallelepiped_points(basis, dim):
     """Integer points of {sum t_i b_i : 0 <= t_i <= 1} for independent b_i."""
     d = len(basis)
     gram = [[dot(a, b) for b in basis] for a in basis]
-    det = det_int(gram)
-    adj = adjugate_int(gram)
+    det, adj = det_adj(gram)
     # rows of N give D * t = N @ x for any x in the span
     n_mat = [[sum(adj[i][j] * basis[j][c] for j in range(d)) for c in range(dim)]
              for i in range(d)]

@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 from .geometry import (Cone, Fan, Polytope, dual_cone, fan_from_maximal,
                        is_simplicial, make_fan, pos_hull)
-from .linalg import det_int, solve_columns
+from .linalg import det_adj, det_int, dot
 from .monoid import hilbert_basis
 from .segre import PureState, check_shape, minor_value, segre_minors
 
@@ -90,7 +90,7 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
     around the origin more than once passes this local check.
     """
     maximal = fan.maximal_cones()
-    charts = []
+    charts, inverses = [], []
     facet_owners: dict[frozenset, list[int]] = {}
     for pos_idx, cone in enumerate(maximal):
         if not is_simplicial(cone):
@@ -98,7 +98,12 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
         if cone.rank != fan.dim or abs(det_int(cone.generators)) != 1:
             raise ValueError(f"maximal cone {cone.generators} is not smooth")
         coords = hilbert_basis(dual_cone(cone)).generators
+        det, adj = det_adj(list(zip(*coords)))
+        if abs(det) != 1:
+            raise ValueError("chart coordinates do not form a lattice basis")
         charts.append(Chart(cone, coords))
+        # b == sum_k dot(inverse[k], b) * coords[k] for every b
+        inverses.append([[det * x for x in row] for row in adj])
         for drop in range(len(cone.generators)):
             key = frozenset(g for t, g in enumerate(cone.generators)
                             if t != drop)
@@ -114,15 +119,9 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
                              "between two maximal cones on opposite sides")
         i, j = owners
         adjacent.update({(i, j), (j, i)})
-    transitions = []
-    for i, j in sorted(adjacent):
-        rows = []
-        for b in charts[j].coordinates:
-            coeffs = solve_columns(charts[i].coordinates, b)
-            if coeffs is None or any(c.denominator != 1 for c in coeffs):
-                raise ValueError("chart coordinates do not form a lattice basis")
-            rows.append(tuple(int(c) for c in coeffs))
-        transitions.append((i, j, tuple(rows)))
+    transitions = [(i, j, tuple(tuple(dot(row, b) for row in inverses[i])
+                                for b in charts[j].coordinates))
+                   for i, j in sorted(adjacent)]
     return ChartAtlas(fan, tuple(charts), tuple(transitions))
 
 

@@ -1,5 +1,6 @@
 """Cones, polytopes, duals, polars, faces, and normal fans."""
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -50,6 +51,14 @@ class TestPosHull:
             c = pos_hull(vecs, dim)
             for x in oracles.ball(dim, 3):
                 assert cone_contains(c, x) == oracles.cone_contains(vecs, dim, x)
+
+    def test_membership_of_rational_points(self):
+        c = C((1, 0), (1, 2))
+        assert cone_contains(c, (Fraction(1, 2), Fraction(1, 3)))
+        assert cone_contains(c, (Fraction(1, 3), Fraction(2, 3)))
+        just_outside = Fraction(2, 3) + Fraction(1, 10**30)
+        assert not cone_contains(c, (Fraction(1, 3), just_outside))
+        assert not cone_contains(c, (Fraction(-1, 7), 0))
 
 
 class TestDualCone:
@@ -331,6 +340,18 @@ class TestPredicates:
         assert not is_strongly_convex(C((1, 0), (-1, 0)))
         assert is_strongly_convex(pos_hull([], dim=2))
         assert not is_strongly_convex(C((1, 0), (-1, 1), (0, -1)))
+
+    def test_strongly_convex_matches_definition(self, rng):
+        # no generator's negative lies in the cone
+        for _ in range(60):
+            dim = rng.choice((2, 3))
+            vecs = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                    for _ in range(rng.randint(1, 5))]
+            c = pos_hull(vecs, dim)
+            line = any(oracles.cone_contains(c.generators, dim,
+                                             tuple(-x for x in g))
+                       for g in c.generators)
+            assert is_strongly_convex(c) == (not line), vecs
 
     def test_simplicial(self):
         assert is_simplicial(C((1, 0, 0), (0, 1, 0), (0, 0, 1)))

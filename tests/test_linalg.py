@@ -1,0 +1,130 @@
+"""Exact linear algebra: property tests of the fraction-free elimination.
+
+Entries reach 10**30, far past any float, so a wrong exact divisor in the
+elimination step shows as a wrong result rather than hiding in rounding.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from qtoric.linalg import det_adj, det_int, nonneg_combination, rank_int
+
+BIG = 10**30
+entries = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def square_matrices(min_n=0, max_n=5):
+    return st.integers(min_n, max_n).flatmap(lambda n: matrices(n, n))
+
+
+def low_rank_matrices():
+    """Products (r x k)(k x c) with k <= 3, so the rank is at most k."""
+    return st.tuples(st.integers(1, 5), st.integers(1, 3), st.integers(1, 5)).flatmap(
+        lambda s: st.tuples(matrices(s[0], s[1]), matrices(s[1], s[2])))
+
+
+def matmul(a, b, cols):
+    return [[sum(x * row[j] for x, row in zip(r, b)) for j in range(cols)]
+            for r in a]
+
+
+def frac_det(mat):
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+class TestDetAdj:
+    @settings(deadline=None)
+    @given(square_matrices())
+    def test_adjugate_identity(self, m):
+        n = len(m)
+        det, adj = det_adj(m)
+        assert det == frac_det(m)
+        assert det_int(m) == det
+        if det == 0:
+            assert adj is None
+            return
+        scalar = [[det * int(i == j) for j in range(n)] for i in range(n)]
+        assert matmul(adj, m, n) == scalar
+        assert matmul(m, adj, n) == scalar
+
+    @settings(deadline=None)
+    @given(square_matrices(2, 4),
+           st.lists(st.integers(-BIG, BIG), min_size=4, max_size=4),
+           st.integers(0, 3))
+    def test_singular_gives_no_adjugate(self, m, coeffs, slot):
+        n = len(m)
+        slot %= n
+        m[slot] = [sum(c * row[j] for c, (i, row) in zip(coeffs, enumerate(m))
+                       if i != slot) for j in range(n)]
+        assert det_adj(m) == (0, None)
+
+    def test_empty_and_unit(self):
+        assert det_adj([]) == (1, [])
+        assert det_adj([[-7]]) == (-7, [[1]])
+
+
+class TestRank:
+    @settings(deadline=None)
+    @given(low_rank_matrices())
+    def test_rank_matches_rational_elimination(self, factors):
+        a, b = factors
+        m = matmul(a, b, len(b[0]))
+        assert rank_int(m) == oracles.frac_rank(m)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda r: st.integers(1, 4).flatmap(lambda c: matrices(r, c))))
+    def test_rank_of_random_matrices(self, m):
+        assert rank_int(m) == oracles.frac_rank(m)
+
+    def test_no_rows(self):
+        assert rank_int([]) == 0
+
+
+class TestNonnegCombination:
+    @settings(deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
+        st.lists(st.lists(entries, min_size=dim, max_size=dim), max_size=5),
+        st.lists(entries, min_size=dim, max_size=dim),
+        st.lists(st.integers(0, 3), min_size=5, max_size=5),
+        st.booleans())))
+    def test_feasible_exactly_inside_the_cone(self, case):
+        vecs, target, weights, combine = case
+        vecs = [tuple(v) for v in vecs]
+        dim = len(target)
+        if combine and vecs:
+            # a target inside the cone, often on its boundary
+            target = [sum(w * v[i] for w, v in zip(weights, vecs))
+                      for i in range(dim)]
+        lam = nonneg_combination(vecs, tuple(target))
+        assert (lam is not None) == oracles.cone_contains(vecs, dim, target)
+        if lam is not None:
+            assert all(isinstance(x, Fraction) and x >= 0 for x in lam)
+            assert [sum(x * v[i] for x, v in zip(lam, vecs))
+                    for i in range(dim)] == target
+
+    def test_no_vectors(self):
+        assert nonneg_combination([], (0, 0)) == ()
+        assert nonneg_combination([], (0, 1)) is None

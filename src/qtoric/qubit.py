@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .geometry import (Cone, Fan, Polytope, dual_cone, fan_from_maximal,
-                       is_simplicial, make_fan, pos_hull)
+from .geometry import (Cone, Fan, Polytope, fan_from_maximal, is_simplicial,
+                       make_fan, pos_hull)
 from .linalg import det_adj, det_int, dot
-from .monoid import hilbert_basis
-from .segre import PureState, check_shape, minor_value, segre_minors
+from .segre import PureState, is_separable
 
 
 def _unit(dim: int, axis: int, sign: int = 1) -> tuple[int, ...]:
@@ -52,7 +51,7 @@ def multiqubit_fan(m: int) -> Fan:
 
 @dataclass(frozen=True)
 class Chart:
-    """Coordinates of one affine chart: the dual monoid's minimal generators."""
+    """One affine chart: a smooth cone and the sorted dual basis of it."""
 
     cone: Cone
     coordinates: tuple[tuple[int, ...], ...]
@@ -95,15 +94,16 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
     for pos_idx, cone in enumerate(maximal):
         if not is_simplicial(cone):
             raise ValueError(f"maximal cone {cone.generators} is not simplicial")
-        if cone.rank != fan.dim or abs(det_int(cone.generators)) != 1:
-            raise ValueError(f"maximal cone {cone.generators} is not smooth")
-        coords = hilbert_basis(dual_cone(cone)).generators
-        det, adj = det_adj(list(zip(*coords)))
+        det, adj = (det_adj(cone.generators) if cone.rank == fan.dim
+                    else (0, None))
         if abs(det) != 1:
-            raise ValueError("chart coordinates do not form a lattice basis")
-        charts.append(Chart(cone, coords))
-        # b == sum_k dot(inverse[k], b) * coords[k] for every b
-        inverses.append([[det * x for x in row] for row in adj])
+            raise ValueError(f"maximal cone {cone.generators} is not smooth")
+        # column u_i of det * adj is dual to generator g_i, so
+        # b == sum_i dot(g_i, b) * u_i for every b
+        dual = sorted((tuple(det * row[i] for row in adj), g)
+                      for i, g in enumerate(cone.generators))
+        charts.append(Chart(cone, tuple(u for u, _ in dual)))
+        inverses.append([g for _, g in dual])
         for drop in range(len(cone.generators)):
             key = frozenset(g for t, g in enumerate(cone.generators)
                             if t != drop)
@@ -199,9 +199,5 @@ def verify_parameterization(m: int, z_point) -> bool:
     z = tuple(z_point)
     if any(not zj for zj in z):
         raise ValueError("all torus coordinates must be nonzero")
-    state = parameterization_image(parameterization(m), z)
-    shape = check_shape((2,) * m)
-    for minor in segre_minors(shape):
-        if minor_value(state, minor):
-            return False
-    return True
+    return is_separable(parameterization_image(parameterization(m), z),
+                        0).separable

@@ -119,27 +119,25 @@ def segre_map(p: ProductState) -> PureState:
 def segre_minors(shape) -> tuple[MinorSpec, ...]:
     """The complete duplicate-free list of nontrivial minors for a shape.
 
-    Ordered by (mode, local index pair, complement pair); minors produced by
-    two modes (index pairs differing in exactly two slots) are kept under the
-    smaller mode.
+    Ordered by (mode, local index pair, complement pair).  A minor of two
+    modes s < j (index pairs differing in exactly two slots) is kept under s:
+    mode j skips the complement pairs that differ in one slot only, s < j.
     """
     shape = check_shape(shape)
     m = len(shape)
     minors = []
-    seen = set()
     for mode in range(m):
         others = [n for j, n in enumerate(shape) if j != mode]
         complements = sorted(product(*(range(n) for n in others)))
+        pairs = []
+        for c, c2 in combinations(complements, 2):
+            diff = [s for s in range(m - 1) if c[s] != c2[s]]
+            if not (len(diff) == 1 and diff[0] < mode):
+                pairs.append((c, c2))
         for a, b in combinations(range(shape[mode]), 2):
-            for c, c2 in combinations(complements, 2):
-                k = c[:mode] + (a,) + c[mode:]
-                l = c2[:mode] + (b,) + c2[mode:]
-                minor = MinorSpec(mode, k, l)
-                key = minor.key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                minors.append(minor)
+            for c, c2 in pairs:
+                minors.append(MinorSpec(mode, c[:mode] + (a,) + c[mode:],
+                                        c2[:mode] + (b,) + c2[mode:]))
     return tuple(minors)
 
 
@@ -198,14 +196,18 @@ _FLOAT_SAFE = (Fraction(2) ** -1022, Fraction(2) ** 1023)
 def _float_range_shift(state: PureState) -> int:
     """0, or for an exact state whose peak |a|^2 lies outside _FLOAT_SAFE
     the k that brings the peak |a|^2 of state / 2^k near 1."""
-    values = state.amplitudes.values()
-    if not all(isinstance(v, (int, Fraction, ComplexRational)) for v in values):
+    if not _is_exact(state):
         return 0
     peak2 = max(v.magnitude_squared() if isinstance(v, ComplexRational)
-                else Fraction(v) ** 2 for v in values)
+                else Fraction(v) ** 2 for v in state.amplitudes.values())
     if _FLOAT_SAFE[0] <= peak2 < _FLOAT_SAFE[1]:
         return 0
     return (peak2.numerator.bit_length() - peak2.denominator.bit_length()) // 2
+
+
+def _is_exact(state: PureState) -> bool:
+    return all(isinstance(v, (int, Fraction, ComplexRational))
+               for v in state.amplitudes.values())
 
 
 def _ldexp(x: float, e: int) -> float:
@@ -220,28 +222,23 @@ def _float_verdict(state: PureState, tol: float) -> SeparabilityResult:
     peak = max(magnitude(v) for v in state.amplitudes.values())
     if peak == 0:
         raise ValueError("state is zero")
-    worst = None
-    worst_abs = 0.0
-    worst_value = None
-    first_nonzero = None
-    for minor in segre_minors(state.shape):
-        raw = minor_value(state, minor)
-        if raw and first_nonzero is None:
-            first_nonzero = (minor, raw)
-        value = complex(raw)
-        if abs(value) > worst_abs:
-            worst_abs = abs(value)
-            worst = minor
-            worst_value = value
-    if worst_abs <= tol * peak * peak:
-        # at tol 0 the verdict is exact: a nonzero minor too small for a
-        # float still rules out separability
-        if tol == 0 and first_nonzero is not None:
-            minor, raw = first_nonzero
-            return SeparabilityResult(False, worst_abs, None, minor,
-                                      complex(raw))
-        return SeparabilityResult(True, worst_abs, _witness(state), None)
-    return SeparabilityResult(False, worst_abs, None, worst, worst_value)
+    if _is_exact(state):
+        # exactly the rank-one tensors, on which every minor vanishes, are
+        # rebuilt by their witness
+        witness = _witness(state)
+        if segre_map(witness).amplitudes == state.amplitudes:
+            return SeparabilityResult(True, 0.0, witness, None)
+    # the first largest minor as a float; if every float is 0, the first
+    # exactly nonzero one
+    minor, value, raw = max(
+        ((minor, complex(raw), raw) for minor in segre_minors(state.shape)
+         for raw in (minor_value(state, minor),)),
+        key=lambda t: (abs(t[1]), bool(t[2])), default=(None, 0j, 0))
+    # at tol 0 the verdict is exact: a nonzero minor too small for a float
+    # still rules out separability
+    if abs(value) <= tol * peak * peak and not (tol == 0 and raw):
+        return SeparabilityResult(True, abs(value), _witness(state), None)
+    return SeparabilityResult(False, abs(value), None, minor, value)
 
 
 def _witness(state: PureState) -> ProductState:

@@ -333,3 +333,28 @@ def best_rank_one_residual(tensor: np.ndarray, starts: int = 4,
         residual = np.linalg.norm(tensor - coeff * approx) / norm
         best = min(best, residual)
     return float(best)
+
+
+def segre_minor_listing(shape):
+    """Canonical exchange minors as (mode, k, l), by definition.
+
+    Lists every (mode, local pair a < b, complement pair c < c2) in order and
+    drops a minor whose binomial, as an orderless pair of index pairs, was
+    already listed; the exchanged indices swap slot `mode` of k and l.
+    """
+    out = []
+    seen = set()
+    for mode, n in enumerate(shape):
+        others = [d for j, d in enumerate(shape) if j != mode]
+        complements = sorted(itertools.product(*(range(d) for d in others)))
+        for a, b in itertools.combinations(range(n), 2):
+            for c, c2 in itertools.combinations(complements, 2):
+                k = c[:mode] + (a,) + c[mode:]
+                l = c2[:mode] + (b,) + c2[mode:]
+                k2 = c[:mode] + (b,) + c[mode:]
+                l2 = c2[:mode] + (a,) + c2[mode:]
+                key = frozenset((frozenset((k, l)), frozenset((k2, l2))))
+                if key not in seen:
+                    seen.add(key)
+                    out.append((mode, k, l))
+    return out

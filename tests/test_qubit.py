@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import oracles
 from conftest import random_complex_rational
-from qtoric import (chart_atlas, evaluate_binomial, invariant_subvarieties,
+from qtoric import (chart_atlas, dual_cone, evaluate_binomial,
+                    fan_from_maximal, hilbert_basis, invariant_subvarieties,
                     make_fan, multiqubit_fan, multiqubit_polytope, normal_fan,
                     parameterization, parameterization_image, polar,
                     polytope_hull, pos_hull, projective_space_fan, segre_map,
@@ -23,6 +26,21 @@ def compose(a, b):
 
 
 IDENTITY2 = ((1, 0), (0, 1))
+
+
+def unimodular_image(fan, rng):
+    """The fan under a random integer matrix of determinant +-1."""
+    n = fan.dim
+    mat = [[int(r == c) * rng.choice((1, -1)) for c in range(n)]
+           for r in range(n)]
+    for _ in range(3 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        mat[i] = [x + s * y for x, y in zip(mat[i], mat[j])]
+    return fan_from_maximal([
+        pos_hull([tuple(sum(a * b for a, b in zip(row, g)) for row in mat)
+                  for g in cone.generators], n)
+        for cone in fan.maximal_cones()])
 
 
 class TestProjectiveSpaceFan:
@@ -173,6 +191,23 @@ class TestChartAtlas:
                     via_chart_i = via_chart_i * base ** e
                 assert via_chart_i == monomial(expo)
 
+    def test_coordinates_are_the_dual_hilbert_basis(self, rng):
+        fans = ([multiqubit_fan(m) for m in range(1, 5)]
+                + [projective_space_fan(n) for n in range(1, 5)])
+        fans += [unimodular_image(fan, rng) for fan in fans for _ in range(3)]
+        for fan in fans:
+            atlas = chart_atlas(fan)
+            charts = atlas.charts
+            for chart in charts:
+                assert chart.coordinates == \
+                    hilbert_basis(dual_cone(chart.cone)).generators
+            # row c of T writes chart j's coordinate c over chart i's
+            for i, j, mat in atlas.transitions:
+                for row, target in zip(mat, charts[j].coordinates):
+                    assert tuple(sum(e * u[d] for e, u in
+                                     zip(row, charts[i].coordinates))
+                                 for d in range(fan.dim)) == target
+
     def test_non_simplicial_cone_rejected(self):
         square_cone = pos_hull([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)])
         fan = make_fan([square_cone], 3)
@@ -250,6 +285,21 @@ class TestParameterization:
         assert verify_parameterization(
             3, (ComplexRational(Fraction(1)), ComplexRational(Fraction(-1)),
                 ComplexRational(Fraction(5))))
+
+    @settings(deadline=None)
+    @given(hs.integers(1, 5).flatmap(lambda m: hs.one_of(*(
+        hs.lists(coordinate.filter(bool), min_size=m, max_size=m)
+        for coordinate in (
+            hs.builds(ComplexRational, hs.fractions(-4, 4, max_denominator=5),
+                      hs.fractions(-4, 4, max_denominator=5)),
+            hs.floats(-100, 100), hs.complex_numbers(max_magnitude=100))))))
+    def test_agrees_with_all_minors(self, z):
+        # exact or float coordinates; a float minor can keep a rounding residue
+        m = len(z)
+        image = parameterization_image(parameterization(m), z)
+        expected = all(not minor_value(image, minor)
+                       for minor in segre_minors((2,) * m))
+        assert verify_parameterization(m, z) == expected
 
     def test_zero_coordinate_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):

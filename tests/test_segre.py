@@ -7,6 +7,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import oracles
 from conftest import random_complex_rational, random_product_state
@@ -281,6 +283,85 @@ class TestExactMinorArithmetic:
                 bumped[idx] = bumped.get(idx, ComplexRational()) + 1
                 perturbed = PureState(shape, bumped)
                 assert minor_value(perturbed, by_index[idx])
+
+
+# shapes of 1-4 parties, local dimensions 2-4, at most 48 amplitudes
+shapes = hs.lists(hs.integers(2, 4), min_size=1, max_size=4).filter(
+    lambda shape: math.prod(shape) <= 48)
+rationals = hs.fractions(-3, 3, max_denominator=4)
+exact_amplitudes = hs.one_of(hs.integers(-3, 3), rationals,
+                             hs.builds(ComplexRational, rationals, rationals))
+
+
+def product_images(shape, amplitudes=exact_amplitudes):
+    return hs.tuples(*(hs.lists(amplitudes, min_size=n, max_size=n).filter(any)
+                       for n in shape)).map(
+        lambda locs: segre_map(ProductState(locs)))
+
+
+def changed(state, idx, delta):
+    amps = dict(state.amplitudes)
+    amps[idx] = state.amplitude(idx) + delta
+    return PureState(state.shape, amps) if any(amps.values()) else None
+
+
+def indices(shape):
+    return hs.tuples(*(hs.integers(0, n - 1) for n in shape))
+
+
+def exact_states(shape):
+    """Product states, product states with one amplitude changed, and
+    tensors with zero entries."""
+    size = math.prod(shape)
+    sparse = hs.lists(hs.one_of(hs.just(0), exact_amplitudes),
+                      min_size=size, max_size=size).filter(any).map(
+        lambda vals: PureState(shape, dict(zip(product(
+            *(range(n) for n in shape)), vals))))
+    bumped = hs.tuples(product_images(shape), indices(shape),
+                       exact_amplitudes.filter(bool)).map(
+        lambda t: changed(*t)).filter(lambda st: st is not None)
+    return hs.one_of(product_images(shape), bumped, sparse)
+
+
+class TestExactMembership:
+    """The witness identity and the lazy listing against the definitions."""
+
+    @settings(deadline=None)
+    @given(shapes)
+    def test_minors_match_definitional_listing(self, shape):
+        got = [(minor.mode, minor.k, minor.l) for minor in segre_minors(shape)]
+        assert got == oracles.segre_minor_listing(shape)
+
+    @settings(deadline=None)
+    @given(shapes.flatmap(exact_states))
+    def test_exact_verdict_is_all_minors_vanishing(self, st):
+        minors = segre_minors(st.shape)
+        vanish = all(not minor_value(st, minor) for minor in minors)
+        verdict = is_separable(st, 0)
+        assert verdict.separable == vanish
+        if vanish:
+            assert segre_map(verdict.witness).amplitudes == st.amplitudes
+        else:
+            values = [abs(complex(minor_value(st, minor))) for minor in minors]
+            assert verdict.max_violation == max(values)
+            assert verdict.worst_minor == minors[values.index(max(values))]
+
+    @settings(deadline=None)
+    @given(shapes.filter(lambda shape: len(shape) > 1).flatmap(
+        lambda shape: hs.tuples(
+            product_images(shape, exact_amplitudes.filter(bool)),
+            indices(shape), exact_amplitudes.filter(bool))))
+    def test_underflowing_violation_reports_first_nonzero_minor(self, case):
+        image, idx, delta = case
+        # every local amplitude is nonzero, so the change breaks rank one,
+        # but each nonzero minor is about 10^-400 and rounds to float 0
+        st = changed(image, idx, delta * Fraction(1, 10 ** 400))
+        first = next(minor for minor in segre_minors(st.shape)
+                     if minor_value(st, minor))
+        verdict = is_separable(st, 0)
+        assert not verdict.separable
+        assert verdict.worst_minor == first
+        assert verdict.max_violation == 0.0 and verdict.worst_value == 0
 
 
 class TestThreeQubitGenerators:

@@ -4,17 +4,26 @@ All objects are immutable and canonicalised, so equality of canonical forms
 is plain ``==``.  Cone generators and polytope vertices are tuples of Python
 ints (arbitrary precision); linear programs and ranks run on the
 fraction-free integer elimination of ``linalg``, so no fractions arise there.
+
+Duals, polars, facets, face lattices, normal fans and hulls come from one
+double description.  When its constraints span Q^n (a full-dimensional cone
+or polytope) the result is pointed, and the combinatorial adjacency test on
+the rays' zero sets builds it without a single LP; the zero sets are the
+facets' tight sets.  An LP per candidate ray prunes it only when the
+constraints have lower rank, i.e. when the dual contains lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import lcm
+from operator import and_
 
-from .linalg import (dot, nonneg_combination, primitive, rank_int,
-                     vector_gcd)
+from .linalg import (det_adj, dot, nonneg_combination, pivot_columns,
+                     primitive, rank_int, vector_gcd)
 
 
 @dataclass(frozen=True)
@@ -113,17 +122,21 @@ class Fan:
         """Cones of maximal linear dimension (the full cones of a complete fan)."""
         if not self.cones:
             return ()
-        top = max(c.rank for c in self.cones)
-        return tuple(c for c in self.cones if c.rank == top)
+        ranks = [c.rank for c in self.cones]
+        top = max(ranks)
+        return tuple(c for c, r in zip(self.cones, ranks) if r == top)
 
 
 def zero_cone(dim: int) -> Cone:
     return Cone(dim, ())
 
 
-def _minimal_generators(vectors, dim):
-    """Greedy removal of generators expressible as nonnegative combinations."""
-    gens = sorted(set(primitive(v) for v in vectors if any(x != 0 for x in v)))
+def _greedy_generators(gens):
+    """Greedy removal of generators expressible as nonnegative combinations.
+
+    gens must be sorted, primitive and distinct; one LP per generator.  For a
+    cone containing lines the result depends on this order.
+    """
     if rank_int(gens) == len(gens):
         return gens
     kept = list(gens)
@@ -135,6 +148,28 @@ def _minimal_generators(vectors, dim):
         else:
             i += 1
     return kept
+
+
+def _minimal_generators(vectors, dim):
+    """Sorted minimal generators of pos{vectors}: its extreme rays when pointed.
+
+    Generators spanning Q^dim get their facets from the adjacency double
+    description; if these span too (the cone is pointed), g_i is extreme
+    exactly when the facets through g_i meet in {g_i}.  Otherwise the greedy
+    LP loop decides.
+    """
+    gens = sorted(set(primitive(v) for v in vectors if any(x != 0 for x in v)))
+    # at most dim generators span Q^dim only when independent, so none is
+    # redundant; the greedy loop returns them at once
+    rays = _adjacency_dd(dim, gens) if len(gens) > dim else None
+    if rays is not None:
+        every = (1 << len(gens)) - 1
+        # all facets meet in the generators of the lineality space
+        if reduce(and_, (z for _, z in rays), every) == 0:
+            return [g for i, g in enumerate(gens)
+                    if reduce(and_, (z for _, z in rays if z >> i & 1),
+                              every) == 1 << i]
+    return _greedy_generators(gens)
 
 
 def pos_hull(vectors, dim: int | None = None) -> Cone:
@@ -160,8 +195,61 @@ def cone_contains(c: Cone, point) -> bool:
                               tuple(int(q * den) for q in point)) is not None
 
 
-def _dd_rays(dim, constraints):
-    """Double description: generators of {y : h . y >= 0 for all h}."""
+def _adjacency_dd(dim, constraints):
+    """Double description of {y : h . y >= 0 for all h} without LPs.
+
+    Needs constraints of rank dim, so the cone is pointed and its extreme
+    rays are unique; returns None otherwise.  Starts from the simplicial cone
+    of the first dim independent constraints, whose rays are the columns of
+    sign(det) * adj, and adds the others one at a time.  Each ray carries its
+    zero set, an int bitmask over constraint indices; a pos/neg pair is
+    combined only when adjacent, i.e. when no third ray's zero set contains
+    their common one (Motzkin et al. 1953; Fukuda & Prodon 1996).  Returns
+    unsorted (ray, zero set) pairs.
+    """
+    basis = pivot_columns(list(zip(*constraints)))
+    if len(basis) < dim:
+        return None
+    det, adj = det_adj([constraints[i] for i in basis])
+    sign = 1 if det > 0 else -1
+    every = sum(1 << i for i in basis)
+    rays = [(primitive([sign * row[j] for row in adj]), every & ~(1 << i))
+            for j, i in enumerate(basis)]
+    chosen = set(basis)
+    for i, h in enumerate(constraints):
+        if i in chosen:
+            continue
+        bit = 1 << i
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            s = dot(h, r)
+            if s > 0:
+                pos.append((r, z, s))
+                kept.append((r, z))
+            elif s < 0:
+                neg.append((r, z, s))
+            else:
+                kept.append((r, z | bit))
+        zero_sets = [z for _, z in rays]
+        for p, zp, sp in pos:
+            for q, zq, sq in neg:
+                # p and q span a 2-face iff they are the only rays on the
+                # smallest face holding both; its constraints have rank dim - 2
+                common = zp & zq
+                if common.bit_count() >= dim - 2 and \
+                        sum(z & common == common for z in zero_sets) == 2:
+                    comb = primitive([sp * x - sq * y for x, y in zip(q, p)])
+                    kept.append((comb, common | bit))
+        rays = kept
+    return rays
+
+
+def _lp_dd(dim, constraints):
+    """Double description pruned by LPs, for constraints of rank < dim.
+
+    The cone then contains lines and has no unique minimal generating set;
+    the greedy order of :func:`_greedy_generators` picks the canonical one.
+    """
     rays = []
     for i in range(dim):
         e = tuple(int(i == j) for j in range(dim))
@@ -182,19 +270,38 @@ def _dd_rays(dim, constraints):
             comb = tuple(sp * x - sq * y for x, y in zip(q, p))
             if any(x != 0 for x in comb):
                 new.append(primitive(comb))
-        rays = _minimal_generators(new, dim)
+        rays = _greedy_generators(sorted(set(new)))
+    return rays
+
+
+def _dd_rays(dim, constraints):
+    """Generators of {y : h . y >= 0 for all h}, sorted, with zero sets.
+
+    Each generator comes as (ray, zero set), the zero set an int bitmask of
+    the constraints h with h . ray == 0.
+    """
+    rays = _adjacency_dd(dim, constraints)
+    if rays is None:
+        rays = [(r, sum(1 << i for i, h in enumerate(constraints)
+                        if dot(h, r) == 0))
+                for r in _lp_dd(dim, constraints)]
     return sorted(rays)
 
 
 def dual_cone(c: Cone) -> Cone:
     """The cone {y : <x, y> >= 0 for every x in c}.
 
+    For a full-dimensional c the dual is pointed: its generators are its
+    extreme rays, found by the adjacency double description without LPs.
+    Only when c is not full-dimensional does the dual contain lines; then
+    the LP-pruned double description picks a minimal generating set.
+
     Double dual returns the original canonical form for strongly convex
     cones (extreme rays are unique); cones containing lines admit several
     minimal generating sets, so only set-equality of the described cones is
     guaranteed there.
     """
-    return Cone(c.dim, tuple(_dd_rays(c.dim, c.generators)))
+    return Cone(c.dim, tuple(r for r, _ in _dd_rays(c.dim, c.generators)))
 
 
 def is_strongly_convex(c: Cone) -> bool:
@@ -231,8 +338,7 @@ def polytope_hull(points, dim: int | None = None) -> Polytope:
 
 def _homog_dual_rays(p: Polytope):
     """Generators of {(c, y) : c + <y, v> >= 0 for every vertex v}."""
-    constraints = [(1,) + v for v in p.vertices]
-    return _dd_rays(p.dim + 1, constraints)
+    return [r for r, _ in _dd_rays(p.dim + 1, [(1,) + v for v in p.vertices])]
 
 
 def polar(p: Polytope) -> Polytope:
@@ -252,44 +358,49 @@ def polar(p: Polytope) -> Polytope:
 def _facets(obj):
     """Irredundant supporting inequalities, each once, as (tight set, normal).
 
-    The tight set indexes the generators or vertices on the hyperplane; the
-    normal is primitive and points into the object.
+    The tight set is the zero set of the dual ray, an int bitmask over the
+    generators or vertices on the hyperplane; the normal is primitive and
+    points into the object.
     """
     if isinstance(obj, Cone):
-        return [(frozenset(i for i, g in enumerate(obj.generators)
-                           if dot(h, g) == 0), h)
-                for h in dual_cone(obj).generators]
-    facets = []
-    for r in _homog_dual_rays(obj):
-        c, y = r[0], r[1:]
-        tight = frozenset(i for i, v in enumerate(obj.vertices)
-                          if c + dot(y, v) == 0)
-        if tight:  # nothing is tight when y == 0
-            facets.append((tight, primitive(y)))
-    return facets
+        return [(z, h) for h, z in _dd_rays(obj.dim, obj.generators)]
+    return [(z, primitive(r[1:]))
+            for r, z in _dd_rays(obj.dim + 1, [(1,) + v for v in obj.vertices])
+            if z]  # nothing is tight when y == 0
 
 
-def _face_dim(obj, indices) -> int:
-    if isinstance(obj, Cone):
-        return rank_int([obj.generators[i] for i in indices])
-    pts = [obj.vertices[i] for i in indices]
-    v0 = pts[0]
-    return rank_int([tuple(a - b for a, b in zip(v, v0)) for v in pts[1:]])
+def _indices(mask) -> tuple[int, ...]:
+    return tuple(i for i, b in enumerate(reversed(bin(mask))) if b == "1")
 
 
 def faces(obj) -> tuple[Face, ...]:
     """All faces of a cone or polytope, including the improper face.
 
     For a strongly convex cone the apex {0} appears with an empty index set;
-    the empty face of a polytope is not enumerated.
+    the empty face of a polytope is not enumerated.  dim F is one more than
+    the largest proper face F & T over the facets T; only a face with none
+    (a vertex, the apex, the lineality space) takes a rank.
     """
-    return _face_lattice(obj, _facets(obj))
+    facets = _facets(obj)
+    dims = {}
+    for s in sorted(_face_family(obj, facets), key=int.bit_count):
+        below = [dims[t] for t in (s & tight for tight, _ in facets)
+                 if t in dims]
+        if below:
+            dims[s] = 1 + max(below)
+        elif isinstance(obj, Cone):  # the apex or the lineality space
+            dims[s] = rank_int([obj.generators[i] for i in _indices(s)])
+        else:  # a vertex
+            dims[s] = 0
+    result = [Face(obj, _indices(s), d) for s, d in dims.items()]
+    result.sort(key=lambda f: (f.dim, f.indices))
+    return tuple(result)
 
 
-def _face_lattice(obj, facets) -> tuple[Face, ...]:
-    """The faces of obj: intersections of the facets' tight index sets."""
+def _face_family(obj, facets) -> set[int]:
+    """The faces of obj as bitmasks: intersections of the facets' tight sets."""
     points = obj.generators if isinstance(obj, Cone) else obj.vertices
-    universe = frozenset(range(len(points)))
+    universe = (1 << len(points)) - 1
     family = {universe}
     queue = [universe]
     while queue:
@@ -300,13 +411,7 @@ def _face_lattice(obj, facets) -> tuple[Face, ...]:
                 if isinstance(obj, Cone) or t:
                     family.add(t)
                     queue.append(t)
-    result = []
-    for s in family:
-        idx = tuple(sorted(s))
-        d = _face_dim(obj, idx) if idx else 0
-        result.append(Face(obj, idx, d))
-    result.sort(key=lambda f: (f.dim, f.indices))
-    return tuple(result)
+    return family
 
 
 def face_cone(face: Face) -> Cone:
@@ -342,14 +447,13 @@ def normal_fan(p: Polytope) -> Fan:
     if p.rank != p.dim:
         raise ValueError("polytope is not full-dimensional")
     facets = _facets(p)
+    outer = [(tight, tuple(-x for x in inner)) for tight, inner in facets]
     cones = []
-    for f in _face_lattice(p, facets):
+    for s in _face_family(p, facets):
         # the outer normals of the facets containing F are distinct and are
         # the extreme rays of N(F): no redundancy check is needed
-        fs = frozenset(f.indices)
-        outer = sorted(tuple(-x for x in inner) for tight, inner in facets
-                       if fs <= tight)
-        cones.append(Cone(p.dim, tuple(outer)))
+        cones.append(Cone(p.dim, tuple(sorted(
+            n for tight, n in outer if s & tight == s))))
     return make_fan(cones, p.dim)
 
 
@@ -358,7 +462,7 @@ def intersect_cones(a: Cone, b: Cone) -> Cone:
     if a.dim != b.dim:
         raise ValueError("cone dimension mismatch")
     constraints = list(dual_cone(a).generators) + list(dual_cone(b).generators)
-    return Cone(a.dim, tuple(_dd_rays(a.dim, constraints)))
+    return Cone(a.dim, tuple(r for r, _ in _dd_rays(a.dim, constraints)))
 
 
 def validate_fan(fan: Fan) -> None:

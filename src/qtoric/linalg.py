@@ -103,18 +103,30 @@ def _pivot(rows, r, c, d):
     return pc
 
 
-def rank_int(rows) -> int:
-    """Rank of an integer matrix: the number of fraction-free pivots."""
+def pivot_columns(rows) -> list[int]:
+    """Columns of the fraction-free pivots of an integer matrix, in order.
+
+    These are the first linearly independent columns, greedily: column c is
+    a pivot column exactly when it is not in the span of the columns before.
+    """
     rows = [list(r) for r in rows]
-    rank, d = 0, 1
+    cols, d = [], 1
     for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        r = len(cols)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        d = _pivot(rows, rank, c, d)
-        rank += 1
-    return rank
+        rows[r], rows[piv] = rows[piv], rows[r]
+        d = _pivot(rows, r, c, d)
+        cols.append(c)
+        if len(cols) == len(rows):
+            break
+    return cols
+
+
+def rank_int(rows) -> int:
+    """Rank of an integer matrix: the number of fraction-free pivots."""
+    return len(pivot_columns(rows))
 
 
 def left_kernel_basis(rows):

@@ -1,14 +1,26 @@
-"""Shared randomness helpers for the exact-arithmetic test suites."""
+"""Shared randomness helpers and hypothesis profiles for the test suites.
+
+Property tests run without a per-example deadline: exact arithmetic on
+large integers has no fixed cost.  GitHub Actions sets ``CI``; there the
+``ci`` profile also derandomizes, so a CI run explores the same examples
+every time, while local runs keep random exploration.
+"""
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from qtoric import ProductState
 from qtoric.rationals import ComplexRational
+
+settings.register_profile("default", deadline=None)
+settings.register_profile("ci", deadline=None, derandomize=True)
+settings.load_profile("ci" if "CI" in os.environ else "default")
 
 
 @pytest.fixture

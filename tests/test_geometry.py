@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as hs
 
 import oracles
 from qtoric import (Cone, Polytope, dual_cone, faces, is_simplicial,
@@ -133,9 +135,12 @@ class TestPolar:
         assert polar(seg) == seg
 
     def test_polar_involution(self):
-        for m in (1, 2, 3, 4):
+        for m in range(1, 8):
             cube = multiqubit_polytope(m)
-            assert polar(polar(cube)) == cube
+            cross = polar(cube)
+            assert len(cross.vertices) == 2 * m
+            assert polar(cross) == cube
+            assert polar(polar(cross)) == cross
 
     def test_origin_not_interior_rejected(self):
         with pytest.raises(ValueError, match="interior"):
@@ -314,6 +319,8 @@ class TestNormalFan:
             done += 1
 
     def test_normal_fan_solves_no_more_lps_than_faces(self, monkeypatch):
+        # full-dimensional input runs the adjacency double description: no
+        # verb solves an LP; only a dual containing lines falls back to them
         import qtoric.geometry as geometry
         calls = [0]
         lp = geometry.nonneg_combination
@@ -322,16 +329,29 @@ class TestNormalFan:
             calls[0] += 1
             return lp(vectors, target)
 
+        def lps(fn, *args):
+            calls[0] = 0
+            fn(*args)
+            return calls[0]
+
         monkeypatch.setattr(geometry, "nonneg_combination", counting)
-        cross3 = polytope_hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                                (0, 0, 1), (0, 0, -1)])
-        for p in (multiqubit_polytope(3), cross3):
-            calls[0] = 0
-            faces(p)
-            by_faces = calls[0]
-            calls[0] = 0
-            normal_fan(p)
-            assert 0 < calls[0] <= by_faces
+        cross3 = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+                  (0, 0, -1)]
+        cube3 = list(product((-1, 1), repeat=3))
+        for pts in (cube3, cross3):
+            assert lps(polytope_hull, pts + [(0, 0, 0)]) == 0
+            p = polytope_hull(pts)
+            for verb in (faces, polar, normal_fan):
+                assert lps(verb, p) == 0, verb.__name__
+        # the cone over a square, with a redundant and an interior vector
+        gens = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (2, 2, 4),
+                (0, 0, 1)]
+        assert lps(pos_hull, gens) == 0
+        cone = pos_hull(gens)
+        assert cone.generators == ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1))
+        assert lps(dual_cone, cone) == 0
+        assert lps(faces, cone) == 0
+        assert lps(dual_cone, C((1, 0, 0))) > 0
 
 
 class TestPredicates:
@@ -403,3 +423,83 @@ class TestCanonicalForms:
         c = C((1, 0), (1, 2))
         ray_faces = [f for f in faces(c) if f.dim == 1]
         assert {face_cone(f) for f in ray_faces} == {C((1, 0)), C((1, 2))}
+
+
+def vectors(dim, lo=-3, hi=3, min_size=1, max_size=8):
+    return hs.lists(hs.tuples(*[hs.integers(lo, hi)] * dim),
+                    min_size=min_size, max_size=max_size)
+
+
+@hs.composite
+def full_rank_constraints(draw):
+    """Rows spanning Q^dim, with repeated rows and sums of two rows mixed in."""
+    dim = draw(hs.integers(2, 5))
+    rows = draw(vectors(dim, min_size=dim, max_size=dim + 3))
+    picks = hs.integers(0, len(rows) - 1)
+    for i in draw(hs.lists(picks, max_size=2)):
+        rows.append(rows[i])
+    for i, j in draw(hs.lists(hs.tuples(picks, picks), max_size=2)):
+        rows.append(tuple(a + b for a, b in zip(rows[i], rows[j])))
+    assume(oracles.frac_rank(rows) == dim)
+    return dim, draw(hs.permutations(rows))
+
+
+@hs.composite
+def full_dimensional_points(draw, max_dim):
+    """Lattice points affinely spanning Q^dim, with midpoints of pairs added:
+    points in the interior and on faces, repeated vertices."""
+    dim = draw(hs.integers(2, max_dim))
+    pts = [tuple(2 * x for x in v)
+           for v in draw(vectors(dim, min_size=dim + 1, max_size=dim + 5))]
+    picks = hs.integers(0, len(pts) - 1)
+    for i, j in draw(hs.lists(hs.tuples(picks, picks), max_size=6)):
+        pts.append(tuple((a + b) // 2 for a, b in zip(pts[i], pts[j])))
+    assume(oracles.frac_rank([tuple(a - b for a, b in zip(p, pts[0]))
+                              for p in pts]) == dim)
+    return dim, pts
+
+
+class TestAdjacencyDoubleDescription:
+    @given(full_rank_constraints())
+    def test_equals_lp_pruned_double_description(self, case):
+        from qtoric.geometry import _adjacency_dd, _lp_dd
+        dim, rows = case
+        rays = sorted(_adjacency_dd(dim, rows))
+        assert [r for r, _ in rays] == _lp_dd(dim, rows)
+        for r, zero in rays:
+            assert zero == sum(1 << i for i, h in enumerate(rows)
+                               if oracles.dot(h, r) == 0)
+
+    @given(full_dimensional_points(3))
+    def test_hull_and_faces_match_hyperplane_oracle(self, case):
+        dim, pts = case
+        distinct = sorted(set(pts))
+        lattice = oracles.polytope_faces(distinct, dim)
+        vertices = sorted(distinct[i] for s in lattice if len(s) == 1
+                          for i in s)
+        p = polytope_hull(pts, dim)
+        assert list(p.vertices) == vertices
+        assert {frozenset(f.indices) for f in faces(p)} == \
+            oracles.polytope_faces(p.vertices, dim)
+
+    @given(hs.integers(2, 5).flatmap(lambda dim: vectors(
+        dim - 1, min_size=dim, max_size=dim + 4).map(
+        lambda pts: [p + (t,) for p, t in zip(pts, (1, 2, 3) * 3)])))
+    def test_double_dual_of_pointed_cone(self, gens):
+        # a positive last coordinate makes the cone pointed
+        dim = len(gens[0])
+        c = pos_hull(gens, dim)
+        assume(oracles.frac_rank(c.generators) == dim)
+        assert dual_cone(dual_cone(c)) == c
+
+    @given(full_dimensional_points(4))
+    def test_euler_relation_and_face_dimensions(self, case):
+        dim, pts = case
+        p = polytope_hull(pts, dim)
+        fs = faces(p)
+        assert sum((-1) ** f.dim for f in fs) == 1
+        for f in fs:
+            v0 = p.vertices[f.indices[0]]
+            diffs = [tuple(a - b for a, b in zip(p.vertices[i], v0))
+                     for i in f.indices]
+            assert f.dim == oracles.frac_rank(diffs)

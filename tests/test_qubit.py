@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as hs
 
 import oracles
@@ -286,7 +286,6 @@ class TestParameterization:
             3, (ComplexRational(Fraction(1)), ComplexRational(Fraction(-1)),
                 ComplexRational(Fraction(5))))
 
-    @settings(deadline=None)
     @given(hs.integers(1, 5).flatmap(lambda m: hs.one_of(*(
         hs.lists(coordinate.filter(bool), min_size=m, max_size=m)
         for coordinate in (

@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as hs
 
 import oracles
@@ -326,13 +326,11 @@ def exact_states(shape):
 class TestExactMembership:
     """The witness identity and the lazy listing against the definitions."""
 
-    @settings(deadline=None)
     @given(shapes)
     def test_minors_match_definitional_listing(self, shape):
         got = [(minor.mode, minor.k, minor.l) for minor in segre_minors(shape)]
         assert got == oracles.segre_minor_listing(shape)
 
-    @settings(deadline=None)
     @given(shapes.flatmap(exact_states))
     def test_exact_verdict_is_all_minors_vanishing(self, st):
         minors = segre_minors(st.shape)
@@ -346,7 +344,6 @@ class TestExactMembership:
             assert verdict.max_violation == max(values)
             assert verdict.worst_minor == minors[values.index(max(values))]
 
-    @settings(deadline=None)
     @given(shapes.filter(lambda shape: len(shape) > 1).flatmap(
         lambda shape: hs.tuples(
             product_images(shape, exact_amplitudes.filter(bool)),

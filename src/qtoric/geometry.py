@@ -2,15 +2,17 @@
 
 All objects are immutable and canonicalised, so equality of canonical forms
 is plain ``==``.  Cone generators and polytope vertices are tuples of Python
-ints (arbitrary precision); linear programs and ranks run on the
-fraction-free integer elimination of ``linalg``, so no fractions arise there.
+ints (arbitrary precision); ranks and determinants run on the fraction-free
+integer elimination of ``linalg``, so no fractions arise there, and nothing
+solves a linear program.
 
-Duals, polars, facets, face lattices, normal fans and hulls come from one
-double description.  When its constraints span Q^n (a full-dimensional cone
-or polytope) the result is pointed, and the combinatorial adjacency test on
-the rays' zero sets builds it without a single LP; the zero sets are the
-facets' tight sets.  An LP per candidate ray prunes it only when the
-constraints have lower rank, i.e. when the dual contains lines.
+Duals, polars, facets, face lattices, normal fans, hulls, membership and
+strong convexity come from one double description.  When its constraints
+span Q^n the cone is pointed, and the combinatorial adjacency test on the
+rays' zero sets builds its extreme rays; the zero sets are the facets' tight
+sets.  A cone with lines is written in one canonical form: plus and minus
+the Hermite basis of its lineality space, then the extreme rays of its part
+orthogonal to that space.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import lcm
 from operator import and_
 
-from .linalg import (det_adj, dot, nonneg_combination, pivot_columns,
-                     primitive, rank_int, vector_gcd)
+from .linalg import (det_adj, dot, hermite_basis, left_kernel_basis,
+                     pivot_columns, primitive, rank_int, vector_gcd)
 
 
 @dataclass(frozen=True)
@@ -131,45 +132,23 @@ def zero_cone(dim: int) -> Cone:
     return Cone(dim, ())
 
 
-def _greedy_generators(gens):
-    """Greedy removal of generators expressible as nonnegative combinations.
-
-    gens must be sorted, primitive and distinct; one LP per generator.  For a
-    cone containing lines the result depends on this order.
-    """
-    if rank_int(gens) == len(gens):
-        return gens
-    kept = list(gens)
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1:]
-        if nonneg_combination(others, kept[i]) is not None:
-            kept.pop(i)
-        else:
-            i += 1
-    return kept
-
-
 def _minimal_generators(vectors, dim):
     """Sorted minimal generators of pos{vectors}: its extreme rays when pointed.
 
-    Generators spanning Q^dim get their facets from the adjacency double
-    description; if these span too (the cone is pointed), g_i is extreme
-    exactly when the facets through g_i meet in {g_i}.  Otherwise the greedy
-    LP loop decides.
+    If the facets of the cone meet in the apex (it is pointed), g_i is
+    extreme exactly when the facets through g_i meet in {g_i}.  A cone with
+    lines is its own double dual, which gives its canonical form.
     """
     gens = sorted(set(primitive(v) for v in vectors if any(x != 0 for x in v)))
-    # at most dim generators span Q^dim only when independent, so none is
-    # redundant; the greedy loop returns them at once
-    rays = _adjacency_dd(dim, gens) if len(gens) > dim else None
-    if rays is not None:
-        every = (1 << len(gens)) - 1
-        # all facets meet in the generators of the lineality space
-        if reduce(and_, (z for _, z in rays), every) == 0:
-            return [g for i, g in enumerate(gens)
-                    if reduce(and_, (z for _, z in rays if z >> i & 1),
-                              every) == 1 << i]
-    return _greedy_generators(gens)
+    # at most dim generators are minimal when independent
+    if len(gens) <= dim and rank_int(gens) == len(gens):
+        return gens
+    rays = _dd_rays(dim, gens)
+    every = (1 << len(gens)) - 1
+    if reduce(and_, (z for _, z in rays), every):
+        return [r for r, _ in _dd_rays(dim, [h for h, _ in rays])]
+    return [g for i, g in enumerate(gens)
+            if reduce(and_, (z for _, z in rays if z >> i & 1), every) == 1 << i]
 
 
 def pos_hull(vectors, dim: int | None = None) -> Cone:
@@ -186,17 +165,15 @@ def pos_hull(vectors, dim: int | None = None) -> Cone:
 
 
 def cone_contains(c: Cone, point) -> bool:
-    """Exact membership of a rational point in the cone."""
+    """Exact membership of a rational point: h . x >= 0 on the dual generators."""
     point = tuple(Fraction(x) for x in point)
     if len(point) != c.dim:
         raise ValueError("point dimension mismatch")
-    den = lcm(*(q.denominator for q in point))
-    return nonneg_combination(c.generators,
-                              tuple(int(q * den) for q in point)) is not None
+    return all(dot(h, point) >= 0 for h, _ in _dd_rays(c.dim, c.generators))
 
 
 def _adjacency_dd(dim, constraints):
-    """Double description of {y : h . y >= 0 for all h} without LPs.
+    """Double description of {y : h . y >= 0 for all h} by adjacency tests.
 
     Needs constraints of rank dim, so the cone is pointed and its extreme
     rays are unique; returns None otherwise.  Starts from the simplicial cone
@@ -244,62 +221,36 @@ def _adjacency_dd(dim, constraints):
     return rays
 
 
-def _lp_dd(dim, constraints):
-    """Double description pruned by LPs, for constraints of rank < dim.
-
-    The cone then contains lines and has no unique minimal generating set;
-    the greedy order of :func:`_greedy_generators` picks the canonical one.
-    """
-    rays = []
-    for i in range(dim):
-        e = tuple(int(i == j) for j in range(dim))
-        rays.append(e)
-        rays.append(tuple(-x for x in e))
-    for h in constraints:
-        pos, zero, neg = [], [], []
-        for r in rays:
-            s = dot(h, r)
-            if s > 0:
-                pos.append((r, s))
-            elif s < 0:
-                neg.append((r, s))
-            else:
-                zero.append(r)
-        new = [r for r, _ in pos] + zero
-        for (p, sp), (q, sq) in ((a, b) for a in pos for b in neg):
-            comb = tuple(sp * x - sq * y for x, y in zip(q, p))
-            if any(x != 0 for x in comb):
-                new.append(primitive(comb))
-        rays = _greedy_generators(sorted(set(new)))
-    return rays
-
-
 def _dd_rays(dim, constraints):
     """Generators of {y : h . y >= 0 for all h}, sorted, with zero sets.
 
     Each generator comes as (ray, zero set), the zero set an int bitmask of
-    the constraints h with h . ray == 0.
+    the constraints h with h . ray == 0.  Constraints of rank < dim leave
+    the lines L = {y : h . y == 0 for all h}: plus and minus the Hermite
+    basis of L & Z^dim, tight everywhere, and the extreme rays of the part
+    in the orthogonal complement of L, where the basis vectors are added as
+    equations so the constraints span.
     """
     rays = _adjacency_dd(dim, constraints)
     if rays is None:
-        rays = [(r, sum(1 << i for i, h in enumerate(constraints)
-                        if dot(h, r) == 0))
-                for r in _lp_dd(dim, constraints)]
+        # the transpose, with dim rows even when there are no constraints
+        lines = hermite_basis(left_kernel_basis(
+            [[h[j] for h in constraints] for j in range(dim)]))
+        lines += [tuple(-x for x in b) for b in lines]
+        every = (1 << len(constraints)) - 1
+        rays = [(r, z & every)
+                for r, z in _adjacency_dd(dim, list(constraints) + lines)]
+        rays += [(b, every) for b in lines]
     return sorted(rays)
 
 
 def dual_cone(c: Cone) -> Cone:
     """The cone {y : <x, y> >= 0 for every x in c}.
 
-    For a full-dimensional c the dual is pointed: its generators are its
-    extreme rays, found by the adjacency double description without LPs.
-    Only when c is not full-dimensional does the dual contain lines; then
-    the LP-pruned double description picks a minimal generating set.
-
-    Double dual returns the original canonical form for strongly convex
-    cones (extreme rays are unique); cones containing lines admit several
-    minimal generating sets, so only set-equality of the described cones is
-    guaranteed there.
+    For a full-dimensional c the dual is pointed and its generators are its
+    extreme rays.  Otherwise the dual contains the lines orthogonal to c and
+    comes in the canonical form for cones with lines.  Either way the double
+    dual of a canonical cone is the same cone, ``==`` included.
     """
     return Cone(c.dim, tuple(r for r, _ in _dd_rays(c.dim, c.generators)))
 
@@ -307,11 +258,11 @@ def dual_cone(c: Cone) -> Cone:
 def is_strongly_convex(c: Cone) -> bool:
     """True iff c contains no line, i.e. c intersect -c is {0}.
 
-    c contains a line exactly when 0 is a nonnegative combination of its
-    generators with coefficients summing to 1: one feasibility problem.
+    The facets of c meet in its lineality space, which holds a generator
+    unless it is {0}.
     """
-    return nonneg_combination([g + (1,) for g in c.generators],
-                              (0,) * c.dim + (1,)) is None
+    return reduce(and_, (z for _, z in _dd_rays(c.dim, c.generators)),
+                  (1 << len(c.generators)) - 1) == 0
 
 
 def is_simplicial(c: Cone) -> bool:

@@ -36,7 +36,8 @@ def decode_int(x) -> int:
 
 
 def _vector_out(v):
-    return [encode_int(x) for x in v]
+    # encode_int inlined: this runs once per integer of every output vector
+    return [x if abs(x) <= _SAFE else str(x) for x in v]
 
 
 def _vector_in(v):

@@ -1,13 +1,12 @@
 """Exact integer linear algebra underpinning the geometry layer.
 
-Field eliminations (determinant, adjugate, rank, the feasibility simplex)
-share one fraction-free pivot step on Python ints; lattice kernels use the
-unimodular row echelon instead.
+Field eliminations (determinant, adjugate, rank, pivot columns) share one
+fraction-free pivot step on Python ints; lattice kernels and Hermite bases
+use the unimodular row echelon instead.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -151,6 +150,22 @@ def left_kernel_basis(rows):
     return sorted(basis)
 
 
+def hermite_basis(rows):
+    """The basis in Hermite normal form of the lattice the integer rows span.
+
+    Reduces each entry above a pivot of :func:`integer_row_echelon`, whose
+    pivots are positive, into [0, pivot); the nonzero rows are then the one
+    basis of the lattice in that form.
+    """
+    basis = [row for row in integer_row_echelon(rows)[0] if any(row)]
+    for i, row in enumerate(basis):
+        c = next(j for j, x in enumerate(row) if x)
+        for k in range(i):
+            q = basis[k][c] // row[c]
+            basis[k] = [x - q * y for x, y in zip(basis[k], row)]
+    return [tuple(row) for row in basis]
+
+
 def det_adj(mat):
     """Determinant and adjugate of a square integer matrix.
 
@@ -178,50 +193,3 @@ def det_int(mat) -> int:
     """Determinant of a square integer matrix."""
     return det_adj(mat)[0]
 
-
-def nonneg_combination(vectors, target):
-    """Exact feasibility: lambda >= 0 with sum lambda_i * vectors[i] == target.
-
-    Phase-1 simplex with Bland's rule on the integer tableau [A | I | b] with
-    the reduced-cost row last, kept fraction-free by :func:`_pivot`: every
-    row is the rational tableau row times the common pivot d > 0, so signs
-    and ratio tests (cross-multiplied) read the same.  Returns the
-    coefficient tuple of Fractions, or None when no such combination exists.
-    """
-    k = len(vectors)
-    n = len(target)
-    if k == 0:
-        return () if all(t == 0 for t in target) else None
-    rows = []
-    for r in range(n):
-        s = -1 if target[r] < 0 else 1
-        rows.append([s * v[r] for v in vectors] + [int(r == i) for i in range(n)]
-                    + [s * target[r]])
-    # reduced costs for minimising the sum of artificials
-    rows.append([-sum(row[j] for row in rows) for j in range(k)] + [0] * n
-                + [-sum(row[-1] for row in rows)])
-    basis = [k + r for r in range(n)]
-    d = 1
-    while True:
-        enter = next((j for j in range(k + n) if rows[n][j] < 0), None)
-        if enter is None:
-            break
-        candidates = [r for r in range(n) if rows[r][enter] > 0]
-        if not candidates:
-            return None
-        leave = candidates[0]
-        for r in candidates[1:]:
-            cross = (rows[r][-1] * rows[leave][enter]
-                     - rows[leave][-1] * rows[r][enter])
-            if cross < 0 or (cross == 0 and basis[r] < basis[leave]):
-                leave = r
-        d = _pivot(rows, leave, enter, d)
-        basis[leave] = enter
-    lam = [Fraction(0)] * k
-    for r in range(n):
-        if basis[r] >= k:
-            if rows[r][-1] != 0:
-                return None
-        else:
-            lam[basis[r]] = Fraction(rows[r][-1], d)
-    return tuple(lam)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 from .geometry import (Cone, Fan, Polytope, fan_from_maximal, is_simplicial,
@@ -72,11 +73,15 @@ class ChartAtlas:
     charts: tuple[Chart, ...]
     transitions: tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]
 
+    @cached_property
+    def _by_pair(self):
+        return {(a, b): mat for a, b, mat in self.transitions}
+
     def transition(self, i: int, j: int):
-        for a, b, mat in self.transitions:
-            if (a, b) == (i, j):
-                return mat
-        raise KeyError(f"no transition between charts {i} and {j}")
+        try:
+            return self._by_pair[i, j]
+        except KeyError:
+            raise KeyError(f"no transition between charts {i} and {j}") from None
 
 
 def chart_atlas(fan: Fan) -> ChartAtlas:
@@ -94,8 +99,8 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
     for pos_idx, cone in enumerate(maximal):
         if not is_simplicial(cone):
             raise ValueError(f"maximal cone {cone.generators} is not simplicial")
-        det, adj = (det_adj(cone.generators) if cone.rank == fan.dim
-                    else (0, None))
+        det, adj = (det_adj(cone.generators)
+                    if len(cone.generators) == fan.dim else (0, None))
         if abs(det) != 1:
             raise ValueError(f"maximal cone {cone.generators} is not smooth")
         # column u_i of det * adj is dual to generator g_i, so

@@ -34,12 +34,12 @@ def _primitive(v):
     return tuple(x // g for x in v)
 
 
-def frac_rank(rows) -> int:
-    """Rank over the rationals by plain Gaussian elimination."""
+def _rref(rows, cols):
+    """Reduced row echelon form over the rationals: (rows, pivot columns)."""
     m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
+    pivots = []
     for col in range(cols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
         if piv is None:
             continue
@@ -50,8 +50,99 @@ def frac_rank(rows) -> int:
             if i != rank and m[i][col] != 0:
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return m, pivots
+
+
+def frac_rank(rows) -> int:
+    """Rank over the rationals by plain Gaussian elimination."""
+    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def frac_det(mat):
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def minors_gcd(m, r, cols):
+    """gcd of the r x r minors: the same for every r-row basis of a lattice."""
+    g = 0
+    for rows in itertools.combinations(range(len(m)), r):
+        for cs in itertools.combinations(range(cols), r):
+            g = gcd(g, int(frac_det([[m[i][j] for j in cs] for i in rows])))
+    return g
+
+
+def _kernel_ray(rows, dim):
+    """The primitive integer vector spanning the kernel of rows, or None
+    when the kernel is not a line."""
+    m, pivots = _rref(rows, dim)
+    if len(pivots) != dim - 1:
+        return None
+    free = next(c for c in range(dim) if c not in pivots)
+    v = [Fraction(0)] * dim
+    v[free] = Fraction(1)
+    for r, c in enumerate(pivots):
+        v[c] = -m[r][free]
+    den = 1
+    for q in v:
+        den = den * q.denominator // gcd(den, q.denominator)
+    return _primitive(tuple(int(q * den) for q in v))
+
+
+def extreme_rays(rows, dim):
+    """Extreme rays of the pointed cone {y : h . y >= 0 for every row h}.
+
+    Brute force over every subset of dim - 1 rows: its kernel, either sign,
+    is an extreme ray when the subset has rank dim - 1 and the ray satisfies
+    every row.  Sorted, each ray primitive.
+    """
+    rays = set()
+    for subset in itertools.combinations(rows, dim - 1):
+        k = _kernel_ray(subset, dim)
+        if k is None:
+            continue
+        for r in (k, tuple(-x for x in k)):
+            if all(dot(h, r) >= 0 for h in rows):
+                rays.add(r)
+    return sorted(rays)
+
+
+def is_hermite_form(basis) -> bool:
+    """True iff the rows are in Hermite normal form: echelon, with positive
+    pivots and the entries above each pivot in [0, pivot)."""
+    pivots = [next((j for j, x in enumerate(b) if x), None) for b in basis]
+    if None in pivots or pivots != sorted(set(pivots)):
+        return False
+    return all(b[c] > 0 and all(0 <= basis[k][c] < b[c] for k in range(i))
+               for i, (b, c) in enumerate(zip(basis, pivots)))
+
+
+def is_hermite_kernel_basis(basis, rows, dim) -> bool:
+    """True iff basis is the Hermite normal form basis of the lattice
+    {y in Z^dim : h . y == 0 for every row h}.
+
+    The basis must lie in the kernel, have its rank, be in Hermite form and
+    span a saturated lattice (maximal minors with gcd 1); the Hermite form
+    of a lattice is unique.
+    """
+    return (len(basis) == dim - frac_rank(rows)
+            and all(dot(h, b) == 0 for h in rows for b in basis)
+            and is_hermite_form(basis)
+            and minors_gcd(basis, len(basis), dim) == 1)
 
 
 def frac_solve(vectors, target):

@@ -14,6 +14,10 @@ from qtoric import (Cone, Polytope, dual_cone, faces, is_simplicial,
 from qtoric.geometry import cone_contains, face_cone, intersect_cones
 
 
+BIG = 10**30
+entries = hs.one_of(hs.integers(-3, 3), hs.integers(-BIG, BIG))
+
+
 def C(*gens, dim=None):
     return pos_hull(list(gens), dim=dim)
 
@@ -62,6 +66,22 @@ class TestPosHull:
         assert not cone_contains(c, (Fraction(1, 3), just_outside))
         assert not cone_contains(c, (Fraction(-1, 7), 0))
 
+    @given(hs.integers(1, 3).flatmap(lambda dim: hs.tuples(
+        hs.lists(hs.lists(entries, min_size=dim, max_size=dim), max_size=5),
+        hs.lists(entries, min_size=dim, max_size=dim),
+        hs.lists(hs.integers(0, 3), min_size=5, max_size=5),
+        hs.booleans())))
+    def test_membership_exact_at_large_magnitudes(self, case):
+        vecs, target, weights, combine = case
+        vecs = [tuple(v) for v in vecs]
+        dim = len(target)
+        if combine and vecs:
+            # a target inside the cone, often on its boundary
+            target = [sum(w * v[i] for w, v in zip(weights, vecs))
+                      for i in range(dim)]
+        assert cone_contains(pos_hull(vecs, dim), target) == \
+            oracles.cone_contains(vecs, dim, target)
+
 
 class TestDualCone:
     def test_first_quadrant_self_dual(self):
@@ -93,12 +113,10 @@ class TestDualCone:
             if not vecs:
                 continue
             c = pos_hull(vecs, dim)
-            if not is_strongly_convex(c):
-                continue
             assert dual_cone(dual_cone(c)) == c
 
     def test_membership_consistency_via_dual(self, rng):
-        # x in pos(V) by exact LP  <=>  <x,y> >= 0 for all dual generators y
+        # x in pos(V)  <=>  <x,y> >= 0 for all dual generators y
         for _ in range(8):
             dim = rng.choice((2, 3))
             vecs = [tuple(rng.randint(-3, 3) for _ in range(dim))
@@ -109,9 +127,9 @@ class TestDualCone:
             c = pos_hull(vecs, dim)
             d = dual_cone(c)
             for x in oracles.ball(dim, 3):
-                lp = cone_contains(c, x)
+                inside = oracles.cone_contains(c.generators, dim, x)
                 signs = all(oracles.dot(x, y) >= 0 for y in d.generators)
-                assert lp == signs
+                assert inside == signs
 
 
 class TestPolar:
@@ -318,40 +336,22 @@ class TestNormalFan:
                            for c in fan.maximal_cones())
             done += 1
 
-    def test_normal_fan_solves_no_more_lps_than_faces(self, monkeypatch):
-        # full-dimensional input runs the adjacency double description: no
-        # verb solves an LP; only a dual containing lines falls back to them
-        import qtoric.geometry as geometry
-        calls = [0]
-        lp = geometry.nonneg_combination
-
-        def counting(vectors, target):
-            calls[0] += 1
-            return lp(vectors, target)
-
-        def lps(fn, *args):
-            calls[0] = 0
-            fn(*args)
-            return calls[0]
-
-        monkeypatch.setattr(geometry, "nonneg_combination", counting)
+    def test_cube_cross_polytope_and_square_cone(self):
         cross3 = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
                   (0, 0, -1)]
         cube3 = list(product((-1, 1), repeat=3))
-        for pts in (cube3, cross3):
-            assert lps(polytope_hull, pts + [(0, 0, 0)]) == 0
-            p = polytope_hull(pts)
-            for verb in (faces, polar, normal_fan):
-                assert lps(verb, p) == 0, verb.__name__
+        # polar to each other, with 27 faces each, the improper one included
+        for pts, other in ((cube3, cross3), (cross3, cube3)):
+            p = polytope_hull(pts + [(0, 0, 0)])
+            assert p == polytope_hull(pts)
+            assert polar(p) == polytope_hull(other)
+            assert len(faces(p)) == 27
+            assert len(normal_fan(p).cones) == 27
         # the cone over a square, with a redundant and an interior vector
         gens = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (2, 2, 4),
                 (0, 0, 1)]
-        assert lps(pos_hull, gens) == 0
         cone = pos_hull(gens)
         assert cone.generators == ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1))
-        assert lps(dual_cone, cone) == 0
-        assert lps(faces, cone) == 0
-        assert lps(dual_cone, C((1, 0, 0))) > 0
 
 
 class TestPredicates:
@@ -445,6 +445,28 @@ def full_rank_constraints(draw):
 
 
 @hs.composite
+def rank_deficient_constraints(draw):
+    """Rows of rank < dim: integer combinations of fewer than dim vectors."""
+    dim = draw(hs.integers(1, 3))
+    span = draw(vectors(dim, min_size=0, max_size=dim - 1))
+    coefficients = hs.lists(hs.integers(-2, 2), min_size=len(span),
+                            max_size=len(span))
+    rows = [tuple(sum(a * v[j] for a, v in zip(cs, span)) for j in range(dim))
+            for cs in draw(hs.lists(coefficients, max_size=5))]
+    return dim, rows
+
+
+@hs.composite
+def cones(draw):
+    """Cones of every kind: pointed or with lines, of any dimension."""
+    dim = draw(hs.integers(1, 4))
+    flat = draw(hs.integers(0, dim - 1))  # trailing coordinates set to 0
+    gens = [v[:dim - flat] + (0,) * flat
+            for v in draw(vectors(dim, min_size=0, max_size=6))]
+    return pos_hull(gens, dim)
+
+
+@hs.composite
 def full_dimensional_points(draw, max_dim):
     """Lattice points affinely spanning Q^dim, with midpoints of pairs added:
     points in the interior and on faces, repeated vertices."""
@@ -461,11 +483,11 @@ def full_dimensional_points(draw, max_dim):
 
 class TestAdjacencyDoubleDescription:
     @given(full_rank_constraints())
-    def test_equals_lp_pruned_double_description(self, case):
-        from qtoric.geometry import _adjacency_dd, _lp_dd
+    def test_equals_brute_force_extreme_rays(self, case):
+        from qtoric.geometry import _adjacency_dd
         dim, rows = case
         rays = sorted(_adjacency_dd(dim, rows))
-        assert [r for r, _ in rays] == _lp_dd(dim, rows)
+        assert [r for r, _ in rays] == oracles.extreme_rays(rows, dim)
         for r, zero in rays:
             assert zero == sum(1 << i for i, h in enumerate(rows)
                                if oracles.dot(h, r) == 0)
@@ -491,6 +513,37 @@ class TestAdjacencyDoubleDescription:
         c = pos_hull(gens, dim)
         assume(oracles.frac_rank(c.generators) == dim)
         assert dual_cone(dual_cone(c)) == c
+
+    @given(rank_deficient_constraints())
+    def test_lines_split_off_a_hermite_basis(self, case):
+        from qtoric.geometry import _dd_rays
+        dim, rows = case
+        every = (1 << len(rows)) - 1
+        rays = _dd_rays(dim, rows)
+        lines = [r for r, z in rays if z == every]
+        pointed = [r for r, z in rays if z != every]
+        # the basis vectors are the lines with a positive leading entry
+        basis = sorted((b for b in lines if next(x for x in b if x) > 0),
+                       reverse=True)
+        assert oracles.is_hermite_kernel_basis(basis, rows, dim)
+        assert sorted(lines) == sorted(basis + [tuple(-x for x in b)
+                                                for b in basis])
+        assert all(oracles.dot(p, b) == 0 for p in pointed for b in basis)
+        for r, zero in rays:
+            assert zero == sum(1 << i for i, h in enumerate(rows)
+                               if oracles.dot(h, r) == 0)
+        gens = [r for r, _ in rays]
+        for x in oracles.ball(dim, 3):
+            assert oracles.cone_contains(gens, dim, x) == \
+                all(oracles.dot(h, x) >= 0 for h in rows)
+
+    @given(cones())
+    def test_double_dual_and_hull_are_identities(self, c):
+        assert dual_cone(dual_cone(c)) == c
+        assert pos_hull(c.generators, c.dim) == c
+        assert is_strongly_convex(c) == \
+            (not any(g in c.generators for g in
+                     (tuple(-x for x in h) for h in c.generators)))
 
     @given(full_dimensional_points(4))
     def test_euler_relation_and_face_dimensions(self, case):

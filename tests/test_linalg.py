@@ -4,14 +4,12 @@ Entries reach 10**30, far past any float, so a wrong exact divisor in the
 elimination step shows as a wrong result rather than hiding in rounding.
 """
 
-from fractions import Fraction
-
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from qtoric.linalg import (det_adj, det_int, nonneg_combination,
-                           pivot_columns, rank_int)
+from qtoric.linalg import (det_adj, det_int, hermite_basis, pivot_columns,
+                           rank_int)
 
 BIG = 10**30
 entries = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
@@ -37,30 +35,12 @@ def matmul(a, b, cols):
             for r in a]
 
 
-def frac_det(mat):
-    """Determinant by Gaussian elimination over the rationals."""
-    m = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for c in range(len(m)):
-        piv = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, len(m)):
-            f = m[i][c] / m[c][c]
-            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
 class TestDetAdj:
     @given(square_matrices())
     def test_adjugate_identity(self, m):
         n = len(m)
         det, adj = det_adj(m)
-        assert det == frac_det(m)
+        assert det == oracles.frac_det(m)
         assert det_int(m) == det
         if det == 0:
             assert adj is None
@@ -111,27 +91,29 @@ class TestRank:
         assert pivot_columns(m) == first
 
 
-class TestNonnegCombination:
-    @given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
-        st.lists(st.lists(entries, min_size=dim, max_size=dim), max_size=5),
-        st.lists(entries, min_size=dim, max_size=dim),
-        st.lists(st.integers(0, 3), min_size=5, max_size=5),
-        st.booleans())))
-    def test_feasible_exactly_inside_the_cone(self, case):
-        vecs, target, weights, combine = case
-        vecs = [tuple(v) for v in vecs]
-        dim = len(target)
-        if combine and vecs:
-            # a target inside the cone, often on its boundary
-            target = [sum(w * v[i] for w, v in zip(weights, vecs))
-                      for i in range(dim)]
-        lam = nonneg_combination(vecs, tuple(target))
-        assert (lam is not None) == oracles.cone_contains(vecs, dim, target)
-        if lam is not None:
-            assert all(isinstance(x, Fraction) and x >= 0 for x in lam)
-            assert [sum(x * v[i] for x, v in zip(lam, vecs))
-                    for i in range(dim)] == target
+class TestHermiteBasis:
+    @given(low_rank_matrices())
+    def test_hermite_form_of_the_same_lattice(self, factors):
+        a, b = factors
+        n = len(b[0])
+        m = matmul(a, b, n)
+        h = hermite_basis(m)
+        r = oracles.frac_rank(m)
+        assert len(h) == r
+        assert oracles.is_hermite_form(h)
+        pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+        # the rows of m lie in the lattice of h, and an r x r minors gcd
+        # equal to m's leaves no room for a larger lattice
+        for row in m:
+            for hr, c in zip(h, pivots):
+                q, rem = divmod(row[c], hr[c])
+                assert rem == 0
+                row = [x - q * y for x, y in zip(row, hr)]
+            assert not any(row)
+        assert oracles.minors_gcd(h, r, n) == oracles.minors_gcd(m, r, n)
 
-    def test_no_vectors(self):
-        assert nonneg_combination([], (0, 0)) == ()
-        assert nonneg_combination([], (0, 1)) is None
+    def test_lattice_with_a_nontrivial_reduction(self):
+        assert hermite_basis([[2, 3, 1], [0, 4, 2], [2, 7, 3]]) == \
+            [(2, 3, 1), (0, 4, 2)]
+        assert hermite_basis([[0, 3], [1, 5]]) == [(1, 2), (0, 3)]
+        assert hermite_basis([[0, 0]]) == []

@@ -170,6 +170,16 @@ class TestChartAtlas:
                                  for r in range(n))
                 assert compose(back, mat) == identity
 
+    def test_transition_between_non_adjacent_charts_raises(self):
+        atlas = chart_atlas(multiqubit_fan(2))
+        with pytest.raises(KeyError, match="no transition between charts 0 and 0"):
+            atlas.transition(0, 0)
+        # opposite orthants share no facet
+        pairs = {(i, j) for i, j, _ in atlas.transitions}
+        assert len(pairs) == 8
+        with pytest.raises(KeyError, match="charts 0 and 3"):
+            atlas.transition(0, 3)
+
     def test_transitions_consistent_numerically(self):
         # push an exact torus point through chart 0 -> chart j coordinates and
         # compare against evaluating chart j's monomials directly

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
+from operator import and_
 
-from .geometry import Cone, cone_contains, dual_cone, is_strongly_convex, pos_hull
+from .geometry import (Cone, _dd_rays, cone_contains, dual_cone,
+                       is_strongly_convex, pos_hull)
 from .linalg import det_adj, dot, rank_int
 
 
@@ -117,7 +119,11 @@ def hilbert_basis(c: Cone) -> MonoidGenerators:
     cone with these simplicial pieces), then reduced to the irreducible
     elements.
     """
-    if not is_strongly_convex(c):
+    # one double description: the facets of c meet in its lineality space,
+    # which holds a generator unless it is {0}; the dual rays are the
+    # halfspaces, and their sum is positive on c minus the origin
+    rays = _dd_rays(c.dim, c.generators)
+    if reduce(and_, (z for _, z in rays), (1 << len(c.generators)) - 1):
         raise ValueError("cone is not strongly convex; "
                          "the minimal generating set is not unique")
     if c.is_zero():
@@ -128,7 +134,8 @@ def hilbert_basis(c: Cone) -> MonoidGenerators:
         if rank_int(subset) < r:
             continue
         candidates.update(_parallelepiped_points(subset, c.dim))
-    w, halfspaces = _positive_functional(c.generators, c.dim)
+    halfspaces = tuple(h for h, _ in rays)
+    w = tuple(sum(col) for col in zip(*halfspaces))
     ordered = sorted(candidates, key=lambda v: (dot(w, v), v))
     basis: list[tuple[int, ...]] = []
     for v in ordered:

@@ -165,21 +165,27 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
 
     On a separable verdict the witness product state is reconstructed from
     the rows of the tensor through its largest-magnitude amplitude; on a
-    non-separable verdict the maximal violating minor is reported.  Scaling
-    a state never changes the verdict, also for exact states beyond float
-    range; their reported minor magnitudes are rounded to floats (infinite
-    above the float range).
+    non-separable verdict the maximal violating minor is reported: the
+    first largest as a float in ``segre_minors`` order, found by scanning
+    the rows of every flattening, and the only minor built as a
+    ``MinorSpec``.  An exact state is rank one exactly when its witness
+    rebuilds it; otherwise its minors are scanned in exact integers.  Scaling
+    a state never changes the verdict, also for states beyond float range;
+    their reported minor magnitudes are rounded to floats (infinite above
+    the float range).
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     k = _float_range_shift(state)
     if k == 0:
         return _float_verdict(state, tol)
-    # an exact state whose peak |a|^2 lies outside float range is decided on
+    # a state whose peak |a|^2 lies outside float range is decided on
     # state / 2^k, which has the same relative verdict, and scaled back
-    r = _float_verdict(state.scaled(Fraction(2) ** -k), tol)
+    r = _float_verdict(PureState(state.shape, {
+        i: _times_power_of_two(v, -k) for i, v in state.amplitudes.items()}),
+        tol)
     if r.witness is not None:
-        first = tuple(x * Fraction(2) ** k for x in r.witness.locals[0])
+        first = tuple(_times_power_of_two(x, k) for x in r.witness.locals[0])
         r.witness = ProductState((first,) + r.witness.locals[1:])
     if r.worst_value is not None:
         r.worst_value = complex(_ldexp(r.worst_value.real, 2 * k),
@@ -188,16 +194,19 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
     return r
 
 
-# the peak |a|^2 of an exact state decided as it is: a normal float whose
-# double, the largest possible minor, is still finite
+# the peak |a|^2 of a state decided as it is: a normal float whose double,
+# the largest possible minor, is still finite
 _FLOAT_SAFE = (Fraction(2) ** -1022, Fraction(2) ** 1023)
 
 
 def _float_range_shift(state: PureState) -> int:
-    """0, or for an exact state whose peak |a|^2 lies outside _FLOAT_SAFE
-    the k that brings the peak |a|^2 of state / 2^k near 1."""
+    """0, or for a state whose peak |a|^2 lies outside _FLOAT_SAFE the k
+    that brings the peak |a|^2 of state / 2^k near 1."""
     if not _is_exact(state):
-        return 0
+        # the largest part c = f 2^e, 1/2 <= f < 1, has c^2 <= peak^2 < 2 c^2
+        e = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in
+                           map(complex, state.amplitudes.values())))[1]
+        return 0 if -510 <= e <= 510 else e
     peak2 = max(v.magnitude_squared() if isinstance(v, ComplexRational)
                 else Fraction(v) ** 2 for v in state.amplitudes.values())
     if _FLOAT_SAFE[0] <= peak2 < _FLOAT_SAFE[1]:
@@ -208,6 +217,14 @@ def _float_range_shift(state: PureState) -> int:
 def _is_exact(state: PureState) -> bool:
     return all(isinstance(v, (int, Fraction, ComplexRational))
                for v in state.amplitudes.values())
+
+
+def _times_power_of_two(x, e: int):
+    """x * 2^e: exact for an exact x, else rounded to complex floats."""
+    if isinstance(x, (int, Fraction, ComplexRational)):
+        return x * Fraction(2) ** e
+    z = complex(x)
+    return complex(_ldexp(z.real, e), _ldexp(z.imag, e))
 
 
 def _ldexp(x: float, e: int) -> float:
@@ -222,23 +239,126 @@ def _float_verdict(state: PureState, tol: float) -> SeparabilityResult:
     peak = max(magnitude(v) for v in state.amplitudes.values())
     if peak == 0:
         raise ValueError("state is zero")
-    if _is_exact(state):
+    exact = _is_exact(state)
+    if exact:
         # exactly the rank-one tensors, on which every minor vanishes, are
         # rebuilt by their witness
         witness = _witness(state)
         if segre_map(witness).amplitudes == state.amplitudes:
             return SeparabilityResult(True, 0.0, witness, None)
-    # the first largest minor as a float; if every float is 0, the first
-    # exactly nonzero one
-    minor, value, raw = max(
-        ((minor, complex(raw), raw) for minor in segre_minors(state.shape)
-         for raw in (minor_value(state, minor),)),
-        key=lambda t: (abs(t[1]), bool(t[2])), default=(None, 0j, 0))
-    # at tol 0 the verdict is exact: a nonzero minor too small for a float
-    # still rules out separability
-    if abs(value) <= tol * peak * peak and not (tol == 0 and raw):
-        return SeparabilityResult(True, abs(value), _witness(state), None)
+    flat, d = _dense(state, exact)
+    top, where = _first_max(state.shape, flat,
+                            _exact_abs(d * d) if exact else _float_abs)
+    # at tol 0 the verdict is exact: an exact state that is not rank one has
+    # a nonzero minor, even one too small for a float
+    if top <= tol * peak * peak and not (exact and tol == 0):
+        return SeparabilityResult(True, top, _witness(state), None)
+    if exact and top == 0:
+        # every minor rounds to float 0: report the first exactly nonzero one
+        where = _first_max(state.shape, flat, _exact_nonzero)[1]
+    minor = MinorSpec(*where)
+    value = complex(minor_value(state, minor))
     return SeparabilityResult(False, abs(value), None, minor, value)
+
+
+def _strides(shape) -> list[int]:
+    """Row-major strides: the flat offset of an index is sum(i_j * stride_j)."""
+    strides = [1] * len(shape)
+    for j in range(len(shape) - 2, -1, -1):
+        strides[j] = strides[j + 1] * shape[j + 1]
+    return strides
+
+
+def _dense(state: PureState, gaussian: bool):
+    """The amplitudes as a row-major flat list, and their denominator D.
+
+    Gaussian: integer pairs (x, y) standing for (x + iy) / D, with D the lcm
+    of every part's denominator; a float part is a dyadic rational, so a
+    floating state is read exactly this way too.  Otherwise a list of
+    complex, D None.  A missing entry is (0, 0), or the int 0.
+    """
+    strides = _strides(state.shape)
+    flat = [(0, 0) if gaussian else 0] * (strides[0] * state.shape[0])
+    offsets = [sum(i * s for i, s in zip(idx, strides))
+               for idx in state.amplitudes]
+    if not gaussian:
+        for o, v in zip(offsets, state.amplitudes.values()):
+            flat[o] = complex(v)
+        return flat, None
+    parts = [((v.re, v.im) if isinstance(v, ComplexRational)
+              else (v.real, v.imag)) for v in state.amplitudes.values()]
+    ratios = [(p.as_integer_ratio(), q.as_integer_ratio()) for p, q in parts]
+    d = math.lcm(*(den for pair in ratios for _, den in pair))
+    for o, ((x, dx), (y, dy)) in zip(offsets, ratios):
+        flat[o] = (x * (d // dx), y * (d // dy))
+    return flat, d
+
+
+def _flattening(shape, strides, j) -> list[list[int]]:
+    """Rows of the mode-j flattening as flat offsets: row a holds the
+    offsets with slot j equal to a, their complements in lexicographic order."""
+    stride, n = strides[j], shape[j]
+    bases = [o for o in range(strides[0] * shape[0]) if o // stride % n == 0]
+    return [[o + a * stride for o in bases] for a in range(n)]
+
+
+def _unravel(offset, shape) -> tuple[int, ...]:
+    idx = []
+    for n in reversed(shape):
+        offset, i = divmod(offset, n)
+        idx.append(i)
+    return tuple(reversed(idx))
+
+
+def _first_max(shape, flat, values):
+    """The first largest minor key and its (mode, k, l), or (0.0, None).
+
+    Every mode j and local pair a < b takes rows ra, rb of the mode-j
+    flattening; values(ra[i], rb[i], ra[i+1:], rb[i+1:]) lists the keys of
+    the minors ra[i] rb[i2] - rb[i] ra[i2], i < i2.  This scans the canonical
+    minors in their order, plus the ones ``segre_minors`` skips under mode j
+    as already listed under an earlier mode s; such a duplicate has the same
+    two products, so its key equals the earlier one and, under strict >,
+    never replaces it.
+    """
+    strides = _strides(shape)
+    best, where = 0.0, None
+    for j in range(len(shape)):
+        offsets = _flattening(shape, strides, j)
+        rows = [[flat[o] for o in row] for row in offsets]
+        for a, b in combinations(range(shape[j]), 2):
+            ra, rb = rows[a], rows[b]
+            for i in range(len(ra) - 1):
+                keys = values(ra[i], rb[i], ra[i + 1:], rb[i + 1:])
+                top = max(keys)
+                if where is None or top > best:
+                    i2 = i + 1 + keys.index(top)
+                    best = top
+                    where = (j, _unravel(offsets[a][i], shape),
+                             _unravel(offsets[b][i2], shape))
+    return best, where
+
+
+def _float_abs(x, y, ps, qs):
+    return [abs(x * q - y * p) for p, q in zip(ps, qs)]
+
+
+def _exact_abs(d2):
+    """Float magnitudes of Gaussian minors over d2: int / int rounds once,
+    so each is abs(complex(minor)) of the exact minor."""
+    def values(g, h, ps, qs):
+        (x1, y1), (x3, y3) = g, h
+        return [abs(complex((x1 * x2 - y1 * y2 - x3 * x4 + y3 * y4) / d2,
+                            (x1 * y2 + y1 * x2 - x3 * y4 - y3 * x4) / d2))
+                for (x4, y4), (x2, y2) in zip(ps, qs)]
+    return values
+
+
+def _exact_nonzero(g, h, ps, qs):
+    (x1, y1), (x3, y3) = g, h
+    return [x1 * x2 - y1 * y2 != x3 * x4 - y3 * y4
+            or x1 * y2 + y1 * x2 != x3 * y4 + y3 * x4
+            for (x4, y4), (x2, y2) in zip(ps, qs)]
 
 
 def _witness(state: PureState) -> ProductState:
@@ -269,23 +389,76 @@ def concurrence(state: PureState, weights=None) -> float:
     """2 * sqrt(sum of weighted squared minor magnitudes); needs a normalized state.
 
     Default weight is 1 per canonical minor, which reproduces the standard
-    two-qubit concurrence 2|a00 a11 - a01 a10|; weights must be finite and
-    nonnegative.
+    two-qubit concurrence 2|a00 a11 - a01 a10|; the default is the exact sum
+    over the given amplitudes (float parts read as the dyadic rationals they
+    are), rounded once.  Custom weights must be finite and nonnegative and
+    are summed in floating point minor by minor.
     """
     norm2 = state.norm_squared()
     if abs(norm2 - 1.0) > 1e-9:
         raise ValueError(f"state is not normalized: sum |amp|^2 = {norm2}")
-    minors = segre_minors(state.shape)
     if weights is None:
-        weights = [1.0] * len(minors)
-    elif len(weights) != len(minors):
+        flat, d = _dense(state, True)
+        return _sqrt_ratio(4 * _minor_norm2(state.shape, flat), d ** 4)
+    minors = segre_minors(state.shape)
+    if len(weights) != len(minors):
         raise ValueError(f"expected {len(minors)} weights, got {len(weights)}")
-    elif not all(0 <= w < math.inf for w in weights):
+    if not all(0 <= w < math.inf for w in weights):
         raise ValueError("weights must be finite and nonnegative")
     total = 0.0
     for w, minor in zip(weights, minors):
         total += w * abs(complex(minor_value(state, minor))) ** 2
     return 2.0 * math.sqrt(total)
+
+
+def _minor_norm2(shape, flat) -> int:
+    """Sum of |minor|^2 over the canonical minors of Gaussian integers.
+
+    By Cauchy-Binet the 2x2 minors of a matrix M have squared norms summing
+    to e2(M M^H) = sum_{a<b} G_aa G_bb - |G_ab|^2.  Summed over the
+    flattenings this counts twice each minor of two modes s < j, i.e. each
+    2x2 minor of an (s, j) slice with the other slots fixed; those are
+    subtracted once.
+    """
+    strides = _strides(shape)
+    flattenings = [_flattening(shape, strides, j) for j in range(len(shape))]
+    total = 0
+    for offsets in flattenings:
+        rows = [[flat[o] for o in row] for row in offsets]
+        norms = [sum(x * x + y * y for x, y in row) for row in rows]
+        for a, b in combinations(range(len(rows)), 2):
+            pairs = list(zip(rows[a], rows[b]))
+            re = sum(xa * xb + ya * yb for (xa, ya), (xb, yb) in pairs)
+            im = sum(ya * xb - xa * yb for (xa, ya), (xb, yb) in pairs)
+            total += norms[a] * norms[b] - re * re - im * im
+    for s, j in combinations(range(len(shape)), 2):
+        rest = [o for o in flattenings[j][0] if o // strides[s] % shape[s] == 0]
+        for u, u2 in combinations(range(shape[s]), 2):
+            for v, v2 in combinations(range(shape[j]), 2):
+                # the minor S[u][v] S[u2][v2] - S[u][v2] S[u2][v] of every slice
+                corners = [[flat[o + p * strides[s] + q * strides[j]]
+                            for o in rest]
+                           for p, q in ((u, v), (u2, v2), (u, v2), (u2, v))]
+                total -= sum(
+                    (ax * bx - ay * by - cx * dx + cy * dy) ** 2
+                    + (ax * by + ay * bx - cx * dy - cy * dx) ** 2
+                    for (ax, ay), (bx, by), (cx, cy), (dx, dy) in zip(*corners))
+    return total
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) correctly rounded, for ints num >= 0 and den > 0.
+
+    The integer square root carries at least 59 bits and a sticky low bit
+    for any inexact remainder, so its one int / int division by a power of
+    two rounds as the exact root would.
+    """
+    e = max(0, (120 - num.bit_length() + den.bit_length()) // 2 + 1)
+    q, rem = divmod(num << 2 * e, den)
+    r = math.isqrt(q)
+    if rem or r * r != q:
+        r |= 1
+    return r / (1 << e)
 
 
 @dataclass(frozen=True)

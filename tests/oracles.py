@@ -449,3 +449,66 @@ def segre_minor_listing(shape):
                     seen.add(key)
                     out.append((mode, k, l))
     return out
+
+
+def _exchange(mode, k, l):
+    """The partner indices of minor (mode, k, l): slot `mode` swapped."""
+    return (k[:mode] + (l[mode],) + k[mode + 1:],
+            l[:mode] + (k[mode],) + l[mode + 1:])
+
+
+def _magnitude(value) -> float:
+    if hasattr(value, "magnitude_squared"):
+        return float(value.magnitude_squared()) ** 0.5
+    return abs(complex(value))
+
+
+def separability_reference(state, tol):
+    """The maximal-minor verdict, by definition over the canonical listing.
+
+    Every minor is evaluated with the state's own arithmetic; the first one
+    with the largest key (|minor| as a float, minor != 0) is the worst.  The
+    state is separable when that float is at most tol * (max |amplitude|)^2,
+    except that at tol 0 a nonzero minor, however small, rules it out.
+    Returns (separable, (mode, k, l) or None, worst value or None,
+    max_violation).
+    """
+    best = None
+    for mode, k, l in segre_minor_listing(state.shape):
+        k2, l2 = _exchange(mode, k, l)
+        raw = (state.amplitude(k) * state.amplitude(l)
+               - state.amplitude(k2) * state.amplitude(l2))
+        key = (abs(complex(raw)), bool(raw))
+        if best is None or key > best[0]:
+            best = (key, (mode, k, l), raw)
+    (top, nonzero), minor, raw = best or ((0.0, False), None, 0)
+    peak = max(_magnitude(v) for v in state.amplitudes.values())
+    if top <= tol * peak * peak and not (tol == 0 and nonzero):
+        return True, None, None, top
+    return False, minor, complex(raw), top
+
+
+def _exact_parts(value):
+    """(re, im) of an amplitude as Fractions; floats are dyadic rationals."""
+    if hasattr(value, "re"):
+        return Fraction(value.re), Fraction(value.im)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value), Fraction(0)
+    z = complex(value)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def minor_norm2(state):
+    """Exact sum of |minor|^2 over the canonical listing, as a Fraction."""
+    def amp(i):
+        return _exact_parts(state.amplitude(i))
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    total = Fraction(0)
+    for mode, k, l in segre_minor_listing(state.shape):
+        k2, l2 = _exchange(mode, k, l)
+        p, q = mul(amp(k), amp(l)), mul(amp(k2), amp(l2))
+        total += (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+    return total

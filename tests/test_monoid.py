@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from qtoric import geometry, monoid
 from qtoric import (LaurentMonomial, hilbert_basis, monoid_contains,
                     monoid_generators, pos_hull)
 from qtoric.rationals import ComplexRational
@@ -44,6 +45,23 @@ class TestHilbertBasis:
     def test_not_strongly_convex_rejected(self):
         with pytest.raises(ValueError, match="strongly convex"):
             hilbert_basis(pos_hull([(1, 0), (-1, 0)]))
+
+    @pytest.mark.parametrize("gens", [
+        [(1, 0, 0), (0, 1, 0), (3, 4, 5), (2, -1, 3)],
+        [(1, 0, 0), (0, 1, 0), (1, 2, 3)]], ids=["four-rays", "simplicial"])
+    def test_one_double_description(self, monkeypatch, gens):
+        cone = pos_hull(gens)
+        calls = []
+        real = geometry._dd_rays
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geometry, "_dd_rays", counted)
+        monkeypatch.setattr(monoid, "_dd_rays", counted)
+        hilbert_basis(cone)
+        assert len(calls) == 1
 
     def test_order_independence(self, rng):
         vecs = [(3, 1), (1, 4), (2, -1)]

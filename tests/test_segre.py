@@ -12,6 +12,7 @@ from hypothesis import strategies as hs
 
 import oracles
 from conftest import random_complex_rational, random_product_state
+import qtoric.segre as segre
 from qtoric import (ProductState, PureState, concurrence, is_separable,
                     minor_value, segre_map, segre_minors,
                     three_qubit_generators)
@@ -190,6 +191,26 @@ class TestSeparability:
         assert not is_separable(near, tol=0.0).separable
         assert is_separable(near, tol=1e-10).separable
 
+    @pytest.mark.parametrize("e", [-700, 700])
+    def test_float_verdict_survives_scaling_beyond_float_range(self, e):
+        # at 2^-700 every product of two amplitudes underflows to 0, at
+        # 2^700 it overflows; the verdict is decided on a copy near 1
+        def scaled(st):
+            return PureState(st.shape, {i: complex(v) * 2.0 ** e
+                                        for i, v in st.amplitudes.items()})
+        for st in (bell(), ghz()):
+            verdict = is_separable(scaled(st), tol=0.0)
+            assert not verdict.separable
+            assert verdict.worst_minor == is_separable(st).worst_minor
+            assert verdict.max_violation == (math.inf if e > 0 else 0.0)
+        locs = ((0.6, 0.8j), (SQ2, -SQ2), (0.28, 0.96))
+        st = scaled(segre_map(ProductState(locs)))
+        verdict = is_separable(st)
+        assert verdict.separable and verdict.max_violation == 0.0
+        rebuilt = segre_map(verdict.witness)
+        for idx, v in st.amplitudes.items():
+            assert abs(complex(rebuilt.amplitude(idx)) - v) <= 1e-12 * abs(v)
+
     def test_zero_state_unconstructible(self):
         with pytest.raises(ValueError, match="nonzero"):
             PureState((2, 2), {})
@@ -359,6 +380,174 @@ class TestExactMembership:
         assert not verdict.separable
         assert verdict.worst_minor == first
         assert verdict.max_violation == 0.0 and verdict.worst_value == 0
+
+
+# floating amplitudes; the small pool repeats values, so minors tie
+float_pool = hs.sampled_from([1.0, -0.5, 0.25j, 0.3 - 0.4j, -1j, 0.1, 1e-30])
+float_amplitudes = hs.one_of(float_pool, hs.complex_numbers(
+    max_magnitude=4, allow_nan=False, allow_infinity=False))
+
+
+def float_states(shape):
+    size = math.prod(shape)
+    return hs.lists(hs.one_of(hs.just(0), float_amplitudes),
+                    min_size=size, max_size=size).filter(any).map(
+        lambda vals: PureState(shape, dict(zip(product(
+            *(range(n) for n in shape)), vals))))
+
+
+def tie_states(shape):
+    """GHZ, W and constant tensors with one entry doubled, exact or float."""
+    m = len(shape)
+    ghz = [(i,) * m for i in range(min(shape))]
+    w = [tuple(int(s == j) for s in range(m)) for j in range(m)]
+    flat = list(product(*(range(n) for n in shape)))
+
+    def build(case):
+        kind, value = case
+        if kind == "flat":
+            amps = {idx: value for idx in flat}
+            amps[flat[-1]] = 2 * value
+            return PureState(shape, amps)
+        return PureState(shape, {idx: value for idx in
+                                 (ghz if kind == "ghz" else w)})
+    values = hs.one_of(exact_amplitudes.filter(bool), float_pool)
+    return hs.tuples(hs.sampled_from(["ghz", "w", "flat"]), values).map(build)
+
+
+def underflowing_states(shape):
+    """Product images changed by about 10^-400 in one entry."""
+    return hs.tuples(product_images(shape), indices(shape),
+                     exact_amplitudes.filter(bool)).map(
+        lambda t: changed(t[0], t[1], t[2] * Fraction(1, 10 ** 400))).filter(
+        lambda st: st is not None)
+
+
+def normalized(state):
+    """The state in complex floats, scaled to norm 1."""
+    root = math.sqrt(state.norm_squared())
+    return PureState(state.shape, {idx: complex(v) / root
+                                   for idx, v in state.amplitudes.items()})
+
+
+# unit complex rationals, from Pythagorean triples
+phases = hs.sampled_from([ComplexRational(1), ComplexRational(0, -1),
+                          ComplexRational(Fraction(3, 5), Fraction(4, 5)),
+                          ComplexRational(Fraction(-5, 13), Fraction(12, 13))])
+
+
+def exact_unit_states(shape):
+    """Exact normalized states: a rational point of the unit sphere (inverse
+    stereographic projection of t), each entry times a unit phase."""
+    size = math.prod(shape)
+
+    def build(case):
+        t, ph = case
+        s2 = sum(x * x for x in t)
+        coords = [2 * x / (s2 + 1) for x in t] + [(s2 - 1) / (s2 + 1)]
+        return PureState(shape, {idx: c * p for idx, c, p in zip(
+            product(*(range(n) for n in shape)), coords, ph)})
+    return hs.tuples(hs.lists(hs.one_of(hs.just(Fraction(0)), rationals),
+                              min_size=size - 1, max_size=size - 1),
+                     hs.lists(phases, min_size=size, max_size=size)).map(build)
+
+
+def assert_nearest_root(c, q):
+    """c is the float nearest sqrt(q): q lies between the squares of the
+    midpoints to c's neighbours."""
+    x = Fraction(c)
+    lo = (x + Fraction(math.nextafter(c, 0))) / 2 if c else Fraction(0)
+    hi = (x + Fraction(math.nextafter(c, math.inf))) / 2
+    assert lo * lo <= q <= hi * hi
+
+
+class TestFastPaths:
+    """The row-wise scan and the Cauchy-Binet sum against the per-minor
+    definitions in oracles."""
+
+    @given(shapes.flatmap(lambda shape: hs.one_of(
+        exact_states(shape), float_states(shape), tie_states(shape),
+        underflowing_states(shape))),
+        hs.sampled_from([0, 1e-10, 1e-3, 0.25]))
+    def test_verdict_matches_reference(self, st, tol):
+        verdict = is_separable(st, tol)
+        separable, minor, value, violation = \
+            oracles.separability_reference(st, tol)
+        assert verdict.separable == separable
+        assert verdict.max_violation == violation
+        if separable:
+            assert verdict.worst_minor is None
+        else:
+            worst = verdict.worst_minor
+            assert (worst.mode, worst.k, worst.l) == minor
+            assert verdict.worst_value == value
+
+    @given(hs.sampled_from([(3, 3), (2, 3, 4), (2, 2, 2, 3), (4, 4), (2, 5)])
+           .flatmap(lambda shape: hs.one_of(
+               exact_unit_states(shape),
+               hs.one_of(float_states(shape), tie_states(shape)).filter(
+                   lambda st: st.norm_squared() > 1e-300).map(normalized))))
+    def test_concurrence_is_rounded_exact_sum(self, st):
+        assert_nearest_root(concurrence(st), 4 * oracles.minor_norm2(st))
+
+
+class TestSqrtRatio:
+    # m = 1 + 2^-53 is the midpoint between 1 and the next float up
+    M2 = (2 ** 53 + 1) ** 2 * 2 ** 94  # m^2 * 2^200
+
+    @pytest.mark.parametrize("offset, expected", [
+        (1, 1 + 2 ** -52), (0, 1.0), (-1, 1.0)], ids=["above", "tie", "below"])
+    def test_rounds_once_at_a_midpoint(self, offset, expected):
+        # just above the midpoint the root rounds up, although its integer
+        # square root alone is the midpoint itself, a tie that rounds down
+        assert segre._sqrt_ratio(self.M2 + offset, 2 ** 200) == expected
+
+    def test_small_and_zero(self):
+        assert segre._sqrt_ratio(0, 7) == 0.0
+        assert segre._sqrt_ratio(1, 4) == 0.5
+        assert segre._sqrt_ratio(2, 1) == math.sqrt(2)
+
+
+class TestMinorObjects:
+    """Only the reported worst minor is built and evaluated one by one."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"MinorSpec": 0, "minor_value": 0}
+        real_spec, real_value = segre.MinorSpec, segre.minor_value
+
+        def spec(*args, **kwargs):
+            counts["MinorSpec"] += 1
+            return real_spec(*args, **kwargs)
+
+        def value(*args, **kwargs):
+            counts["minor_value"] += 1
+            return real_value(*args, **kwargs)
+
+        monkeypatch.setattr(segre, "MinorSpec", spec)
+        monkeypatch.setattr(segre, "minor_value", value)
+        return counts
+
+    def test_default_concurrence_builds_none(self, counts, rng):
+        amps = {idx: complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                for idx in product((0, 1), repeat=6)}
+        concurrence(normalized(PureState((2,) * 6, amps)))
+        assert counts == {"MinorSpec": 0, "minor_value": 0}
+
+    def test_entangled_verdict_builds_at_most_one(self, counts, rng):
+        shape = (2,) * 6
+        exact = {idx: rng.randint(1, 9) for idx in product((0, 1), repeat=6)}
+        floating = {idx: complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                    for idx in product((0, 1), repeat=6)}
+        for amps in (exact, floating):
+            counts.update(MinorSpec=0, minor_value=0)
+            assert not is_separable(PureState(shape, amps)).separable
+            assert counts["MinorSpec"] <= 1 and counts["minor_value"] <= 1
+
+    def test_separable_exact_verdict_builds_none(self, counts, rng):
+        st = segre_map(random_product_state(rng, (2,) * 6))
+        assert is_separable(st, 0).separable
+        assert counts == {"MinorSpec": 0, "minor_value": 0}
 
 
 class TestThreeQubitGenerators:

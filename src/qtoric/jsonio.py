@@ -16,7 +16,7 @@ from .monoid import MonoidGenerators
 from .qubit import ChartAtlas, ParameterizationMap
 from .rationals import ComplexRational, rational_str
 from .segre import MinorSpec, ProductState, PureState
-from .toric_ideal import Binomial, BinomialIdeal, MonomialMap
+from .toric_ideal import BinomialIdeal, MonomialMap
 
 _SAFE = 2 ** 53
 
@@ -103,14 +103,15 @@ def map_from_json(data) -> MonomialMap:
                      "or {'dim':..,'exponents':..}")
 
 
-def binomial_to_json(b: Binomial) -> dict:
-    return {"nu": _vector_out(b.nu), "mu": _vector_out(b.mu)}
-
-
 def ideal_to_json(ideal: BinomialIdeal) -> dict:
+    # a monomial is shared by many binomials: encode each exponent tuple once
+    vectors = dict.fromkeys(e for b in ideal.generators for e in (b.nu, b.mu))
+    for e in vectors:
+        vectors[e] = _vector_out(e)
     return {"map": map_to_json(ideal.map),
             "degreeBound": ideal.degree_bound,
-            "generators": [binomial_to_json(b) for b in ideal.generators]}
+            "generators": [{"nu": vectors[b.nu], "mu": vectors[b.mu]}
+                           for b in ideal.generators]}
 
 
 def _amplitude_out(value) -> dict:

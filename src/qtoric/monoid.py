@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, product
-from operator import and_
+from operator import and_, mul
 
-from .geometry import (Cone, _dd_rays, cone_contains, dual_cone,
-                       is_strongly_convex, pos_hull)
-from .linalg import det_adj, dot, rank_int
+from .geometry import Cone, _dd_rays, dual_cone, pos_hull
+from .linalg import (det_adj, dot, hermite_basis, left_kernel_basis,
+                     pivot_columns)
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,35 @@ class MonoidGenerators:
 def monoid_generators(cone: Cone, generators) -> MonoidGenerators:
     """Validating constructor: members of the cone, minimal as a generating set."""
     gens = sorted(set(tuple(g) for g in generators))
-    if not is_strongly_convex(cone):
-        raise ValueError("ambient cone must be strongly convex")
+    w, halfspaces = _ambient_functional(cone, "ambient cone must be strongly convex")
     for g in gens:
-        if not cone_contains(cone, g):
+        if len(g) != cone.dim:
+            raise ValueError("point dimension mismatch")
+        if any(dot(h, g) < 0 for h in halfspaces):
             raise ValueError(f"generator {g} lies outside the ambient cone")
+    # the empty sum generates the origin; checked first, since a zero
+    # generator would let the search below add it forever
+    if (0,) * cone.dim in gens:
+        raise ValueError(f"generator {(0,) * cone.dim} is generated by the others")
     for i, g in enumerate(gens):
-        if _reachable(gens[:i] + gens[i + 1:], g, cone.dim):
+        if _reachable(gens[:i] + gens[i + 1:], g, cone.dim, (w, halfspaces)):
             raise ValueError(f"generator {g} is generated by the others")
     return MonoidGenerators(cone, tuple(gens))
+
+
+def _ambient_functional(c: Cone, message: str):
+    """(w, halfspaces) of a strongly convex cone, from one double description.
+
+    The facets of c meet in its lineality space, which holds a generator
+    unless it is {0}; the dual rays are the halfspaces, and their sum w is
+    positive on c minus the origin.  Raises ValueError(message) when c
+    contains a line.
+    """
+    rays = _dd_rays(c.dim, c.generators)
+    if reduce(and_, (z for _, z in rays), (1 << len(c.generators)) - 1):
+        raise ValueError(message)
+    halfspaces = tuple(h for h, _ in rays)
+    return tuple(sum(col) for col in zip(*halfspaces)), halfspaces
 
 
 @lru_cache(maxsize=512)
@@ -85,61 +105,76 @@ def monoid_contains(g: MonoidGenerators, x) -> bool:
     return _reachable(list(g.generators), x, g.cone.dim)
 
 
-def _parallelepiped_points(basis, dim):
-    """Integer points of {sum t_i b_i : 0 <= t_i <= 1} for independent b_i."""
-    d = len(basis)
-    gram = [[dot(a, b) for b in basis] for a in basis]
-    det, adj = det_adj(gram)
-    # rows of N give D * t = N @ x for any x in the span
-    n_mat = [[sum(adj[i][j] * basis[j][c] for j in range(d)) for c in range(dim)]
-             for i in range(d)]
-    lo = [sum(min(0, b[c]) for b in basis) for c in range(dim)]
-    hi = [sum(max(0, b[c]) for b in basis) for c in range(dim)]
+def _saturation(vectors, dim):
+    """The Hermite basis of Z^dim intersect span(vectors).
+
+    It is the integer kernel of an integer basis of the orthogonal
+    complement; for vectors of rank dim it is the identity.
+    """
+    normals = left_kernel_basis([[v[j] for v in vectors] for j in range(dim)])
+    return hermite_basis(left_kernel_basis([[h[j] for h in normals]
+                                            for j in range(dim)]))
+
+
+def _parallelepiped_points(basis, lattice):
+    """Nonzero integer points of {sum t_i b_i : 0 <= t_i < 1}, one per coset.
+
+    ``lattice`` is the Hermite basis of Z^n intersect span(basis).  The half-open
+    parallelepiped holds exactly one point of each coset of the lattice L
+    that the b_i span, so the points are found by walking the cosets, not by
+    scanning a box.  Written in the lattice basis, the Hermite basis of L is
+    upper triangular with diagonal d_i = (pivot of L) / (pivot of lattice),
+    so sum y_i h_i over 0 <= y_i < d_i are the |lattice / L| cosets.  Each
+    one is moved into the parallelepiped through its coordinates
+    t = x_P adj / det over pivot columns P of the basis, keeping the
+    fractional parts.  A dependent basis has none.
+    """
+    cols = pivot_columns(basis)
+    if len(cols) < len(basis):
+        return []
+    det, adj = det_adj([[b[c] for c in cols] for b in basis])
+    if det < 0:
+        det, adj = -det, [[-x for x in row] for row in adj]
+    # numerators of the coordinates of each lattice basis vector
+    steps = [[sum(h[c] * a for c, a in zip(cols, col)) for col in zip(*adj)]
+             for h in lattice]
+    diag = [next(x for x in row if x) // next(x for x in h if x)
+            for row, h in zip(hermite_basis(basis), lattice)]
     points = []
-    for x in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        t_num = [dot(row, x) for row in n_mat]
-        if any(t < 0 or t > det for t in t_num):
-            continue
-        # consistency: x must lie in the span of the basis
-        ok = True
-        for c in range(dim):
-            if sum(t_num[i] * basis[i][c] for i in range(d)) != det * x[c]:
-                ok = False
-                break
-        if ok and any(v != 0 for v in x):
-            points.append(x)
+    for y in product(*map(range, diag)):
+        fracs = [sum(map(mul, y, col)) % det for col in zip(*steps)]
+        if any(fracs):
+            points.append(tuple(sum(map(mul, fracs, col)) // det
+                                for col in zip(*basis)))
     return points
 
 
 def hilbert_basis(c: Cone) -> MonoidGenerators:
     """The unique minimal generating set of the monoid c intersect Z^n.
 
-    Candidates are gathered from the fundamental parallelepipeds of all
-    maximal linearly independent generator subsets (Caratheodory covers the
-    cone with these simplicial pieces), then reduced to the irreducible
-    elements.
+    Candidates are the generators and the lattice points of the half-open
+    fundamental parallelepipeds of all maximal linearly independent
+    generator subsets (Caratheodory covers the cone with these simplicial
+    pieces, and a point with some t_i = 1 is b_i plus a half-open point), one
+    per coset.  They are reduced to the irreducible elements in the order
+    of a positive degree w: the Hilbert basis is among them, so every
+    nonzero monoid element has degree at least that of the first, lo, and
+    a candidate of degree below 2 lo is irreducible without a search.
     """
-    # one double description: the facets of c meet in its lineality space,
-    # which holds a generator unless it is {0}; the dual rays are the
-    # halfspaces, and their sum is positive on c minus the origin
-    rays = _dd_rays(c.dim, c.generators)
-    if reduce(and_, (z for _, z in rays), (1 << len(c.generators)) - 1):
-        raise ValueError("cone is not strongly convex; "
-                         "the minimal generating set is not unique")
+    w, halfspaces = _ambient_functional(
+        c, "cone is not strongly convex; the minimal generating set is not unique")
     if c.is_zero():
         return MonoidGenerators(c, ())
-    r = c.rank
+    lattice = _saturation(c.generators, c.dim)
     candidates = set(c.generators)
-    for subset in combinations(c.generators, r):
-        if rank_int(subset) < r:
-            continue
-        candidates.update(_parallelepiped_points(subset, c.dim))
-    halfspaces = tuple(h for h, _ in rays)
-    w = tuple(sum(col) for col in zip(*halfspaces))
+    for subset in combinations(c.generators, len(lattice)):
+        candidates.update(_parallelepiped_points(subset, lattice))
     ordered = sorted(candidates, key=lambda v: (dot(w, v), v))
+    least_sum = 2 * dot(w, ordered[0])
     basis: list[tuple[int, ...]] = []
     for v in ordered:
-        if not _reachable(basis, v, c.dim, (w, halfspaces)):
+        if dot(w, v) < least_sum or \
+                not _reachable(basis, v, c.dim, (w, halfspaces)):
             basis.append(v)
     return MonoidGenerators(c, tuple(sorted(basis)))
 

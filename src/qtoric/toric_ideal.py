@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from operator import attrgetter, mul
 
 from .linalg import left_kernel_basis
 
@@ -35,13 +36,15 @@ class Binomial:
     mu: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.nu) != len(self.mu):
+        nu, mu = self.nu, self.mu
+        if len(nu) != len(mu):
             raise ValueError("exponent length mismatch")
-        if any(x < 0 for x in self.nu) or any(x < 0 for x in self.mu):
+        if min(nu + mu, default=0) < 0:
             raise ValueError("exponents must be nonnegative")
-        if any(a > 0 and b > 0 for a, b in zip(self.nu, self.mu)):
+        # both sides are nonnegative, so a product is nonzero iff both are
+        if any(map(mul, nu, mu)):
             raise ValueError("nu and mu must have disjoint supports")
-        if self.nu <= self.mu:
+        if nu <= mu:
             raise ValueError("binomial sides must satisfy nu > mu")
 
 
@@ -52,12 +55,17 @@ class BinomialIdeal:
     generators: tuple[Binomial, ...]
 
     def __post_init__(self):
-        for b in self.generators:
-            if len(b.nu) != len(self.map.exponents):
+        # a monomial is shared by many binomials: take each image once
+        images = dict.fromkeys(e for b in self.generators for e in (b.nu, b.mu))
+        for e in images:
+            if len(e) != len(self.map.exponents):
                 raise ValueError("binomial arity mismatch with the map")
-            if _image(self.map, b.nu) != _image(self.map, b.mu):
+            images[e] = _image(self.map, e)
+        for b in self.generators:
+            if images[b.nu] != images[b.mu]:
                 raise ValueError(f"binomial {b} is not a relation of the map")
-        if len(set(self.generators)) != len(self.generators):
+        if len(set(map(attrgetter("nu", "mu"), self.generators))) != \
+                len(self.generators):
             raise ValueError("duplicate generators")
 
 
@@ -78,38 +86,36 @@ def kernel_lattice(m: MonomialMap):
     return tuple(left_kernel_basis(list(m.exponents)))
 
 
-def _monomials_of_degree(k: int, d: int):
-    for combo in combinations_with_replacement(range(k), d):
-        expo = [0] * k
-        for i in combo:
-            expo[i] += 1
-        yield tuple(expo)
-
-
 def toric_ideal_binomials(m: MonomialMap, degree_bound: int) -> BinomialIdeal:
     """All binomial relations xi^nu - xi^mu of the map, degree-balanced.
 
     Enumerates exhaustively the pairs of equal total degree d <= degree_bound
     with disjoint supports and equal image monomials; deduplicated under
-    (nu, mu) <-> (mu, nu) by ordering nu > mu lexicographically.
+    (nu, mu) <-> (mu, nu) by ordering nu > mu lexicographically.  Each
+    monomial of degree d is built once from its multiset of d variables:
+    its exponent tuple, shared by every binomial that uses it, its support
+    as a bitmask, and its image as the sum of its d exponent vectors.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
     k = len(m.exponents)
     gens = []
     for d in range(1, degree_bound + 1):
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for expo in _monomials_of_degree(k, d):
-            groups.setdefault(_image(m, expo), []).append(expo)
-        for members in groups.values():
-            if len(members) < 2:
-                continue
-            for a, b in combinations(members, 2):
-                if any(x > 0 and y > 0 for x, y in zip(a, b)):
-                    continue
-                nu, mu = (a, b) if a > b else (b, a)
-                gens.append(Binomial(nu, mu))
-    gens.sort(key=lambda g: (sum(g.nu), g.nu, g.mu))
+        groups: dict[tuple[int, ...], list] = {}
+        for combo in combinations_with_replacement(range(k), d):
+            expo = [0] * k
+            support = 0
+            for i in combo:
+                expo[i] += 1
+                support |= 1 << i
+            image = tuple(map(sum, zip(*[m.exponents[i] for i in combo])))
+            groups.setdefault(image, []).append((tuple(expo), support))
+        # the multisets come in lexicographic order, so their exponent
+        # tuples fall: the first of a pair is nu
+        pairs = sorted((a, b) for members in groups.values()
+                       for (a, sa), (b, sb) in combinations(members, 2)
+                       if not sa & sb)
+        gens += [Binomial(nu, mu) for nu, mu in pairs]
     return BinomialIdeal(m, degree_bound, tuple(gens))
 
 

@@ -1,16 +1,17 @@
 """Independent test-side oracles: definitional, brute-force, or numeric.
 
 Nothing here reuses the package's polyhedral machinery.  Cone membership is
-decided from first principles (perp/cross-product supporting inequalities in
-dimension <= 3), monoid reachability by exhaustive bounded search, rank-one
-distance by alternating least squares over numpy.
+decided from first principles (kernels of generator subsets over Q give the
+supporting inequalities), monoid reachability and toric relations by
+exhaustive bounded search, rank-one distance by alternating least squares
+over numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 import numpy as np
 
@@ -86,21 +87,28 @@ def minors_gcd(m, r, cols):
     return g
 
 
+def _kernel(rows, dim):
+    """Primitive integer vectors spanning the kernel of rows over Q, one per
+    free column of the reduced row echelon form."""
+    m, pivots = _rref(rows, dim)
+    out = []
+    for free in (c for c in range(dim) if c not in pivots):
+        v = [Fraction(0)] * dim
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][free]
+        den = 1
+        for q in v:
+            den = den * q.denominator // gcd(den, q.denominator)
+        out.append(_primitive(tuple(int(q * den) for q in v)))
+    return out
+
+
 def _kernel_ray(rows, dim):
     """The primitive integer vector spanning the kernel of rows, or None
     when the kernel is not a line."""
-    m, pivots = _rref(rows, dim)
-    if len(pivots) != dim - 1:
-        return None
-    free = next(c for c in range(dim) if c not in pivots)
-    v = [Fraction(0)] * dim
-    v[free] = Fraction(1)
-    for r, c in enumerate(pivots):
-        v[c] = -m[r][free]
-    den = 1
-    for q in v:
-        den = den * q.denominator // gcd(den, q.denominator)
-    return _primitive(tuple(int(q * den) for q in v))
+    kernel = _kernel(rows, dim)
+    return kernel[0] if len(kernel) == 1 else None
 
 
 def extreme_rays(rows, dim):
@@ -185,26 +193,20 @@ def _cross(u, v):
 
 
 def valid_inequalities(gens, dim):
-    """All supporting inequalities of pos{gens} arising from generator
-    perps (2-D) or pairwise cross products (3-D); a superset of the facets."""
-    cands = set()
-    if dim == 1:
-        for s in (1, -1):
-            cands.add((s,))
-    elif dim == 2:
-        for g in gens:
-            h = (-g[1], g[0])
-            if any(h):
-                cands.add(_primitive(h))
-                cands.add(_primitive((-h[0], -h[1])))
-    elif dim == 3:
-        for u, v in itertools.combinations(gens, 2):
-            h = _cross(u, v)
-            if any(h):
-                cands.add(_primitive(h))
-                cands.add(_primitive(tuple(-x for x in h)))
-    else:
-        raise ValueError("oracle supports dimension <= 3 only")
+    """Supporting inequalities of pos{gens} that cut it out, in any dimension.
+
+    Plus and minus the normals of span(gens), which confine a point to the
+    span, and each valid kernel ray of r - 1 generators together with those
+    normals (r the rank: generator perps in 2-D and pairwise cross products
+    in 3-D when r = dim); every facet within the span is one of these.
+    """
+    normals = _kernel(gens, dim)
+    cands = set(normals) | {tuple(-x for x in n) for n in normals}
+    rank = dim - len(normals)
+    for subset in itertools.combinations(gens, rank - 1) if rank else ():
+        h = _kernel_ray(list(subset) + normals, dim)
+        if h is not None:
+            cands.update((h, tuple(-x for x in h)))
     return sorted(h for h in cands if all(dot(h, g) >= 0 for g in gens))
 
 
@@ -238,9 +240,10 @@ def cone_contains(gens, dim, x) -> bool:
 
 
 def positive_functional(gens, dim):
-    """Sum of all valid supporting inequalities; for a pointed full-dimensional
-    cone this is strictly positive on every nonzero cone point.  Returns
-    (w, inequalities) or None when the cone is not certified pointed."""
+    """Sum of all valid supporting inequalities; for a pointed cone this is
+    strictly positive on every nonzero cone point (the normals of the span
+    cancel).  Returns (w, inequalities) or None when the cone is not
+    certified pointed."""
     ineqs = valid_inequalities(gens, dim)
     if not ineqs:
         return None
@@ -289,15 +292,31 @@ def brute_irreducibles(gens, dim, w, ineqs, cap):
 
     Enumerates every lattice point of the cone in the w-slab, then strikes
     out points expressible as a sum of two nonzero cone points.  For a
-    pointed full-dimensional cone these irreducibles are exactly the Hilbert
-    basis elements in the slab.
+    pointed cone, with ineqs cutting it out of its span and the span out of
+    Q^dim, these irreducibles are exactly the Hilbert basis elements in the
+    slab.  The slab lies in the hull of 0 and the points cap g / (w . g),
+    which bounds each coordinate; the coordinates that the equations of the
+    span fix (the pivots of its normals in reduced echelon form) are solved
+    for, not scanned.
     """
-    bound = [cap * max(abs(g[i]) for g in gens) for i in range(dim)]
+    lo = [min(0, min(Fraction(cap * g[i], dot(w, g)) for g in gens))
+          for i in range(dim)]
+    hi = [max(0, max(Fraction(cap * g[i], dot(w, g)) for g in gens))
+          for i in range(dim)]
+    m, pivots = _rref(_kernel(gens, dim), dim)
+    free = [c for c in range(dim) if c not in pivots]
     points = []
-    for x in itertools.product(*(range(-b, b + 1) for b in bound)):
-        if not any(x):
+    for y in itertools.product(*(range(ceil(lo[c]), floor(hi[c]) + 1)
+                                 for c in free)):
+        x = [0] * dim
+        for c, v in zip(free, y):
+            x[c] = v
+        for row, p in zip(m, pivots):
+            x[p] = -sum(row[c] * x[c] for c in free)
+        if any(Fraction(x[p]).denominator != 1 for p in pivots):
             continue
-        if dot(w, x) > cap:
+        x = tuple(int(v) for v in x)
+        if not any(x) or dot(w, x) > cap:
             continue
         if all(dot(h, x) >= 0 for h in ineqs):
             points.append(x)
@@ -317,6 +336,29 @@ def brute_irreducibles(gens, dim, w, ineqs, cap):
         if not reducible:
             out.append(x)
     return out
+
+
+def toric_binomials(exponents, degree):
+    """Every binomial relation of the monomial map, by definition.
+
+    All pairs (nu, mu) of exponent vectors with nu > mu, equal total degree
+    at most ``degree``, disjoint supports and equal images sum_i nu_i a_i ==
+    sum_i mu_i a_i, listed from the full product {0..degree}^k and sorted by
+    (degree, nu, mu).
+    """
+    k = len(exponents)
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=k)
+                 if 0 < sum(e) <= degree]
+
+    def image(e):
+        return tuple(sum(x * a[c] for x, a in zip(e, exponents))
+                     for c in range(len(exponents[0])))
+
+    return sorted(((nu, mu) for nu in monomials for mu in monomials
+                   if nu > mu and sum(nu) == sum(mu)
+                   and not any(x and y for x, y in zip(nu, mu))
+                   and image(nu) == image(mu)),
+                  key=lambda g: (sum(g[0]), g[0], g[1]))
 
 
 def supporting_faces(vertices, dim):

@@ -1,8 +1,11 @@
 """Hilbert bases and lattice-monoid membership."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as hs
 
 import oracles
 from qtoric import geometry, monoid
@@ -23,6 +26,23 @@ def random_pointed_cone(rng, dim, lo=-5, hi=5):
         if cert is None:
             continue
         return pos_hull(vecs, dim), cert
+
+
+@hs.composite
+def pointed_cones(draw):
+    """Pointed cones of rank r in Z^dim, r = dim or dim - 1: nonnegative
+    combinations of r independent vectors, so a plane of a rank-deficient
+    cone is as general as the vectors."""
+    dim, rank = draw(hs.sampled_from([(2, 2), (3, 3), (3, 2), (4, 3)]))
+    vector = hs.tuples(*[hs.integers(-2, 2)] * dim)
+    base = draw(hs.lists(vector, min_size=rank, max_size=rank))
+    assume(oracles.frac_rank(base) == rank)
+    weights = hs.tuples(*[hs.integers(0, 2)] * rank)
+    gens = [tuple(sum(c * b[j] for c, b in zip(cs, base)) for j in range(dim))
+            for cs in draw(hs.lists(weights, min_size=rank, max_size=rank + 2))
+            if any(cs)]
+    assume(oracles.frac_rank(gens) == rank)
+    return dim, gens
 
 
 class TestHilbertBasis:
@@ -92,6 +112,61 @@ class TestHilbertBasis:
             assert sorted(basis) == sorted(brute), (vecs, basis, brute)
             done += 1
 
+    @given(pointed_cones())
+    @example((3, [(1, -1, 0), (1, 1, -2)]))
+    @example((4, [(1, 2, 0, 1), (0, 1, 3, 1), (2, 0, 1, 5)]))
+    def test_equals_brute_force_irreducibles_any_rank(self, case):
+        # the oracle's inequalities hold plus and minus the normals of the
+        # span, so its box scan keeps only the points of the span
+        dim, gens = case
+        w, ineqs = oracles.positive_functional(gens, dim)
+        basis = hilbert_basis(pos_hull(gens, dim)).generators
+        cap = max(oracles.dot(w, b) for b in basis)
+        assert list(basis) == sorted(oracles.brute_irreducibles(
+            gens, dim, w, ineqs, cap))
+
+    @given(hs.integers(1, 10 ** 6))
+    @example(10 ** 6)
+    def test_unimodular_cone_at_large_entries(self, a):
+        cone = pos_hull([(1, 0, 0), (0, 1, 0), (a, a + 1, 1)])
+        assert hilbert_basis(cone).generators == cone.generators
+
+    @given(hs.tuples(*[hs.integers(-1000, 1000)] * 3), hs.integers(1, 40))
+    @example((997, 1009, 1013), 7)
+    def test_corner_cone_closed_form(self, top, depth):
+        # x in pos{e1, e2, e3, v}, v = (a, b, c, d), iff x_i >= x_4 v_i / d:
+        # the least point of level k is p_k, the rest of the level is p_k
+        # plus unit vectors, and p_k = p_j + p_(k-j) whenever it is reducible
+        g = gcd(*top, depth)
+        v = tuple(x // g for x in top + (depth,))
+        d = v[3]
+        p = [tuple(-(-k * x // d) for x in v[:3]) + (k,) for k in range(d + 1)]
+        irreducible = [p[k] for k in range(1, d)
+                       if all(tuple(map(sum, zip(p[j], p[k - j]))) != p[k]
+                              for j in range(1, k))]
+        units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+        cone = pos_hull(units + [v])
+        assert hilbert_basis(cone).generators == \
+            tuple(sorted(units + [v] + irreducible))
+
+    @pytest.mark.parametrize("basis", [
+        [(1, 0), (1, 7)], [(1, 7), (1, 0)], [(2, 1, 0), (0, 3, 1), (1, 0, 4)],
+        [(1, 0, 0), (0, 1, 0), (997, 1009, 7)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (12, 40, 33, 360)],
+        [(1, 0, 0), (0, 1, 0), (10 ** 6, 10 ** 6 + 1, 1)],
+        [(1, -1, 0), (1, 1, -2)], [(1, 2, 0, 1), (0, 1, 3, 1), (2, 0, 1, 5)]])
+    def test_one_parallelepiped_point_per_coset(self, basis):
+        # the index of the lattice of the basis in its saturation is the gcd
+        # of its maximal minors, |det| for a full-rank basis
+        dim = len(basis[0])
+        index = oracles.minors_gcd(basis, len(basis), dim)
+        points = monoid._parallelepiped_points(
+            basis, monoid._saturation(basis, dim))
+        assert len(points) == len(set(points)) == index - 1
+        for x in points:
+            t = oracles.frac_solve(basis, x)
+            assert any(x) and t is not None and all(0 <= c < 1 for c in t)
+
     def test_completeness_and_minimality_small(self, rng):
         # for every lattice point x with coordinates in [-6, 6]:
         # monoid_contains(hilbert_basis(c), x)  <=>  x in c
@@ -139,6 +214,26 @@ class TestMonoidContains:
             monoid_generators(cone, [(1, 0), (0, 1), (1, 1)])
         with pytest.raises(ValueError, match="strongly convex"):
             monoid_generators(pos_hull([(1, 0), (-1, 0)]), [(1, 0)])
+        with pytest.raises(ValueError, match="generated by the others"):
+            monoid_generators(pos_hull([(1, 0), (-1, 1)]),
+                              [(-1, 1), (0, 0), (1, 0)])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            monoid_generators(cone, [(1, 0, 0)])
+
+    def test_validating_constructor_one_double_description(self, monkeypatch):
+        cone = pos_hull([(1, 0, 0), (0, 1, 0), (3, 4, 5), (2, -1, 3)])
+        gens = hilbert_basis(cone).generators
+        calls = []
+        real = geometry._dd_rays
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(geometry, "_dd_rays", counted)
+        monkeypatch.setattr(monoid, "_dd_rays", counted)
+        assert monoid_generators(cone, gens).generators == gens
+        assert len(calls) == 1
 
     def test_agreement_with_oracle(self, rng):
         for dim, rounds, radius in ((2, 5, 4), (3, 3, 3)):

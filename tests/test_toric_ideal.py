@@ -2,15 +2,18 @@
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 import oracles
 from conftest import random_rational
 from qtoric import (Binomial, MonomialMap, evaluate_binomial, homogenize,
-                    kernel_lattice, projective_relations,
+                    kernel_lattice, projective_relations, segre_minors,
                     toric_ideal_binomials)
+from qtoric.toric_ideal import BinomialIdeal
 
 
 def subset_product_map(m: int) -> MonomialMap:
@@ -139,6 +142,75 @@ class TestToricIdealBinomials:
         assert list(gens) == sorted(gens, key=lambda g: (sum(g.nu), g.nu, g.mu))
 
 
+@hs.composite
+def monomial_maps(draw):
+    """Up to six exponent vectors in Z^1..Z^3 with negative and zero entries,
+    zero vectors and repeated vectors mixed in."""
+    dim = draw(hs.integers(1, 3))
+    vector = hs.tuples(*[hs.integers(-2, 2)] * dim)
+    exps = draw(hs.lists(vector, min_size=1, max_size=5))
+    for extra in draw(hs.lists(hs.sampled_from(exps + [(0,) * dim]),
+                               max_size=6 - len(exps))):
+        exps.append(extra)
+    return draw(hs.permutations(exps))
+
+
+def _segre_exponents(shape):
+    """The Segre monomial map: index i to the product of z_(j, i_j) over the
+    parties j, one unit vector per party; indices in lexicographic order."""
+    return [sum((tuple(int(x == i) for x in range(n))
+                 for i, n in zip(idx, shape)), ())
+            for idx in product(*map(range, shape))]
+
+
+def _shapes(parties, limit=12):
+    """Every shape of that many parties with at most ``limit`` entries."""
+    if not parties:
+        return [()]
+    return [(n,) + rest for rest in _shapes(parties - 1, limit)
+            for n in range(2, limit + 1) if n * prod(rest) <= limit]
+
+
+class TestToricIdealProperties:
+    @given(monomial_maps(), hs.integers(1, 3))
+    def test_equals_definitional_enumeration(self, exps, degree):
+        m = MonomialMap(len(exps[0]), tuple(exps))
+        got = toric_ideal_binomials(m, degree).generators
+        assert [(b.nu, b.mu) for b in got] == \
+            oracles.toric_binomials(exps, degree)
+
+    @pytest.mark.parametrize("shape", [s for p in (1, 2, 3) for s in _shapes(p)],
+                             ids=str)
+    def test_segre_minors_span_the_quadrics_of_the_toric_ideal(self, shape):
+        # the separable states are the Segre variety, the projective toric
+        # variety of the Segre monomial map: its degree-2 relations and the
+        # 2x2 minors span one space of quadrics
+        exps = _segre_exponents(shape)
+        m = MonomialMap(len(exps[0]), tuple(exps))
+        k = len(exps)
+        column = {pair: i for i, pair in enumerate(
+            (i, j) for i in range(k) for j in range(i, k))}
+        index = {idx: i for i, idx in enumerate(product(*map(range, shape)))}
+
+        def row(left, right):
+            out = [0] * len(column)
+            out[column[tuple(sorted(left))]] += 1
+            out[column[tuple(sorted(right))]] -= 1
+            return out
+
+        def support(expo):
+            return [i for i, e in enumerate(expo) for _ in range(e)]
+
+        toric = [row(support(b.nu), support(b.mu))
+                 for b in toric_ideal_binomials(m, 2).generators
+                 if sum(b.nu) == 2]
+        minors = [row((index[s.k], index[s.l]),
+                      tuple(index[i] for i in s.swapped()))
+                  for s in segre_minors(shape)]
+        assert oracles.frac_rank(toric) == oracles.frac_rank(minors) == \
+            oracles.frac_rank(toric + minors)
+
+
 class TestProjectiveRelations:
     def test_two_qubit_matches_affine_ideal(self):
         got = projective_relations(list(product((0, 1), repeat=2)), 2)
@@ -179,12 +251,31 @@ class TestEvaluateBinomial:
 
 class TestBinomialInvariants:
     def test_disjoint_supports_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="disjoint supports"):
             Binomial((1, 1, 0), (0, 1, 1))
 
     def test_orientation_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nu > mu"):
             Binomial((0, 1), (1, 0))
+
+    def test_length_and_sign_enforced(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            Binomial((1, 0), (0, 0, 1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            Binomial((1, 0), (0, -1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            Binomial((-1, 2), (0, 0))
+
+    def test_ideal_checks_each_generator(self):
+        m = MonomialMap(1, ((1,), (2,), (3,)))
+        quadric = Binomial((1, 0, 1), (0, 2, 0))
+        assert BinomialIdeal(m, 2, (quadric,)).generators == (quadric,)
+        with pytest.raises(ValueError, match="arity mismatch"):
+            BinomialIdeal(m, 2, (Binomial((1, 0), (0, 1)),))
+        with pytest.raises(ValueError, match="not a relation"):
+            BinomialIdeal(m, 2, (quadric, Binomial((1, 1, 0), (0, 0, 2))))
+        with pytest.raises(ValueError, match="duplicate"):
+            BinomialIdeal(m, 2, (quadric, Binomial((1, 0, 1), (0, 2, 0))))
 
 
 def _binomial_as_quadric_row(b: Binomial, k: int):

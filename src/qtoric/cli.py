@@ -7,6 +7,7 @@ Exit status 0 on success, 2 on malformed input or a precondition violation
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -64,7 +65,7 @@ def _projective_relations(args):
     if not isinstance(data, list):
         raise ValueError("--exponents must be a JSON list of integer vectors")
     exponents = [[jsonio.decode_int(x) for x in vec] for vec in data]
-    return jsonio.ideal_to_json(projective_relations(exponents, args.degree))
+    return jsonio.ideal_dumps(projective_relations(exponents, args.degree))
 
 
 def _segre_minors(args):
@@ -122,8 +123,9 @@ _REQUIRED = {"required": True}
 _COUNT = {"type": int, "required": True}
 _STATE = ("state", {"help": "state JSON (path, inline, or '-')"})
 
-# verb -> (help, [(argument, add_argument keywords)], args -> output document);
-# the operations look library functions up when called, so tests can patch them
+# verb -> (help, [(argument, add_argument keywords)], args -> output document),
+# the document a JSON value or its canonical text; the operations look library
+# functions up when called, so tests can patch them
 VERBS = {
     "dual": ("dual of a cone", [("--cone", _REQUIRED)],
              lambda a: jsonio.cone_to_json(dual_cone(_cone(a.cone)))),
@@ -142,7 +144,7 @@ VERBS = {
                     [("--map", {**_REQUIRED,
                                 "help": "JSON list of integer exponent vectors"}),
                      ("--degree", _COUNT)],
-                    lambda a: jsonio.ideal_to_json(toric_ideal_binomials(
+                    lambda a: jsonio.ideal_dumps(toric_ideal_binomials(
                         jsonio.map_from_json(_read_json_arg(a.map)), a.degree))),
     "projective-relations": ("homogeneous relations of a projective parameterization",
                              [("--exponents", _REQUIRED), ("--degree", _COUNT)],
@@ -178,7 +180,9 @@ VERBS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qtoric",
         description="Exact toric geometry applied to multipartite quantum states. "
@@ -199,7 +203,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        out, code = jsonio.canonical_dumps(args.operation(args)), 0
+        doc = args.operation(args)
+        out = doc if isinstance(doc, str) else jsonio.canonical_dumps(doc)
+        code = 0
     except (ValueError, TypeError, KeyError, IndexError, OverflowError,
             ZeroDivisionError, json.JSONDecodeError, OSError) as exc:
         out, code = jsonio.canonical_dumps({"error": str(exc)}), 2

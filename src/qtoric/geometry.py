@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import gcd
 from operator import and_
 
 from .linalg import (det_adj, dot, hermite_basis, left_kernel_basis,
-                     pivot_columns, primitive, rank_int, vector_gcd)
+                     pivot_columns, primitive, rank_int)
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class Cone:
         for g in self.generators:
             if len(g) != self.dim:
                 raise ValueError("generator dimension mismatch")
-            if vector_gcd(g) != 1:
+            if gcd(*g) != 1:
                 raise ValueError(f"generator {g} is not primitive")
         if list(self.generators) != sorted(set(self.generators)):
             raise ValueError("generators must be sorted and duplicate-free")

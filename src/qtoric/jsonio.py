@@ -19,6 +19,8 @@ from .segre import MinorSpec, ProductState, PureState
 from .toric_ideal import BinomialIdeal, MonomialMap
 
 _SAFE = 2 ** 53
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           allow_nan=False).encode
 
 
 def encode_int(x: int):
@@ -105,13 +107,28 @@ def map_from_json(data) -> MonomialMap:
 
 def ideal_to_json(ideal: BinomialIdeal) -> dict:
     # a monomial is shared by many binomials: encode each exponent tuple once
-    vectors = dict.fromkeys(e for b in ideal.generators for e in (b.nu, b.mu))
-    for e in vectors:
-        vectors[e] = _vector_out(e)
+    vectors = [_vector_out(e) for e in ideal.monomials]
     return {"map": map_to_json(ideal.map),
             "degreeBound": ideal.degree_bound,
-            "generators": [{"nu": vectors[b.nu], "mu": vectors[b.mu]}
-                           for b in ideal.generators]}
+            "generators": [{"nu": vectors[i], "mu": vectors[j]}
+                           for i, j in ideal.pairs]}
+
+
+def ideal_dumps(ideal: BinomialIdeal) -> str:
+    """``canonical_dumps(ideal_to_json(ideal))``, each monomial encoded once.
+
+    The generator list is one join over references to the monomial texts
+    and constant fragments, so a binomial costs no string of its own.
+    """
+    texts = [_encode(_vector_out(e)) for e in ideal.monomials]
+    parts = [f'{{"degreeBound":{_encode(ideal.degree_bound)},"generators":[']
+    for i, j in ideal.pairs:
+        parts += '},{"mu":', texts[j], ',"nu":', texts[i]
+    if ideal.pairs:
+        parts[1] = '{"mu":'  # no separator before the first binomial
+        parts.append("}")
+    parts.append(f'],"map":{_encode(map_to_json(ideal.map))}}}\n')
+    return "".join(parts)
 
 
 def _amplitude_out(value) -> dict:
@@ -219,5 +236,4 @@ def torus_point_from_json(data):
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False) + "\n"
+    return _encode(obj) + "\n"

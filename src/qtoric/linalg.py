@@ -10,16 +10,9 @@ from __future__ import annotations
 from math import gcd
 
 
-def vector_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive(v) -> tuple:
     """Divide an integer vector by the gcd of its entries (direction preserved)."""
-    g = vector_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)

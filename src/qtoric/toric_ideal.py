@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
-from operator import attrgetter, mul
+from functools import cached_property
+from itertools import combinations, combinations_with_replacement, compress
+from operator import mul
 
 from .linalg import left_kernel_basis
 
@@ -50,33 +52,54 @@ class Binomial:
 
 @dataclass(frozen=True)
 class BinomialIdeal:
+    """The binomials x^monomials[i] - x^monomials[j], one per (i, j) in pairs.
+
+    Each exponent tuple is stored once, however many binomials share it, so
+    the checks that concern one monomial run once per monomial and those
+    that concern one binomial are a few comparisons of ints and tuples.
+    """
+
     map: MonomialMap
     degree_bound: int
-    generators: tuple[Binomial, ...]
+    monomials: tuple[tuple[int, ...], ...]
+    pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        # a monomial is shared by many binomials: take each image once
-        images = dict.fromkeys(e for b in self.generators for e in (b.nu, b.mu))
-        for e in images:
-            if len(e) != len(self.map.exponents):
+        monomials, k = self.monomials, len(self.map.exponents)
+        bits = [1 << i for i in range(k)]
+        columns = list(zip(*self.map.exponents))
+        # per monomial: its support as a bitmask and its image (a dot product
+        # per coordinate), numbered
+        supports, image, numbers = [], [], {}
+        for e in monomials:
+            if len(e) != k:
                 raise ValueError("binomial arity mismatch with the map")
-            images[e] = _image(self.map, e)
-        for b in self.generators:
-            if images[b.nu] != images[b.mu]:
+            if min(e, default=0) < 0:
+                raise ValueError("exponents must be nonnegative")
+            supports.append(sum(compress(bits, e)))
+            z = tuple(sum(map(mul, e, column)) for column in columns)
+            image.append(numbers.setdefault(z, len(numbers)))
+        if len(set(monomials)) != len(monomials):
+            raise ValueError("duplicate monomials")
+        n = len(monomials)
+        for i, j in self.pairs:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError("monomial index out of range")
+            if supports[i] & supports[j]:
+                raise ValueError("nu and mu must have disjoint supports")
+            if monomials[i] <= monomials[j]:
+                raise ValueError("binomial sides must satisfy nu > mu")
+            if image[i] != image[j]:
+                b = Binomial(monomials[i], monomials[j])
                 raise ValueError(f"binomial {b} is not a relation of the map")
-        if len(set(map(attrgetter("nu", "mu"), self.generators))) != \
-                len(self.generators):
+        if len(set(self.pairs)) != len(self.pairs):
             raise ValueError("duplicate generators")
 
-
-def _image(m: MonomialMap, expo) -> tuple[int, ...]:
-    """The exponent vector of the image monomial prod_i z^(e_i * a_i)."""
-    out = [0] * m.dim
-    for e, a in zip(expo, m.exponents):
-        if e:
-            for c in range(m.dim):
-                out[c] += e * a[c]
-    return tuple(out)
+    @cached_property
+    def generators(self) -> tuple[Binomial, ...]:
+        """The binomials as checked ``Binomial`` objects, built on first use."""
+        m = self.monomials
+        return tuple(Binomial(m[i], m[j]) for i, j in self.pairs)
 
 
 def kernel_lattice(m: MonomialMap):
@@ -92,31 +115,37 @@ def toric_ideal_binomials(m: MonomialMap, degree_bound: int) -> BinomialIdeal:
     Enumerates exhaustively the pairs of equal total degree d <= degree_bound
     with disjoint supports and equal image monomials; deduplicated under
     (nu, mu) <-> (mu, nu) by ordering nu > mu lexicographically.  Each
-    monomial of degree d is built once from its multiset of d variables:
-    its exponent tuple, shared by every binomial that uses it, its support
-    as a bitmask, and its image as the sum of its d exponent vectors.
+    monomial of degree d is built once from its multiset of d variables,
+    its image as the sum of its d exponent vectors; only a monomial whose
+    image another one shares gets an exponent tuple, a support bitmask and
+    a place in the ideal's table.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
     k = len(m.exponents)
-    gens = []
+    monomials, supports, pairs = [], [], []
     for d in range(1, degree_bound + 1):
-        groups: dict[tuple[int, ...], list] = {}
-        for combo in combinations_with_replacement(range(k), d):
-            expo = [0] * k
-            support = 0
-            for i in combo:
-                expo[i] += 1
-                support |= 1 << i
-            image = tuple(map(sum, zip(*[m.exponents[i] for i in combo])))
-            groups.setdefault(image, []).append((tuple(expo), support))
+        built = [(combo, tuple(map(sum, zip(*[m.exponents[i] for i in combo]))))
+                 for combo in combinations_with_replacement(range(k), d)]
+        shared = Counter(image for _, image in built)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for combo, image in built:
+            if shared[image] > 1:
+                expo = [0] * k
+                support = 0
+                for i in combo:
+                    expo[i] += 1
+                    support |= 1 << i
+                groups.setdefault(image, []).append(len(monomials))
+                monomials.append(tuple(expo))
+                supports.append(support)
         # the multisets come in lexicographic order, so their exponent
-        # tuples fall: the first of a pair is nu
-        pairs = sorted((a, b) for members in groups.values()
-                       for (a, sa), (b, sb) in combinations(members, 2)
-                       if not sa & sb)
-        gens += [Binomial(nu, mu) for nu, mu in pairs]
-    return BinomialIdeal(m, degree_bound, tuple(gens))
+        # tuples fall: in a pair (a, b) with a < b, a is nu, and the pairs
+        # in descending order are the binomials in ascending order
+        pairs += sorted([(a, b) for members in groups.values()
+                         for a, b in combinations(members, 2)
+                         if not supports[a] & supports[b]], reverse=True)
+    return BinomialIdeal(m, degree_bound, tuple(monomials), tuple(pairs))
 
 
 def homogenize(m: MonomialMap) -> MonomialMap:

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from qtoric.cli import VERBS, main
+from qtoric import Binomial
+from qtoric.cli import VERBS, build_parser, main
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -216,6 +217,41 @@ class TestVerbs:
         code, out = run_cli(capsys, "dual", "--cone", "-")
         assert code == 0
         assert json.loads(out)["generators"] == [[0, 1], [1, 0]]
+
+
+class TestIdealVerbs:
+    ARGV = [("toric-ideal", "--map", "[[3,0],[2,1],[1,2],[0,3]]", "--degree", "3"),
+            ("projective-relations", "--exponents", "[[0,0],[1,0],[0,1],[1,1]]",
+             "--degree", "2")]
+
+    @pytest.mark.parametrize("argv", ARGV, ids=lambda a: a[0])
+    def test_no_binomial_object_built(self, capsys, monkeypatch, argv):
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0 and json.loads(expected[1])["generators"]
+
+        def refuse(self):
+            raise AssertionError("a Binomial was built")
+
+        monkeypatch.setattr(Binomial, "__post_init__", refuse)
+        assert run_cli(capsys, *argv) == expected
+
+
+class TestParser:
+    ERRORS = [[], ["nope"], ["dual", "--cone", "x", "extra"], ["param", "--m", "x"],
+              ["toric-ideal", "-h"], ["-h"]]
+
+    @pytest.mark.parametrize("argv", ERRORS, ids=str)
+    def test_reused_parser_reports_like_a_fresh_one(self, capsys, argv):
+        """main keeps one parser per process; earlier calls leave no trace."""
+        for other in self.ERRORS:
+            main(other)
+        run_cli(capsys, "dual", "--cone", "[[1,0],[1,2]]")
+        code = main(argv)
+        got = code, capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            build_parser.__wrapped__().parse_args(argv)
+        assert got == (exc.value.code, capsys.readouterr())
+        assert got[1].out or got[1].err
 
 
 class TestExitCodes:

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from qtoric import (chart_atlas, multiqubit_fan, multiqubit_polytope,
                     parameterization, pos_hull, projective_space_fan,
@@ -11,6 +13,7 @@ from qtoric import (chart_atlas, multiqubit_fan, multiqubit_polytope,
                     ProductState, PureState)
 from qtoric import jsonio
 from qtoric.rationals import ComplexRational
+from qtoric.toric_ideal import BinomialIdeal
 
 
 class TestIntEncoding:
@@ -72,6 +75,43 @@ class TestIdealAndMapJson:
         doc = jsonio.ideal_to_json(toric_ideal_binomials(m, 2))
         assert doc["degreeBound"] == 2
         assert doc["generators"] == [{"nu": [1, 0, 0, 1], "mu": [0, 1, 1, 0]}]
+
+
+@hs.composite
+def monomial_maps(draw):
+    """Up to six exponent vectors in Z^1..Z^3: Laurent (negative) entries,
+    repeats, so that some maps have relations and some have none, and
+    entries beyond 2^53 that the encoding writes as strings."""
+    dim = draw(hs.integers(1, 3))
+    entry = hs.integers(-2, 2) | hs.sampled_from([2 ** 53 + 1, -(2 ** 60)])
+    vectors = draw(hs.lists(hs.tuples(*[entry] * dim), min_size=1, max_size=4))
+    exps = vectors + draw(hs.lists(hs.sampled_from(vectors), max_size=2))
+    return MonomialMap(dim, tuple(draw(hs.permutations(exps))))
+
+
+class TestIdealDumps:
+    @given(monomial_maps(), hs.integers(1, 3))
+    def test_equals_the_dict_form(self, m, degree):
+        ideal = toric_ideal_binomials(m, degree)
+        assert jsonio.ideal_dumps(ideal) == \
+            jsonio.canonical_dumps(jsonio.ideal_to_json(ideal))
+        sides = [(b.nu, b.mu) for b in ideal.generators]
+        assert sides == sorted(sides, key=lambda g: (sum(g[0]), g))
+
+    def test_empty_ideal(self):
+        ideal = toric_ideal_binomials(MonomialMap(1, ((1,), (2 ** 60,))), 2)
+        assert ideal.pairs == ()
+        assert jsonio.ideal_dumps(ideal) == \
+            '{"degreeBound":2,"generators":[],"map":' \
+            '{"dim":1,"exponents":[[1],["1152921504606846976"]]}}\n'
+
+    def test_exponents_beyond_2_53(self):
+        big = 2 ** 53 + 1
+        ideal = BinomialIdeal(MonomialMap(1, ((0,), (0,))), 2,
+                              ((big, 0), (0, big)), ((0, 1),))
+        text = jsonio.ideal_dumps(ideal)
+        assert text == jsonio.canonical_dumps(jsonio.ideal_to_json(ideal))
+        assert f'"nu":["{big}",0]' in text
 
 
 class TestStateJson:

@@ -268,14 +268,33 @@ class TestBinomialInvariants:
 
     def test_ideal_checks_each_generator(self):
         m = MonomialMap(1, ((1,), (2,), (3,)))
-        quadric = Binomial((1, 0, 1), (0, 2, 0))
-        assert BinomialIdeal(m, 2, (quadric,)).generators == (quadric,)
+        quadric = ((1, 0, 1), (0, 2, 0))
+        ideal = BinomialIdeal(m, 2, quadric, ((0, 1),))
+        assert ideal.generators == (Binomial(*quadric),)
         with pytest.raises(ValueError, match="arity mismatch"):
-            BinomialIdeal(m, 2, (Binomial((1, 0), (0, 1)),))
-        with pytest.raises(ValueError, match="not a relation"):
-            BinomialIdeal(m, 2, (quadric, Binomial((1, 1, 0), (0, 0, 2))))
-        with pytest.raises(ValueError, match="duplicate"):
-            BinomialIdeal(m, 2, (quadric, Binomial((1, 0, 1), (0, 2, 0))))
+            BinomialIdeal(m, 2, ((1, 0), (0, 1)), ((0, 1),))
+        with pytest.raises(ValueError, match=r"binomial Binomial\(nu=\(1, 1, 0\), "
+                                             r"mu=\(0, 0, 2\)\) is not a relation"):
+            BinomialIdeal(m, 2, quadric + ((1, 1, 0), (0, 0, 2)),
+                          ((0, 1), (2, 3)))
+        with pytest.raises(ValueError, match="duplicate generators"):
+            BinomialIdeal(m, 2, quadric, ((0, 1), (0, 1)))
+        with pytest.raises(ValueError, match="duplicate monomials"):
+            BinomialIdeal(m, 2, quadric + quadric[:1], ((0, 1),))
+
+    def test_ideal_checks_each_monomial_and_pair(self):
+        m = MonomialMap(1, ((1,), (2,), (3,)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            BinomialIdeal(m, 2, ((2, 0, 0), (0, -1, 2)), ((0, 1),))
+        # x1 x2 x3 and x2^3 have the image z^6 but share x2
+        with pytest.raises(ValueError, match="disjoint supports"):
+            BinomialIdeal(m, 3, ((1, 1, 1), (0, 3, 0)), ((0, 1),))
+        with pytest.raises(ValueError, match="nu > mu"):
+            BinomialIdeal(m, 2, ((1, 0, 1), (0, 2, 0)), ((1, 0),))
+        with pytest.raises(ValueError, match="out of range"):
+            BinomialIdeal(m, 2, ((1, 0, 1), (0, 2, 0)), ((-2, 1),))
+        with pytest.raises(ValueError, match="out of range"):
+            BinomialIdeal(m, 2, ((1, 0, 1), (0, 2, 0)), ((0, 2),))
 
 
 def _binomial_as_quadric_row(b: Binomial, k: int):

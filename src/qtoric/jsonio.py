@@ -183,6 +183,8 @@ def state_from_json(data) -> PureState:
     amps = {}
     for entry in data["amplitudes"]:
         idx = tuple(decode_int(i) for i in entry["index"])
+        if idx in amps:
+            raise ValueError(f"duplicate amplitude index {idx}")
         amps[idx] = _amplitude_in(entry)
     if any(not isinstance(v, ComplexRational) for v in amps.values()):
         amps = {idx: complex(v) for idx, v in amps.items()}

@@ -168,22 +168,32 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
     non-separable verdict the maximal violating minor is reported: the
     first largest as a float in ``segre_minors`` order, found by scanning
     the rows of every flattening, and the only minor built as a
-    ``MinorSpec``.  An exact state is rank one exactly when its witness
-    rebuilds it; otherwise its minors are scanned in exact integers.  Scaling
-    a state never changes the verdict, also for states beyond float range;
-    their reported minor magnitudes are rounded to floats (infinite above
-    the float range).
+    ``MinorSpec``.  An exact state is decided on its Gaussian integers over
+    one denominator: with P its peak amplitude and R_j the slot-j rows
+    through P, it is rank one exactly when T[i] P^(m-1) = prod_j R_j[i_j]
+    for every index i; otherwise its minors are scanned in exact integers,
+    and only the report builds rationals.  Scaling a state never changes
+    the verdict, also for states beyond float range; their reported minor
+    magnitudes are rounded to floats (infinite above the float range).
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-    k = _float_range_shift(state)
-    if k == 0:
-        return _float_verdict(state, tol)
     # a state whose peak |a|^2 lies outside float range is decided on
     # state / 2^k, which has the same relative verdict, and scaled back
-    r = _float_verdict(PureState(state.shape, {
-        i: _times_power_of_two(v, -k) for i, v in state.amplitudes.items()}),
-        tol)
+    if _is_exact(state):
+        flat, d = _dense(state, True)
+        k = _gaussian_shift(flat, d)
+        if k < 0:
+            flat = [(x << -k, y << -k) for x, y in flat]
+        r = _gaussian_verdict(state.shape, flat, d << max(k, 0), tol)
+    else:
+        k = _float_range_shift(state)
+        if k:
+            state = PureState(state.shape, {i: _times_power_of_two(v, -k)
+                                            for i, v in state.amplitudes.items()})
+        r = _float_verdict(state.shape, _dense(state, False)[0], tol)
+    if k == 0:
+        return r
     if r.witness is not None:
         first = tuple(_times_power_of_two(x, k) for x in r.witness.locals[0])
         r.witness = ProductState((first,) + r.witness.locals[1:])
@@ -194,24 +204,25 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
     return r
 
 
-# the peak |a|^2 of a state decided as it is: a normal float whose double,
-# the largest possible minor, is still finite
-_FLOAT_SAFE = (Fraction(2) ** -1022, Fraction(2) ** 1023)
-
-
 def _float_range_shift(state: PureState) -> int:
-    """0, or for a state whose peak |a|^2 lies outside _FLOAT_SAFE the k
-    that brings the peak |a|^2 of state / 2^k near 1."""
-    if not _is_exact(state):
-        # the largest part c = f 2^e, 1/2 <= f < 1, has c^2 <= peak^2 < 2 c^2
-        e = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in
-                           map(complex, state.amplitudes.values())))[1]
-        return 0 if -510 <= e <= 510 else e
-    peak2 = max(v.magnitude_squared() if isinstance(v, ComplexRational)
-                else Fraction(v) ** 2 for v in state.amplitudes.values())
-    if _FLOAT_SAFE[0] <= peak2 < _FLOAT_SAFE[1]:
+    """0, or for a float state whose largest part lies outside [2^-511,
+    2^510) the k that brings the largest part of state / 2^k near 1."""
+    # the largest part c = f 2^e, 1/2 <= f < 1, has c^2 <= peak^2 < 2 c^2
+    e = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in
+                       map(complex, state.amplitudes.values())))[1]
+    return 0 if -510 <= e <= 510 else e
+
+
+def _gaussian_shift(flat, d) -> int:
+    """0 when the peak |a|^2 = n / D^2 of Gaussian integers is a normal
+    float whose double, the largest possible minor, is still finite, i.e.
+    2^-1022 <= n / D^2 < 2^1023; else the k that brings the peak |a|^2 of
+    state / 2^k near 1."""
+    n, d2 = max(x * x + y * y for x, y in flat), d * d
+    if d2 <= n << 1022 and n < d2 << 1023:
         return 0
-    return (peak2.numerator.bit_length() - peak2.denominator.bit_length()) // 2
+    g = math.gcd(n, d2)
+    return ((n // g).bit_length() - (d2 // g).bit_length()) // 2
 
 
 def _is_exact(state: PureState) -> bool:
@@ -235,30 +246,92 @@ def _ldexp(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _float_verdict(state: PureState, tol: float) -> SeparabilityResult:
-    peak = max(magnitude(v) for v in state.amplitudes.values())
+def _float_verdict(shape, flat, tol) -> SeparabilityResult:
+    """The verdict on complex floats."""
+    peak, p = max((abs(v), o) for o, v in enumerate(flat))
     if peak == 0:
         raise ValueError("state is zero")
-    exact = _is_exact(state)
-    if exact:
-        # exactly the rank-one tensors, on which every minor vanishes, are
-        # rebuilt by their witness
-        witness = _witness(state)
-        if segre_map(witness).amplitudes == state.amplitudes:
-            return SeparabilityResult(True, 0.0, witness, None)
-    flat, d = _dense(state, exact)
-    top, where = _first_max(state.shape, flat,
-                            _exact_abs(d * d) if exact else _float_abs)
-    # at tol 0 the verdict is exact: an exact state that is not rank one has
-    # a nonzero minor, even one too small for a float
-    if top <= tol * peak * peak and not (exact and tol == 0):
-        return SeparabilityResult(True, top, _witness(state), None)
-    if exact and top == 0:
+    top, where = _first_max(shape, flat, _float_abs, 0)
+    if top <= tol * peak * peak:
+        rows = _rows(shape, flat, p)
+        if len(rows) > 1:
+            scale = flat[p] ** (len(rows) - 1)
+            rows[0] = [x / scale for x in rows[0]]
+        return SeparabilityResult(True, top, ProductState(rows), None)
+    a, b, c, e = _corners(shape, flat, where)
+    value = complex(a * b - c * e)
+    return SeparabilityResult(False, abs(value), None, MinorSpec(*where), value)
+
+
+def _gaussian_verdict(shape, flat, d, tol) -> SeparabilityResult:
+    """The verdict on Gaussian integers (x, y) standing for (x + iy) / d."""
+    d2 = d * d
+    # the peak of the witness: |a| rounded as sqrt(float(|a|^2)), the last
+    # largest in index order
+    peak, p = max((math.sqrt((x * x + y * y) / d2), o)
+                  for o, (x, y) in enumerate(flat) if x or y)
+    rows, g = _rows(shape, flat, p), (1, 0)
+    for _ in rows[1:]:
+        g = _gmul(g, flat[p])
+    rank_one = _rank_one(flat, rows, g)
+    top, where = (0.0, None) if rank_one else \
+        _first_max(shape, flat, _exact_abs(d2), (0, 0))
+    # at tol 0 the verdict is exact: a state that is not rank one has a
+    # nonzero minor, even one too small for a float
+    if rank_one or tol and top <= tol * peak * peak:
+        # the witness divides the first row by P^(m-1): with g = (dP)^(m-1),
+        # its entry r / d becomes r d^(m-2) / g = r conj(g) d^(m-2) / |g|^2
+        locs = [[(x, y, d) for x, y in row] for row in rows]
+        if len(rows) > 1:
+            s, n = d ** (len(rows) - 2), g[0] * g[0] + g[1] * g[1]
+            locs[0] = [(x * s, y * s, n) for x, y in
+                       (_gmul(r, (g[0], -g[1])) for r in rows[0])]
+        return SeparabilityResult(True, top, ProductState(
+            [ComplexRational(Fraction(x, q), Fraction(y, q)) for x, y, q in loc]
+            for loc in locs), None)
+    if top == 0:
         # every minor rounds to float 0: report the first exactly nonzero one
-        where = _first_max(state.shape, flat, _exact_nonzero)[1]
-    minor = MinorSpec(*where)
-    value = complex(minor_value(state, minor))
-    return SeparabilityResult(False, abs(value), None, minor, value)
+        where = _first_max(shape, flat, _exact_nonzero, (0, 0))[1]
+    a, b, c, e = _corners(shape, flat, where)
+    (x, y), (u, v) = _gmul(a, b), _gmul(c, e)
+    value = complex((x - u) / d2, (y - v) / d2)
+    return SeparabilityResult(False, abs(value), None, MinorSpec(*where), value)
+
+
+def _rows(shape, flat, p) -> list[list]:
+    """The slot-j rows R_j of the flat tensor through offset p, j < m."""
+    strides, at = _strides(shape), _unravel(p, shape)
+    return [[flat[p + (i - at[j]) * strides[j]] for i in range(n)]
+            for j, n in enumerate(shape)]
+
+
+def _corners(shape, flat, where):
+    """T[k], T[l], T[k2], T[l2] of the minor where = (mode, k, l)."""
+    strides = _strides(shape)
+    mode, k, l = where
+    o, o2 = (sum(i * s for i, s in zip(idx, strides)) for idx in (k, l))
+    swap = (l[mode] - k[mode]) * strides[mode]
+    return flat[o], flat[o2], flat[o + swap], flat[o2 - swap]
+
+
+def _gmul(u, v):
+    """The product of two Gaussian integers (x, y) standing for x + iy."""
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _rank_one(flat, rows, g) -> bool:
+    """T[i] g == prod_j R_j[i_j] for every row-major index i, where g =
+    P^(m-1) and the rows R_j run through the entry P != 0.
+
+    A rank-one T = v_1 x ... x v_m has R_j[a] = v_j[a] P / v_j[p_j], so its
+    row products are T[i] P^m / P; conversely the identity writes T as the
+    product of the rows, the first divided by g.  Both sides have degree m,
+    so a common denominator cancels.
+    """
+    prods = [(1, 0)]
+    for row in rows:
+        prods = [_gmul(u, v) for u in prods for v in row]
+    return all(_gmul(t, g) == u for t, u in zip(flat, prods))
 
 
 def _strides(shape) -> list[int]:
@@ -310,7 +383,7 @@ def _unravel(offset, shape) -> tuple[int, ...]:
     return tuple(reversed(idx))
 
 
-def _first_max(shape, flat, values):
+def _first_max(shape, flat, values, zero):
     """The first largest minor key and its (mode, k, l), or (0.0, None).
 
     Every mode j and local pair a < b takes rows ra, rb of the mode-j
@@ -319,7 +392,8 @@ def _first_max(shape, flat, values):
     minors in their order, plus the ones ``segre_minors`` skips under mode j
     as already listed under an earlier mode s; such a duplicate has the same
     two products, so its key equals the earlier one and, under strict >,
-    never replaces it.
+    never replaces it.  A column equal to ``zero`` in both rows is dropped
+    first: its minors vanish, so a sparse state costs O(nnz^2) per pair.
     """
     strides = _strides(shape)
     best, where = 0.0, None
@@ -327,15 +401,17 @@ def _first_max(shape, flat, values):
         offsets = _flattening(shape, strides, j)
         rows = [[flat[o] for o in row] for row in offsets]
         for a, b in combinations(range(shape[j]), 2):
-            ra, rb = rows[a], rows[b]
-            for i in range(len(ra) - 1):
+            cols = [c for c, (u, v) in enumerate(zip(rows[a], rows[b]))
+                    if u != zero or v != zero]
+            ra, rb = [rows[a][c] for c in cols], [rows[b][c] for c in cols]
+            for i in range(len(cols) - 1):
                 keys = values(ra[i], rb[i], ra[i + 1:], rb[i + 1:])
                 top = max(keys)
                 if where is None or top > best:
                     i2 = i + 1 + keys.index(top)
                     best = top
-                    where = (j, _unravel(offsets[a][i], shape),
-                             _unravel(offsets[b][i2], shape))
+                    where = (j, _unravel(offsets[a][cols[i]], shape),
+                             _unravel(offsets[b][cols[i2]], shape))
     return best, where
 
 
@@ -361,44 +437,25 @@ def _exact_nonzero(g, h, ps, qs):
             for (x4, y4), (x2, y2) in zip(ps, qs)]
 
 
-def _witness(state: PureState) -> ProductState:
-    """Product state agreeing with the tensor when all minors vanish."""
-    peak_idx = max(state.amplitudes,
-                   key=lambda i: (magnitude(state.amplitudes[i]), i))
-    peak = state.amplitudes[peak_idx]
-    locs = []
-    for j, n in enumerate(state.shape):
-        row = tuple(
-            state.amplitude(peak_idx[:j] + (i,) + peak_idx[j + 1:])
-            for i in range(n))
-        locs.append(row)
-    m = len(state.shape)
-    if m > 1:
-        scale = peak ** (m - 1)
-        locs[0] = tuple(_exact_div(x, scale) for x in locs[0])
-    return ProductState(locs)
-
-
-def _exact_div(x, scale):
-    if isinstance(x, int) and isinstance(scale, int):
-        return Fraction(x, scale)
-    return x / scale
-
-
 def concurrence(state: PureState, weights=None) -> float:
     """2 * sqrt(sum of weighted squared minor magnitudes); needs a normalized state.
 
-    Default weight is 1 per canonical minor, which reproduces the standard
+    The norm must be within 1e-9 of 1, checked exactly on the amplitudes
+    read as Gaussian integers over one denominator.  Default weight is 1 per canonical minor, which reproduces the standard
     two-qubit concurrence 2|a00 a11 - a01 a10|; the default is the exact sum
     over the given amplitudes (float parts read as the dyadic rationals they
     are), rounded once.  Custom weights must be finite and nonnegative and
     are summed in floating point minor by minor.
     """
-    norm2 = state.norm_squared()
-    if abs(norm2 - 1.0) > 1e-9:
+    flat, d = _dense(state, True)
+    # in integers, so that no part of an exact state need fit a float
+    if abs(sum(x * x + y * y for x, y in flat) - d * d) * 10 ** 9 > d * d:
+        try:
+            norm2 = state.norm_squared()
+        except OverflowError:
+            norm2 = math.inf
         raise ValueError(f"state is not normalized: sum |amp|^2 = {norm2}")
     if weights is None:
-        flat, d = _dense(state, True)
         return _sqrt_ratio(4 * _minor_norm2(state.shape, flat), d ** 4)
     minors = segre_minors(state.shape)
     if len(weights) != len(minors):

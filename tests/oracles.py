@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, sqrt
 
 import numpy as np
 
@@ -528,6 +528,60 @@ def separability_reference(state, tol):
     if top <= tol * peak * peak and not (tol == 0 and nonzero):
         return True, None, None, top
     return False, minor, complex(raw), top
+
+
+def _cmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _is_exact(state):
+    return all(isinstance(v, (int, Fraction)) or hasattr(v, "re")
+               for v in state.amplitudes.values())
+
+
+def witness(state, p=None):
+    """The local vectors of the witness, by definition: the rows of the
+    tensor through the entry p, the first divided by T[p]^(m-1).
+
+    Exact states are read as pairs of Fractions and divided exactly, float
+    states as complex.  By default p is the peak: the last largest |a| in
+    index order, |a| a float (sqrt(float(|a|^2)) for an exact amplitude).
+    """
+    exact = _is_exact(state)
+
+    def amp(i):
+        v = state.amplitude(i)
+        return _exact_parts(v) if exact else complex(v)
+
+    def magnitude(v):
+        return sqrt(float(v[0] ** 2 + v[1] ** 2)) if exact else abs(v)
+    if p is None:
+        p = max(state.amplitudes, key=lambda i: (magnitude(amp(i)), i))
+    rows = [[amp(p[:j] + (a,) + p[j + 1:]) for a in range(n)]
+            for j, n in enumerate(state.shape)]
+    if len(rows) > 1 and exact:
+        scale = (Fraction(1), Fraction(0))
+        for _ in rows[1:]:
+            scale = _cmul(scale, amp(p))
+        n2 = scale[0] ** 2 + scale[1] ** 2
+        rows[0] = [_cmul(x, (scale[0] / n2, -scale[1] / n2)) for x in rows[0]]
+    elif len(rows) > 1:
+        rows[0] = [x / amp(p) ** (len(rows) - 1) for x in rows[0]]
+    return rows
+
+
+def rank_one_reference(state) -> bool:
+    """The witness identity on an exact state: the Segre image of its
+    witness, taken through its first nonzero entry (any one would do),
+    rebuilds it exactly when it is a rank-one tensor."""
+    rows = witness(state, min(state.amplitudes))
+    for idx in itertools.product(*(range(n) for n in state.shape)):
+        value = (Fraction(1), Fraction(0))
+        for row, i in zip(rows, idx):
+            value = _cmul(value, row[i])
+        if value != _exact_parts(state.amplitude(idx)):
+            return False
+    return True
 
 
 def _exact_parts(value):

@@ -157,6 +157,32 @@ class TestVerbs:
             assert doc["maxViolation"] == 0.0
             assert doc["witness"] is not None
 
+    @pytest.mark.parametrize("verb", ["check-separable", "concurrence"])
+    def test_duplicate_amplitude_index_rejected(self, capsys, verb):
+        # without the check the Bell state below reads as |00>, separable
+        state = ('{"shape":[2,2],"amplitudes":[{"index":[0,0],"re":"1"},'
+                 '{"index":[1,1],"re":"1"},{"index":[1,1],"re":"0"}]}')
+        code, out = run_cli(capsys, verb, state)
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "duplicate amplitude index (1, 1)"}
+
+    @pytest.mark.parametrize("amps, expected", [
+        ([("1e400", "0")], "inf"),
+        ([("1e-400", "0")], "0.0"),
+        ([("1/3", "0"), ("1/7", "2/9")], "0.18090199042579996"),
+    ], ids=["1e400", "1e-400", "in-range"])
+    def test_concurrence_exact_norm_message(self, capsys, amps, expected):
+        # the norm of an exact state is checked in integers; 10^400 used to
+        # exit 2 with a float overflow instead of this message
+        state = {"shape": [2, 2], "amplitudes": [
+            {"index": [i, i], "re": re, "im": im}
+            for i, (re, im) in enumerate(amps)]}
+        code, out = run_cli(capsys, "concurrence", json.dumps(state))
+        assert code == 2
+        assert json.loads(out) == {
+            "error": f"state is not normalized: sum |amp|^2 = {expected}"}
+
     def test_concurrence(self, capsys, bell_file):
         code, out = run_cli(capsys, "concurrence", bell_file)
         assert code == 0

@@ -146,6 +146,16 @@ class TestStateJson:
         assert st.amplitude((1, 1)) == ComplexRational(Fraction(-2),
                                                        Fraction(1, 7))
 
+    def test_duplicate_index_rejected(self):
+        # a later entry used to overwrite an earlier one silently
+        doc = {"shape": [2, 2],
+               "amplitudes": [{"index": [0, 0], "re": "1"},
+                              {"index": [1, 1], "re": "1"},
+                              {"index": [1, 1], "re": "0"}]}
+        with pytest.raises(ValueError,
+                           match=r"^duplicate amplitude index \(1, 1\)$"):
+            jsonio.state_from_json(doc)
+
     def test_product_state_document(self):
         ps = ProductState(((Fraction(1), Fraction(2)),
                            (Fraction(3), Fraction(4))))

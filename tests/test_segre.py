@@ -382,6 +382,62 @@ class TestExactMembership:
         assert verdict.max_violation == 0.0 and verdict.worst_value == 0
 
 
+# the shapes of the rank-one identity: (n,), (2, 3), (3, 2, 4), 2^m for m <= 6
+gaussian_shapes = hs.one_of(
+    hs.integers(2, 6).map(lambda n: (n,)),
+    hs.sampled_from([(2, 3), (3, 2, 4)] + [(2,) * m for m in range(2, 7)]))
+
+
+def rank_one_cases(shape):
+    """Rank-one tensors whose local vectors have zeros, the same with one
+    entry changed, each possibly scaled by 10^400 or 10^-400."""
+    images = product_images(shape, hs.one_of(hs.just(0), exact_amplitudes))
+    bumped = hs.tuples(images, indices(shape),
+                       exact_amplitudes.filter(bool)).map(
+        lambda t: changed(*t)).filter(lambda st: st is not None)
+    return hs.tuples(hs.one_of(images, bumped), hs.sampled_from(
+        [1, Fraction(10) ** 400, Fraction(1, 10 ** 400)])).map(
+        lambda t: t[0].scaled(t[1]))
+
+
+class TestRankOneIdentity:
+    """The Gaussian-integer identity T[i] P^(m-1) = prod_j R_j[i_j] against
+    the witness identity of oracles, in rational arithmetic."""
+
+    @given(gaussian_shapes.flatmap(rank_one_cases))
+    def test_verdict_is_witness_identity(self, st):
+        verdict = is_separable(st, 0)
+        assert verdict.separable == oracles.rank_one_reference(st)
+        if verdict.separable:
+            assert verdict.max_violation == 0.0
+            assert segre_map(verdict.witness).amplitudes == st.amplitudes
+
+    def test_exact_verdict_runs_no_rational_arithmetic(self, monkeypatch,
+                                                       rng):
+        shape = (2,) * 6
+        one = ComplexRational(1)
+        states = [
+            PureState(shape, {(0,) * 6: one, (1,) * 6: one}),
+            PureState(shape, {idx: random_complex_rational(rng)
+                              for idx in product((0, 1), repeat=6)}),
+            segre_map(random_product_state(rng, shape))]
+
+        def boom(*args):
+            raise AssertionError("rational arithmetic on the verdict path")
+        monkeypatch.setattr(segre, "segre_map", boom)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
+                     "__pow__", "magnitude_squared", "__complex__"):
+            monkeypatch.setattr(ComplexRational, name, boom)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
+                     "__float__"):
+            monkeypatch.setattr(Fraction, name, boom)
+        # the separable one builds its witness from Fraction(int, int) alone
+        assert [is_separable(st).separable for st in states] == \
+            [False, False, True]
+
+
 # floating amplitudes; the small pool repeats values, so minors tie
 float_pool = hs.sampled_from([1.0, -0.5, 0.25j, 0.3 - 0.4j, -1j, 0.1, 1e-30])
 float_amplitudes = hs.one_of(float_pool, hs.complex_numbers(
@@ -452,6 +508,26 @@ def exact_unit_states(shape):
                      hs.lists(phases, min_size=size, max_size=size)).map(build)
 
 
+def sparse_states(shape):
+    """1-4 nonzero entries, and GHZ or W states with a random phase per
+    entry; exact or float."""
+    m = len(shape)
+    ghz = [(i,) * m for i in range(min(shape))]
+    w = [tuple(int(s == j) for s in range(m)) for j in range(m)]
+    float_phases = hs.floats(0, 2 * math.pi).map(lambda t: cmath.rect(1, t))
+
+    def on(support, values):
+        return hs.lists(values, min_size=len(support),
+                        max_size=len(support)).map(
+            lambda vals: PureState(shape, dict(zip(support, vals))))
+    return hs.one_of(
+        [hs.dictionaries(indices(shape), values, min_size=1, max_size=4).map(
+            lambda amps: PureState(shape, amps)) for values in
+         (exact_amplitudes.filter(bool), float_amplitudes.filter(bool))]
+        + [on(support, values) for support in (ghz, w)
+           for values in (phases, float_phases)])
+
+
 def assert_nearest_root(c, q):
     """c is the float nearest sqrt(q): q lies between the squares of the
     midpoints to c's neighbours."""
@@ -467,7 +543,7 @@ class TestFastPaths:
 
     @given(shapes.flatmap(lambda shape: hs.one_of(
         exact_states(shape), float_states(shape), tie_states(shape),
-        underflowing_states(shape))),
+        underflowing_states(shape), sparse_states(shape))),
         hs.sampled_from([0, 1e-10, 1e-3, 0.25]))
     def test_verdict_matches_reference(self, st, tol):
         verdict = is_separable(st, tol)
@@ -477,6 +553,15 @@ class TestFastPaths:
         assert verdict.max_violation == violation
         if separable:
             assert verdict.worst_minor is None
+            got, want = verdict.witness.locals, oracles.witness(st)
+            if segre._is_exact(st):
+                assert [[oracles._exact_parts(x) for x in v]
+                        for v in got] == want
+            elif segre._float_range_shift(st) == 0:
+                # (a float state decided on st / 2^k moves 2^k into its
+                # first local vector)
+                assert all(cmath.isclose(x, y, rel_tol=1e-12)
+                           for v, u in zip(got, want) for x, y in zip(v, u))
         else:
             worst = verdict.worst_minor
             assert (worst.mode, worst.k, worst.l) == minor

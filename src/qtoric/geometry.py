@@ -6,8 +6,9 @@ ints (arbitrary precision); ranks and determinants run on the fraction-free
 integer elimination of ``linalg``, so no fractions arise there, and nothing
 solves a linear program.
 
-Duals, polars, facets, face lattices, normal fans, hulls, membership and
-strong convexity come from one double description.  When its constraints
+Duals, polars, facets, face lattices, normal fans, membership and strong
+convexity read one double description per object, ``halfspaces``, computed
+at most once and kept from the hull that ran it.  When its constraints
 span Q^n the cone is pointed, and the combinatorial adjacency test on the
 rays' zero sets builds its extreme rays; the zero sets are the facets' tight
 sets.  A cone with lines is written in one canonical form: plus and minus
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from math import gcd
 from operator import and_
@@ -51,10 +52,16 @@ class Cone:
         if list(self.generators) != sorted(set(self.generators)):
             raise ValueError("generators must be sorted and duplicate-free")
 
-    @property
+    @cached_property
     def rank(self) -> int:
         """Linear dimension of the cone."""
         return rank_int(self.generators)
+
+    @cached_property
+    def halfspaces(self):
+        """Sorted (h, zero set) pairs of _dd_rays: the h generate the dual,
+        a zero set is the bitmask of the generators g with h . g == 0."""
+        return _dd_rays(self.dim, self.generators)
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -83,12 +90,18 @@ class Polytope:
         if list(self.vertices) != sorted(set(self.vertices)):
             raise ValueError("vertices must be sorted and duplicate-free")
 
-    @property
+    @cached_property
     def rank(self) -> int:
         """Dimension of the affine hull."""
         v0 = self.vertices[0]
         diffs = [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]
         return rank_int(diffs)
+
+    @cached_property
+    def halfspaces(self):
+        """The halfspaces of the cone over {1} x vertices: (c, y) stands for
+        c + <y, x> >= 0, its zero set the bitmask of the vertices on it."""
+        return _dd_rays(self.dim + 1, [(1,) + v for v in self.vertices])
 
 
 @dataclass(frozen=True)
@@ -129,27 +142,28 @@ class Fan:
         return tuple(c for c, r in zip(self.cones, ranks) if r == top)
 
 
-def zero_cone(dim: int) -> Cone:
-    return Cone(dim, ())
-
-
 def _minimal_generators(vectors, dim):
-    """Sorted minimal generators of pos{vectors}: its extreme rays when pointed.
+    """(sorted minimal generators, halfspaces or None) of pos{vectors}.
 
     If the facets of the cone meet in the apex (it is pointed), g_i is
-    extreme exactly when the facets through g_i meet in {g_i}.  A cone with
-    lines is its own double dual, which gives its canonical form.
+    extreme exactly when the facets through g_i meet in {g_i}; re-indexed
+    onto the kept g_i, those facets are the cone's own halfspaces.  A cone
+    with lines is its own double dual, which gives its canonical form.
     """
     gens = sorted(set(primitive(v) for v in vectors if any(x != 0 for x in v)))
     # at most dim generators are minimal when independent
     if len(gens) <= dim and rank_int(gens) == len(gens):
-        return gens
+        return gens, None
     rays = _dd_rays(dim, gens)
     every = (1 << len(gens)) - 1
     if reduce(and_, (z for _, z in rays), every):
-        return [r for r, _ in _dd_rays(dim, [h for h, _ in rays])]
-    return [g for i, g in enumerate(gens)
+        return [r for r, _ in _dd_rays(dim, [h for h, _ in rays])], None
+    keep = [i for i in range(len(gens))
             if reduce(and_, (z for _, z in rays if z >> i & 1), every) == 1 << i]
+    if len(keep) < len(gens):
+        rays = [(h, sum(1 << t for t, i in enumerate(keep) if z >> i & 1))
+                for h, z in rays]
+    return [gens[i] for i in keep], rays
 
 
 def pos_hull(vectors, dim: int | None = None) -> Cone:
@@ -162,7 +176,11 @@ def pos_hull(vectors, dim: int | None = None) -> Cone:
     for v in vectors:
         if len(v) != dim:
             raise ValueError("dimension mismatch among input vectors")
-    return Cone(dim, tuple(_minimal_generators(vectors, dim)))
+    gens, halfspaces = _minimal_generators(vectors, dim)
+    cone = Cone(dim, tuple(gens))
+    if halfspaces is not None:
+        cone.__dict__["halfspaces"] = halfspaces
+    return cone
 
 
 def cone_contains(c: Cone, point) -> bool:
@@ -170,7 +188,7 @@ def cone_contains(c: Cone, point) -> bool:
     point = tuple(Fraction(x) for x in point)
     if len(point) != c.dim:
         raise ValueError("point dimension mismatch")
-    return all(dot(h, point) >= 0 for h, _ in _dd_rays(c.dim, c.generators))
+    return all(dot(h, point) >= 0 for h, _ in c.halfspaces)
 
 
 def _adjacency_dd(dim, constraints):
@@ -253,7 +271,7 @@ def dual_cone(c: Cone) -> Cone:
     comes in the canonical form for cones with lines.  Either way the double
     dual of a canonical cone is the same cone, ``==`` included.
     """
-    return Cone(c.dim, tuple(r for r, _ in _dd_rays(c.dim, c.generators)))
+    return Cone(c.dim, tuple(h for h, _ in c.halfspaces))
 
 
 def is_strongly_convex(c: Cone) -> bool:
@@ -262,13 +280,13 @@ def is_strongly_convex(c: Cone) -> bool:
     The facets of c meet in its lineality space, which holds a generator
     unless it is {0}.
     """
-    return reduce(and_, (z for _, z in _dd_rays(c.dim, c.generators)),
+    return reduce(and_, (z for _, z in c.halfspaces),
                   (1 << len(c.generators)) - 1) == 0
 
 
 def is_simplicial(c: Cone) -> bool:
     """True iff the minimal generators are linearly independent."""
-    return rank_int(c.generators) == len(c.generators)
+    return c.rank == len(c.generators)
 
 
 def polytope_hull(points, dim: int | None = None) -> Polytope:
@@ -284,20 +302,17 @@ def polytope_hull(points, dim: int | None = None) -> Polytope:
     if not points:
         raise ValueError("polytope needs at least one point")
     # the extreme points are the extreme rays of the cone over {1} x points
-    lifted = _minimal_generators([(1,) + p for p in points], dim + 1)
-    return Polytope(dim, tuple(v[1:] for v in lifted))
-
-
-def _homog_dual_rays(p: Polytope):
-    """Generators of {(c, y) : c + <y, v> >= 0 for every vertex v}."""
-    return [r for r, _ in _dd_rays(p.dim + 1, [(1,) + v for v in p.vertices])]
+    lifted, halfspaces = _minimal_generators([(1,) + p for p in points], dim + 1)
+    polytope = Polytope(dim, tuple(v[1:] for v in lifted))
+    if halfspaces is not None:
+        polytope.__dict__["halfspaces"] = halfspaces
+    return polytope
 
 
 def polar(p: Polytope) -> Polytope:
     """The polar {y : <x, y> >= -1 for all x in p}; requires 0 interior."""
-    rays = _homog_dual_rays(p)
     vertices = []
-    for r in rays:
+    for r, _ in p.halfspaces:
         c, y = r[0], r[1:]
         if c <= 0:
             raise ValueError("origin is not in the interior of the polytope")
@@ -305,20 +320,6 @@ def polar(p: Polytope) -> Polytope:
             raise ValueError("polar is not a lattice polytope")
         vertices.append(tuple(x // c for x in y))
     return Polytope(p.dim, tuple(sorted(set(vertices))))
-
-
-def _facets(obj):
-    """Irredundant supporting inequalities, each once, as (tight set, normal).
-
-    The tight set is the zero set of the dual ray, an int bitmask over the
-    generators or vertices on the hyperplane; the normal is primitive and
-    points into the object.
-    """
-    if isinstance(obj, Cone):
-        return [(z, h) for h, z in _dd_rays(obj.dim, obj.generators)]
-    return [(z, primitive(r[1:]))
-            for r, z in _dd_rays(obj.dim + 1, [(1,) + v for v in obj.vertices])
-            if z]  # nothing is tight when y == 0
 
 
 def _indices(mask) -> tuple[int, ...]:
@@ -333,11 +334,10 @@ def faces(obj) -> tuple[Face, ...]:
     the largest proper face F & T over the facets T; only a face with none
     (a vertex, the apex, the lineality space) takes a rank.
     """
-    facets = _facets(obj)
+    tights = [z for _, z in obj.halfspaces]
     dims = {}
-    for s in sorted(_face_family(obj, facets), key=int.bit_count):
-        below = [dims[t] for t in (s & tight for tight, _ in facets)
-                 if t in dims]
+    for s in sorted(_face_family(obj, tights), key=int.bit_count):
+        below = [dims[t] for t in (s & tight for tight in tights) if t in dims]
         if below:
             dims[s] = 1 + max(below)
         elif isinstance(obj, Cone):  # the apex or the lineality space
@@ -349,7 +349,7 @@ def faces(obj) -> tuple[Face, ...]:
     return tuple(result)
 
 
-def _face_family(obj, facets) -> set[int]:
+def _face_family(obj, tights) -> set[int]:
     """The faces of obj as bitmasks: intersections of the facets' tight sets."""
     points = obj.generators if isinstance(obj, Cone) else obj.vertices
     universe = (1 << len(points)) - 1
@@ -357,7 +357,7 @@ def _face_family(obj, facets) -> set[int]:
     queue = [universe]
     while queue:
         s = queue.pop()
-        for tight, _ in facets:
+        for tight in tights:
             t = s & tight
             if t not in family:
                 if isinstance(obj, Cone) or t:
@@ -398,10 +398,11 @@ def normal_fan(p: Polytope) -> Fan:
     """Fan of outer normal cones N(F) over the nonempty faces F of p."""
     if p.rank != p.dim:
         raise ValueError("polytope is not full-dimensional")
-    facets = _facets(p)
-    outer = [(tight, tuple(-x for x in inner)) for tight, inner in facets]
+    # a ray (c, y) is the facet c + <y, x> >= 0; nothing is tight when y == 0
+    outer = [(z, tuple(-x for x in primitive(r[1:])))
+             for r, z in p.halfspaces if z]
     cones = []
-    for s in _face_family(p, facets):
+    for s in _face_family(p, [tight for tight, _ in outer]):
         # the outer normals of the facets containing F are distinct and are
         # the extreme rays of N(F): no redundancy check is needed
         cones.append(Cone(p.dim, tuple(sorted(
@@ -413,7 +414,7 @@ def intersect_cones(a: Cone, b: Cone) -> Cone:
     """Intersection of two cones, via their halfspace descriptions."""
     if a.dim != b.dim:
         raise ValueError("cone dimension mismatch")
-    constraints = list(dual_cone(a).generators) + list(dual_cone(b).generators)
+    constraints = [h for h, _ in a.halfspaces + b.halfspaces]
     return Cone(a.dim, tuple(r for r, _ in _dd_rays(a.dim, constraints)))
 
 

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 from itertools import combinations, product
-from operator import and_, mul
+from operator import mul
 
-from .geometry import Cone, _dd_rays, dual_cone, pos_hull
+from .geometry import Cone, is_strongly_convex, pos_hull
 from .linalg import (det_adj, dot, hermite_basis, left_kernel_basis,
                      pivot_columns)
 
@@ -68,41 +67,37 @@ def monoid_generators(cone: Cone, generators) -> MonoidGenerators:
     if (0,) * cone.dim in gens:
         raise ValueError(f"generator {(0,) * cone.dim} is generated by the others")
     for i, g in enumerate(gens):
-        if _reachable(gens[:i] + gens[i + 1:], g, cone.dim, (w, halfspaces)):
+        if _reachable(gens[:i] + gens[i + 1:], g, (w, halfspaces)):
             raise ValueError(f"generator {g} is generated by the others")
     return MonoidGenerators(cone, tuple(gens))
 
 
 def _ambient_functional(c: Cone, message: str):
-    """(w, halfspaces) of a strongly convex cone, from one double description.
+    """(w, halfspaces) of a strongly convex cone, read off c.halfspaces.
 
-    The facets of c meet in its lineality space, which holds a generator
-    unless it is {0}; the dual rays are the halfspaces, and their sum w is
-    positive on c minus the origin.  Raises ValueError(message) when c
-    contains a line.
+    The dual rays are the halfspaces, and their sum w is positive on c minus
+    the origin.  Raises ValueError(message) when c contains a line.
     """
-    rays = _dd_rays(c.dim, c.generators)
-    if reduce(and_, (z for _, z in rays), (1 << len(c.generators)) - 1):
+    if not is_strongly_convex(c):
         raise ValueError(message)
-    halfspaces = tuple(h for h, _ in rays)
+    halfspaces = tuple(h for h, _ in c.halfspaces)
     return tuple(sum(col) for col in zip(*halfspaces)), halfspaces
 
 
-@lru_cache(maxsize=512)
-def _positive_functional(gens: tuple, dim: int):
-    """An integer functional strictly positive on pos{gens} minus the origin."""
-    dual = dual_cone(pos_hull(gens, dim))
-    w = tuple(sum(col) for col in zip(*dual.generators)) if dual.generators \
-        else (0,) * dim
-    return w, dual.generators
-
-
 def monoid_contains(g: MonoidGenerators, x) -> bool:
-    """True iff x is a nonnegative-integer combination of the generators."""
+    """True iff x is a nonnegative-integer combination of the generators.
+
+    Searched in pos{generators}: one built directly need not lie in g.cone.
+    """
     x = tuple(x)
     if len(x) != g.cone.dim:
         raise ValueError("point dimension mismatch")
-    return _reachable(list(g.generators), x, g.cone.dim)
+    message = "generator set does not span a pointed cone"
+    functional = _ambient_functional(pos_hull(g.generators, g.cone.dim), message)
+    # a zero generator would let the search add it forever
+    if any(dot(functional[0], v) < 1 for v in g.generators):
+        raise ValueError(message)
+    return _reachable(list(g.generators), x, functional)
 
 
 def _saturation(vectors, dim):
@@ -174,27 +169,23 @@ def hilbert_basis(c: Cone) -> MonoidGenerators:
     basis: list[tuple[int, ...]] = []
     for v in ordered:
         if dot(w, v) < least_sum or \
-                not _reachable(basis, v, c.dim, (w, halfspaces)):
+                not _reachable(basis, v, (w, halfspaces)):
             basis.append(v)
     return MonoidGenerators(c, tuple(sorted(basis)))
 
 
-def _reachable(gens, target, dim, functional=None) -> bool:
+def _reachable(gens, target, functional) -> bool:
     """Exact test: target is a nonnegative-integer combination of gens.
 
     Bounded depth-first search; a strictly positive functional on the pointed
     cone pos{gens} caps every coefficient, and remainders are pruned to the
     cone via its halfspace description.  ``functional`` is (w, halfspaces) of
-    a pointed cone containing gens; by default that of pos{gens} itself.
+    a pointed cone containing gens, with w >= 1 on every generator.
     """
     if all(x == 0 for x in target):
         return True
     if not gens:
         return False
-    if functional is None:
-        functional = _positive_functional(tuple(gens), dim)
-        if any(dot(functional[0], g) < 1 for g in gens):
-            raise ValueError("generator set does not span a pointed cone")
     w, halfspaces = functional
     seen_fail = set()
     stack = [(target, 0)]

@@ -47,11 +47,12 @@ class PureState:
     def amplitude(self, index):
         return self.amplitudes.get(tuple(index), 0)
 
-    def indices(self):
-        return product(*(range(n) for n in self.shape))
-
     def norm_squared(self) -> float:
-        return sum(magnitude(v) ** 2 for v in self.amplitudes.values())
+        """sum |a|^2 over the amplitudes, in floats: math.inf above their range."""
+        try:
+            return sum(magnitude(v) ** 2 for v in self.amplitudes.values())
+        except OverflowError:
+            return math.inf
 
     def scaled(self, factor) -> "PureState":
         return PureState(self.shape,
@@ -450,11 +451,8 @@ def concurrence(state: PureState, weights=None) -> float:
     flat, d = _dense(state, True)
     # in integers, so that no part of an exact state need fit a float
     if abs(sum(x * x + y * y for x, y in flat) - d * d) * 10 ** 9 > d * d:
-        try:
-            norm2 = state.norm_squared()
-        except OverflowError:
-            norm2 = math.inf
-        raise ValueError(f"state is not normalized: sum |amp|^2 = {norm2}")
+        raise ValueError("state is not normalized: "
+                         f"sum |amp|^2 = {state.norm_squared()}")
     if weights is None:
         return _sqrt_ratio(4 * _minor_norm2(state.shape, flat), d ** 4)
     minors = segre_minors(state.shape)

@@ -245,6 +245,39 @@ class TestVerbs:
         assert json.loads(out)["generators"] == [[0, 1], [1, 0]]
 
 
+class TestOneDoubleDescription:
+    """Each geometric verb runs one double description on a non-simplicial
+    input: the hull's, kept by the object and read by the verb."""
+
+    CONE4 = '{"dim":3,"generators":[[1,0,0],[0,1,0],[3,4,5],[2,-1,3]]}'
+
+    @pytest.mark.parametrize("argv", [
+        ("dual", "--cone", CONE4),
+        ("faces", "--cone", CONE4),
+        ("faces", "--polytope", json.dumps(CUBE3)),
+        ("polar", "--polytope", json.dumps(CUBE3)),
+        ("normal-fan", "--polytope", json.dumps(CUBE3)),
+        ("hilbert-basis", "--cone", CONE4),
+    ], ids=["dual", "faces-cone", "faces-polytope", "polar", "normal-fan",
+            "hilbert-basis"])
+    def test_one_per_op(self, capsys, argv):
+        # counted by code object, under whatever name a module calls it
+        from qtoric.geometry import _dd_rays
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is _dd_rays.__code__:
+                calls.append(event)
+
+        sys.setprofile(profile)
+        try:
+            code, _ = run_cli(capsys, *argv)
+        finally:
+            sys.setprofile(None)
+        assert code == 0
+        assert len(calls) == 1
+
+
 class TestIdealVerbs:
     ARGV = [("toric-ideal", "--map", "[[3,0],[2,1],[1,2],[0,3]]", "--degree", "3"),
             ("projective-relations", "--exponents", "[[0,0],[1,0],[0,1],[1,1]]",

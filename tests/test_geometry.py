@@ -11,7 +11,7 @@ import oracles
 from qtoric import (Cone, Polytope, dual_cone, faces, is_simplicial,
                     is_strongly_convex, multiqubit_polytope, normal_fan,
                     polar, polytope_hull, pos_hull, validate_fan)
-from qtoric.geometry import cone_contains, face_cone, intersect_cones
+from qtoric.geometry import _dd_rays, cone_contains, face_cone, intersect_cones
 
 
 BIG = 10**30
@@ -284,11 +284,10 @@ class TestNormalFan:
 
     def test_normal_cone_dimension_formula(self):
         # dim N(F) = n - dim F, checked face by face
-        from qtoric.geometry import _homog_dual_rays
         for p in (multiqubit_polytope(2), multiqubit_polytope(3),
                   polytope_hull([(0, 0), (-1, 0), (0, -1)])):
             facet_data = []
-            for r in _homog_dual_rays(p):
+            for r, _ in p.halfspaces:
                 c, y = r[0], r[1:]
                 if any(x != 0 for x in y):
                     tight = frozenset(i for i, v in enumerate(p.vertices)
@@ -516,7 +515,6 @@ class TestAdjacencyDoubleDescription:
 
     @given(rank_deficient_constraints())
     def test_lines_split_off_a_hermite_basis(self, case):
-        from qtoric.geometry import _dd_rays
         dim, rows = case
         every = (1 << len(rows)) - 1
         rays = _dd_rays(dim, rows)
@@ -556,3 +554,56 @@ class TestAdjacencyDoubleDescription:
             diffs = [tuple(a - b for a, b in zip(p.vertices[i], v0))
                      for i in f.indices]
             assert f.dim == oracles.frac_rank(diffs)
+
+
+@hs.composite
+def hull_inputs(draw):
+    """Vectors in a subspace of rank <= dim, with duplicates, zero vectors,
+    multiples, sums of two (redundant or interior points) and negations
+    (lines) mixed in."""
+    dim = draw(hs.integers(1, 4))
+    span = draw(vectors(dim, lo=-2, hi=2, min_size=1, max_size=dim))
+    coefficients = hs.lists(hs.integers(-2, 2), min_size=len(span),
+                            max_size=len(span))
+    vs = [tuple(sum(c * b[j] for c, b in zip(cs, span)) for j in range(dim))
+          for cs in draw(hs.lists(coefficients, min_size=1, max_size=7))]
+    picks = hs.integers(0, len(vs) - 1)
+    for kind, i, j in draw(hs.lists(hs.tuples(
+            hs.sampled_from(["copy", "scale", "sum", "negate"]), picks, picks),
+            max_size=4)):
+        vs.append({"copy": vs[i], "scale": tuple(3 * x for x in vs[i]),
+                   "sum": tuple(a + b for a, b in zip(vs[i], vs[j])),
+                   "negate": tuple(-x for x in vs[i])}[kind])
+    return dim, draw(hs.permutations(vs))
+
+
+class TestHalfspaces:
+    """The hulls keep the double description they ran; it must be the one
+    the object would compute for itself."""
+
+    @given(hull_inputs())
+    def test_kept_by_pos_hull(self, case):
+        dim, vs = case
+        c = pos_hull(vs, dim)
+        assert c.halfspaces == _dd_rays(dim, c.generators)
+
+    @given(hull_inputs())
+    def test_kept_by_polytope_hull(self, case):
+        dim, points = case
+        p = polytope_hull(points, dim)
+        assert p.halfspaces == _dd_rays(dim + 1,
+                                        [(1,) + v for v in p.vertices])
+
+    def test_zero_sets_reindexed_onto_kept_generators(self):
+        # (1, 1) sits between (0, 1) and (1, 0) and is dropped: bit 2 of the
+        # hull's zero sets goes, and nothing else moves
+        c = C((1, 1), (0, 1), (1, 0))
+        assert c.__dict__["halfspaces"] == [((0, 1), 0b10), ((1, 0), 0b01)]
+        p = polytope_hull([(0, 0), (1, 1), (2, 0), (0, 2), (2, 2)])
+        assert "halfspaces" in p.__dict__
+        assert p.halfspaces == _dd_rays(3, [(1,) + v for v in p.vertices])
+
+    def test_not_a_field(self):
+        c, d = C((1, 1), (0, 1), (1, 0)), Cone(2, ((0, 1), (1, 0)))
+        assert "halfspaces" in c.__dict__ and "halfspaces" not in d.__dict__
+        assert c == d and hash(c) == hash(d) and repr(c) == repr(d)

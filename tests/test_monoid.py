@@ -9,8 +9,8 @@ from hypothesis import strategies as hs
 
 import oracles
 from qtoric import geometry, monoid
-from qtoric import (LaurentMonomial, hilbert_basis, monoid_contains,
-                    monoid_generators, pos_hull)
+from qtoric import (LaurentMonomial, MonoidGenerators, hilbert_basis,
+                    monoid_contains, monoid_generators, pos_hull)
 from qtoric.rationals import ComplexRational
 
 
@@ -70,7 +70,8 @@ class TestHilbertBasis:
         [(1, 0, 0), (0, 1, 0), (3, 4, 5), (2, -1, 3)],
         [(1, 0, 0), (0, 1, 0), (1, 2, 3)]], ids=["four-rays", "simplicial"])
     def test_one_double_description(self, monkeypatch, gens):
-        cone = pos_hull(gens)
+        # from the input vectors: the hull's double description, or the one
+        # the simplicial cone computes when first asked, and no other
         calls = []
         real = geometry._dd_rays
 
@@ -79,8 +80,7 @@ class TestHilbertBasis:
             return real(*args)
 
         monkeypatch.setattr(geometry, "_dd_rays", counted)
-        monkeypatch.setattr(monoid, "_dd_rays", counted)
-        hilbert_basis(cone)
+        hilbert_basis(pos_hull(gens))
         assert len(calls) == 1
 
     def test_order_independence(self, rng):
@@ -206,6 +206,15 @@ class TestMonoidContains:
         with pytest.raises(ValueError, match="dimension"):
             monoid_contains(g, (1, 2, 3))
 
+    @pytest.mark.parametrize("gens", [((0, 0), (1, 0)), ((-1, 0), (1, 0))],
+                             ids=["zero", "line"])
+    def test_direct_generators_must_span_a_pointed_cone(self, gens):
+        # built directly, unchecked: a zero generator would loop forever
+        g = MonoidGenerators(pos_hull([(1, 0), (0, 1)]), gens)
+        with pytest.raises(ValueError,
+                           match="generator set does not span a pointed cone"):
+            monoid_contains(g, (2, 0))
+
     def test_validating_constructor(self):
         cone = pos_hull([(1, 0), (0, 1)])
         with pytest.raises(ValueError, match="outside"):
@@ -221,8 +230,8 @@ class TestMonoidContains:
             monoid_generators(cone, [(1, 0, 0)])
 
     def test_validating_constructor_one_double_description(self, monkeypatch):
-        cone = pos_hull([(1, 0, 0), (0, 1, 0), (3, 4, 5), (2, -1, 3)])
-        gens = hilbert_basis(cone).generators
+        rays = [(1, 0, 0), (0, 1, 0), (3, 4, 5), (2, -1, 3)]
+        gens = hilbert_basis(pos_hull(rays)).generators
         calls = []
         real = geometry._dd_rays
 
@@ -231,8 +240,7 @@ class TestMonoidContains:
             return real(*args)
 
         monkeypatch.setattr(geometry, "_dd_rays", counted)
-        monkeypatch.setattr(monoid, "_dd_rays", counted)
-        assert monoid_generators(cone, gens).generators == gens
+        assert monoid_generators(pos_hull(rays), gens).generators == gens
         assert len(calls) == 1
 
     def test_agreement_with_oracle(self, rng):

@@ -281,6 +281,18 @@ class TestConcurrence:
             assert abs(concurrence(st) - 2 * abs(a * d - b * c)) < 1e-12
 
 
+class TestNormSquared:
+    @pytest.mark.parametrize("value, expected", [
+        (ComplexRational(10 ** 400), math.inf),
+        (ComplexRational(Fraction(1, 10 ** 400)), 0.0),
+        (1e200, math.inf),
+        (ComplexRational(Fraction(3, 5), Fraction(4, 5)), 1.0),
+    ], ids=["1e400", "1e-400", "float-1e200", "in-range"])
+    def test_rounds_to_the_float_range(self, value, expected):
+        # above the float range the sum is inf, not an OverflowError
+        assert PureState((2,), {(0,): value}).norm_squared() == expected
+
+
 class TestExactMinorArithmetic:
     def test_minor_values_exact_zero_on_images(self, rng):
         for shape in [(2, 2), (2, 2, 2), (2, 3), (3, 3)]:
@@ -553,15 +565,18 @@ class TestFastPaths:
         assert verdict.max_violation == violation
         if separable:
             assert verdict.worst_minor is None
-            got, want = verdict.witness.locals, oracles.witness(st)
+            # the float reference divides by a power of the peak, which
+            # underflows outside the float range: it is read only inside
+            got = verdict.witness.locals
             if segre._is_exact(st):
                 assert [[oracles._exact_parts(x) for x in v]
-                        for v in got] == want
+                        for v in got] == oracles.witness(st)
             elif segre._float_range_shift(st) == 0:
                 # (a float state decided on st / 2^k moves 2^k into its
                 # first local vector)
                 assert all(cmath.isclose(x, y, rel_tol=1e-12)
-                           for v, u in zip(got, want) for x, y in zip(v, u))
+                           for v, u in zip(got, oracles.witness(st))
+                           for x, y in zip(v, u))
         else:
             worst = verdict.worst_minor
             assert (worst.mode, worst.k, worst.l) == minor

@@ -4,29 +4,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 
-from .geometry import (Cone, Fan, Polytope, fan_from_maximal, is_simplicial,
-                       make_fan, pos_hull)
+from .geometry import Cone, Fan, Polytope, is_simplicial, normal_fan
 from .linalg import det_adj, det_int, dot
-from .segre import PureState, is_separable
-
-
-def _unit(dim: int, axis: int, sign: int = 1) -> tuple[int, ...]:
-    return tuple(sign * int(i == axis) for i in range(dim))
+from .segre import ProductState, PureState, is_separable, segre_map
 
 
 def projective_space_fan(n: int) -> Fan:
-    """The complete fan of CP^n: pos{e_1..e_n} plus the cones replacing one
-    e_i by -(e_1 + ... + e_n)."""
+    """The complete fan of CP^n: the normal fan of the simplex
+    conv{0, -e_1, ..., -e_n}, rays e_1, ..., e_n and -(e_1 + ... + e_n)."""
     if n < 1:
         raise ValueError("projective dimension must be at least 1")
-    minus_sum = tuple(-1 for _ in range(n))
-    maximal = [pos_hull([_unit(n, i) for i in range(n)], n)]
-    for i in range(n):
-        gens = [_unit(n, j) for j in range(n) if j != i] + [minus_sum]
-        maximal.append(pos_hull(gens, n))
-    return fan_from_maximal(maximal)
+    vertices = [tuple(-int(i == j) for i in range(n)) for j in range(n)]
+    return normal_fan(Polytope(n, tuple(vertices) + ((0,) * n,)))
 
 
 def multiqubit_polytope(m: int) -> Polytope:
@@ -38,16 +29,9 @@ def multiqubit_polytope(m: int) -> Polytope:
 
 
 def multiqubit_fan(m: int) -> Fan:
-    """The complete fan of (CP^1)^m: the 2^m orthants and all their faces."""
-    if not 1 <= m <= 10:
-        raise ValueError("party count must be between 1 and 10")
-    cones = []
-    for k in range(m + 1):
-        for axes in combinations(range(m), k):
-            for signs in product((1, -1), repeat=k):
-                gens = sorted(_unit(m, a, s) for a, s in zip(axes, signs))
-                cones.append(Cone(m, tuple(gens)))
-    return make_fan(cones, m)
+    """The complete fan of (CP^1)^m: the normal fan of the cube, the 2^m
+    orthants and all their faces."""
+    return normal_fan(multiqubit_polytope(m))
 
 
 @dataclass(frozen=True)
@@ -94,6 +78,8 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
     around the origin more than once passes this local check.
     """
     maximal = fan.maximal_cones()
+    if not maximal:
+        raise ValueError("fan is not complete: it has no maximal cone")
     charts, inverses = [], []
     facet_owners: dict[frozenset, list[int]] = {}
     for pos_idx, cone in enumerate(maximal):
@@ -189,14 +175,7 @@ def parameterization_image(pm: ParameterizationMap, z_point) -> PureState:
     z = tuple(z_point)
     if len(z) != pm.m:
         raise ValueError("expected one coordinate per party")
-    amps = {}
-    for idx in pm.exponents:
-        value = 1
-        for zj, e in zip(z, idx):
-            if e:
-                value = value * zj
-        amps[idx] = value
-    return PureState((2,) * pm.m, amps)
+    return segre_map(ProductState([(1, zj) for zj in z]))
 
 
 def verify_parameterization(m: int, z_point) -> bool:

@@ -106,15 +106,15 @@ class MinorSpec:
 
 
 def segre_map(p: ProductState) -> PureState:
-    """Amplitude at (i_1,...,i_m) equals the product of local amplitudes."""
-    amps = {}
-    for idx in product(*(range(len(v)) for v in p.locals)):
-        value = 1
-        for v, i in zip(p.locals, idx):
-            value = value * v[i]
-        if value:
-            amps[idx] = value
-    return PureState(p.shape, amps)
+    """Amplitude at (i_1,...,i_m) equals the product of local amplitudes.
+
+    Products are built by shared prefixes, ((1 * v_1[i_1]) * v_2[i_2]) * ...,
+    so each index costs about two multiplications instead of m.
+    """
+    prods = [((), 1)]
+    for v in p.locals:
+        prods = [(i + (a,), u * x) for i, u in prods for a, x in enumerate(v)]
+    return PureState(p.shape, dict(prods))
 
 
 def segre_minors(shape) -> tuple[MinorSpec, ...]:

@@ -436,6 +436,33 @@ def polygon_normal_fan_maximal(vertices):
     return cones
 
 
+def _unit(dim, axis, sign=1):
+    return tuple(sign * int(i == axis) for i in range(dim))
+
+
+def orthant_fan_cones(m):
+    """The cones of the (CP^1)^m fan by direct enumeration: every choice of
+    k axes and a sign on each gives the cone over those signed unit vectors.
+    Returns the sorted generator tuples, in the order a Fan sorts its cones."""
+    cones = []
+    for k in range(m + 1):
+        for axes in itertools.combinations(range(m), k):
+            for signs in itertools.product((1, -1), repeat=k):
+                cones.append(tuple(sorted(_unit(m, a, s)
+                                          for a, s in zip(axes, signs))))
+    return sorted(cones)
+
+
+def projective_space_maximal(n):
+    """Generators of the maximal cones of the CP^n fan: pos{e_1..e_n} and
+    the n cones replacing one e_i by -(e_1 + ... + e_n)."""
+    minus_sum = (-1,) * n
+    maximal = [[_unit(n, i) for i in range(n)]]
+    for i in range(n):
+        maximal.append([_unit(n, j) for j in range(n) if j != i] + [minus_sum])
+    return maximal
+
+
 def best_rank_one_residual(tensor: np.ndarray, starts: int = 4,
                            iters: int = 60) -> float:
     """Relative distance to the nearest rank-one tensor, by alternating
@@ -466,6 +493,33 @@ def best_rank_one_residual(tensor: np.ndarray, starts: int = 4,
         residual = np.linalg.norm(tensor - coeff * approx) / norm
         best = min(best, residual)
     return float(best)
+
+
+def segre_product(locals_):
+    """Segre image amplitudes index by index: ((1 * v_1[i_1]) * v_2[i_2]) ...
+    in lexicographic index order, zero products omitted."""
+    amps = {}
+    for idx in itertools.product(*(range(len(v)) for v in locals_)):
+        value = 1
+        for v, i in zip(locals_, idx):
+            value = value * v[i]
+        if value:
+            amps[idx] = value
+    return amps
+
+
+def subset_products(z):
+    """Subset-product map amplitudes: index k carries prod_{k_j = 1} z_j,
+    each product taken left to right from 1, zero products omitted."""
+    amps = {}
+    for idx in itertools.product((0, 1), repeat=len(z)):
+        value = 1
+        for zj, e in zip(z, idx):
+            if e:
+                value = value * zj
+        if value:
+            amps[idx] = value
+    return amps
 
 
 def segre_minor_listing(shape):

@@ -374,6 +374,11 @@ class TestExitCodes:
         assert code == 2
         assert "not complete" in json.loads(out)["error"]
 
+    def test_atlas_rejects_empty_fan(self, capsys):
+        code, out = run_cli(capsys, "atlas", "--fan", '{"dim":2,"cones":[]}')
+        assert code == 2
+        assert json.loads(out)["error"].startswith("fan is not complete: ")
+
     def test_malformed_documents_never_exit_3(self, capsys):
         bad_inputs = [
             ("dual", "--cone", '{"dim":"x","generators":[[1]]}'),

@@ -12,10 +12,9 @@ from qtoric import (chart_atlas, dual_cone, evaluate_binomial,
                     fan_from_maximal, hilbert_basis, invariant_subvarieties,
                     make_fan, multiqubit_fan, multiqubit_polytope, normal_fan,
                     parameterization, parameterization_image, polar,
-                    polytope_hull, pos_hull, projective_space_fan, segre_map,
+                    polytope_hull, pos_hull, projective_space_fan,
                     segre_minors,minor_value, toric_ideal_binomials,
-                    validate_fan, verify_parameterization, MonomialMap,
-                    ProductState)
+                    validate_fan, verify_parameterization, MonomialMap)
 from qtoric.rationals import ComplexRational
 
 
@@ -54,11 +53,16 @@ class TestProjectiveSpaceFan:
         assert {c.generators for c in fan.maximal_cones()} == expected
 
     def test_equals_normal_fan_of_simplex(self):
-        for n in (1, 2, 3):
+        # the reference fan is generated by its maximal cones, not by normals
+        for n in (1, 2, 3, 4):
+            expected = fan_from_maximal(
+                [pos_hull(gens, n)
+                 for gens in oracles.projective_space_maximal(n)])
             simplex = polytope_hull(
                 [tuple(0 for _ in range(n))] +
                 [tuple(-int(i == j) for i in range(n)) for j in range(n)])
-            assert projective_space_fan(n) == normal_fan(simplex)
+            assert normal_fan(simplex) == expected
+            assert projective_space_fan(n) == expected
 
     def test_complete_on_ball(self):
         for n in (1, 2, 3):
@@ -103,8 +107,10 @@ class TestMultiqubitPolytopeAndFan:
         assert multiqubit_fan(1) == projective_space_fan(1)
 
     def test_fan_polytope_duality(self):
+        # the normal fan of the cube is the orthant fan, enumerated directly
         for m in range(1, 7):
-            assert multiqubit_fan(m) == normal_fan(multiqubit_polytope(m))
+            assert [c.generators for c in multiqubit_fan(m).cones] == \
+                oracles.orthant_fan_cones(m)
 
     def test_polar_is_cross_polytope(self):
         for m in range(1, 7):
@@ -237,6 +243,10 @@ class TestChartAtlas:
         with pytest.raises(ValueError, match="smooth"):
             chart_atlas(fan)
 
+    def test_empty_fan_rejected(self):
+        with pytest.raises(ValueError, match="fan is not complete"):
+            chart_atlas(make_fan([], 2))
+
 
 class TestInvariantSubvarieties:
     def test_two_qubit_labels(self):
@@ -280,14 +290,32 @@ class TestParameterization:
         assert st.amplitude((1, 0)) == ComplexRational(Fraction(7))
         assert st.amplitude((1, 1)) == ComplexRational(Fraction(77))
 
-    def test_image_matches_segre_map(self):
-        z = (ComplexRational(Fraction(1)), ComplexRational(Fraction(1)),
-             ComplexRational(Fraction(1)))
-        st = parameterization_image(parameterization(3), z)
-        one = ComplexRational(Fraction(1))
-        direct = segre_map(ProductState(((one, z[0]), (one, z[1]),
-                                         (one, z[2]))))
-        assert st.amplitudes == direct.amplitudes
+    def test_image_matches_segre_map(self, rng):
+        for m in (1, 2, 3, 5):
+            z = tuple(random_complex_rational(rng) for _ in range(m))
+            image = list(parameterization_image(parameterization(m),
+                                                z).amplitudes.items())
+            assert image == list(oracles.subset_products(z).items())
+            assert image == list(oracles.segre_product(
+                [(1, zj) for zj in z]).items())
+
+    def test_image_multiplication_count(self, monkeypatch):
+        # prefix products: at most 2 + 4 + ... + 2^m multiplications, not
+        # one per factor of every amplitude (m 2^(m-1) = 5,120 at m = 10)
+        calls = []
+        mul = ComplexRational.__mul__
+
+        def counted(a, b):
+            calls.append(None)
+            return mul(a, b)
+
+        monkeypatch.setattr(ComplexRational, "__mul__", counted)
+        monkeypatch.setattr(ComplexRational, "__rmul__", counted)
+        z = [ComplexRational(Fraction(j + 2), Fraction(1, j + 1))
+             for j in range(10)]
+        st = parameterization_image(parameterization(10), z)
+        assert len(st.amplitudes) == 1024
+        assert len(calls) <= 2 ** 11 - 2
 
     def test_verify_parameterization(self):
         assert verify_parameterization(

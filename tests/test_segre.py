@@ -36,6 +36,16 @@ def to_array(state: PureState) -> np.ndarray:
     return out
 
 
+_small = hs.fractions(-3, 3, max_denominator=4)
+# local amplitudes, zeros included; ComplexRational and float do not
+# multiply, so a state draws from one of the two families
+LOCAL_ENTRIES = (
+    hs.one_of(hs.integers(-3, 3), _small,
+              hs.builds(ComplexRational, _small, _small)),
+    hs.one_of(hs.integers(-3, 3), _small, hs.floats(-1e3, 1e3),
+              hs.complex_numbers(max_magnitude=1e3)))
+
+
 class TestSegreMap:
     def test_basis_product(self):
         st = segre_map(ProductState(((1, 0), (1, 0))))
@@ -52,6 +62,23 @@ class TestSegreMap:
     def test_zero_local_vector_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             ProductState(((0, 0), (1, 0)))
+
+    @given(hs.lists(hs.integers(2, 3), min_size=1, max_size=4).flatmap(
+        lambda shape: hs.one_of(*(
+            hs.tuples(*(hs.lists(entry, min_size=n, max_size=n).filter(any)
+                        for n in shape))
+            for entry in LOCAL_ENTRIES))))
+    def test_matches_indexwise_product(self, locs):
+        # same values, types and key order, zero products omitted
+        def entries(amps):
+            return [(k, type(v), repr(v)) for k, v in amps.items()]
+        expected = oracles.segre_product(locs)
+        if not expected:
+            with pytest.raises(ValueError, match="nonzero amplitude"):
+                segre_map(ProductState(locs))
+            return
+        assert entries(segre_map(ProductState(locs)).amplitudes) == \
+            entries(expected)
 
 
 class TestSegreMinors:

@@ -18,7 +18,7 @@ from .monoid import hilbert_basis
 from .qubit import (chart_atlas, multiqubit_fan, multiqubit_polytope,
                     parameterization, projective_space_fan,
                     verify_parameterization)
-from .segre import concurrence, is_separable, segre_minors
+from .segre import concurrence, is_separable
 from .toric_ideal import projective_relations, toric_ideal_binomials
 
 
@@ -68,12 +68,6 @@ def _projective_relations(args):
     return jsonio.ideal_dumps(projective_relations(exponents, args.degree))
 
 
-def _segre_minors(args):
-    shape = tuple(jsonio.decode_int(n) for n in _read_json_arg(args.shape))
-    minors = [jsonio.minor_to_json(minor) for minor in segre_minors(shape)]
-    return {"shape": list(shape), "minors": minors}
-
-
 def _check_separable(args):
     verdict = is_separable(_state(args.state), tol=args.tol)
     worst = None
@@ -109,7 +103,7 @@ def _atlas(args):
         fan = multiqubit_fan(args.qubits)
     else:
         fan = projective_space_fan(args.projective)
-    return jsonio.atlas_to_json(chart_atlas(fan))
+    return jsonio.atlas_dumps(chart_atlas(fan))
 
 
 def _verify_param(args):
@@ -124,8 +118,8 @@ _COUNT = {"type": int, "required": True}
 _STATE = ("state", {"help": "state JSON (path, inline, or '-')"})
 
 # verb -> (help, [(argument, add_argument keywords)], args -> output document),
-# the document a JSON value or its canonical text; the operations look library
-# functions up when called, so tests can patch them
+# the document a JSON object or its canonical text as a list of str parts; the
+# operations look library functions up when called, so tests can patch them
 VERBS = {
     "dual": ("dual of a cone", [("--cone", _REQUIRED)],
              lambda a: jsonio.cone_to_json(dual_cone(_cone(a.cone)))),
@@ -136,7 +130,7 @@ VERBS = {
               [("--cone", {}), ("--polytope", {})], _faces),
     "normal-fan": ("normal fan of a full-dimensional polytope",
                    [("--polytope", _REQUIRED)],
-                   lambda a: jsonio.fan_to_json(normal_fan(_polytope(a.polytope)))),
+                   lambda a: jsonio.fan_dumps(normal_fan(_polytope(a.polytope)))),
     "hilbert-basis": ("minimal generators of the lattice-point monoid",
                       [("--cone", _REQUIRED)],
                       lambda a: jsonio.monoid_to_json(hilbert_basis(_cone(a.cone)))),
@@ -151,7 +145,8 @@ VERBS = {
                              _projective_relations),
     "segre-minors": ("canonical two-by-two minors for a system shape",
                      [("--shape", {**_REQUIRED, "help": "JSON list, e.g. [2,2,2]"})],
-                     _segre_minors),
+                     lambda a: jsonio.segre_minors_dumps(
+                         [jsonio.decode_int(n) for n in _read_json_arg(a.shape)])),
     "check-separable": ("separability verdict for a state file",
                         [_STATE, ("--tol", {
                             "type": float, "default": 1e-10,
@@ -163,7 +158,7 @@ VERBS = {
                      ("--weights", {"help": "JSON list of per-minor weights"})],
                     _concurrence),
     "qubit-fan": ("orthant fan of the m-qubit system", [("--m", _COUNT)],
-                  lambda a: jsonio.fan_to_json(multiqubit_fan(a.m))),
+                  lambda a: jsonio.fan_dumps(multiqubit_fan(a.m))),
     "qubit-polytope": ("sign cube of the m-qubit system", [("--m", _COUNT)],
                        lambda a: jsonio.polytope_to_json(multiqubit_polytope(a.m))),
     "atlas": ("chart atlas of a smooth complete fan",
@@ -178,6 +173,9 @@ VERBS = {
                                        "e.g. '[\"1/2\", \"-3\"]'"})],
                      _verify_param),
 }
+
+
+_CHUNK = 1 << 15
 
 
 @functools.cache
@@ -204,15 +202,18 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         doc = args.operation(args)
-        out = doc if isinstance(doc, str) else jsonio.canonical_dumps(doc)
+        parts = doc if isinstance(doc, list) else [jsonio.canonical_dumps(doc)]
         code = 0
     except (ValueError, TypeError, KeyError, IndexError, OverflowError,
             ZeroDivisionError, json.JSONDecodeError, OSError) as exc:
-        out, code = jsonio.canonical_dumps({"error": str(exc)}), 2
+        parts, code = [jsonio.canonical_dumps({"error": str(exc)})], 2
     except Exception as exc:  # internal invariant failure
-        out, code = jsonio.canonical_dumps(
-            {"error": str(exc), "kind": "internal"}), 3
-    sys.stdout.write(out)
+        parts, code = [jsonio.canonical_dumps(
+            {"error": str(exc), "kind": "internal"})], 3
+    # written only once complete, in joins of about 1 MB: a table's parts
+    # are 20-60 characters, and the joined text never exists whole
+    for start in range(0, len(parts), _CHUNK):
+        sys.stdout.write("".join(parts[start:start + _CHUNK]))
     return code
 
 

@@ -15,7 +15,7 @@ from .geometry import Cone, Fan, Polytope, make_fan, polytope_hull, pos_hull
 from .monoid import MonoidGenerators
 from .qubit import ChartAtlas, ParameterizationMap
 from .rationals import ComplexRational, rational_str
-from .segre import MinorSpec, ProductState, PureState
+from .segre import MinorSpec, ProductState, PureState, minor_blocks
 from .toric_ideal import BinomialIdeal, MonomialMap
 
 _SAFE = 2 ** 53
@@ -114,21 +114,82 @@ def ideal_to_json(ideal: BinomialIdeal) -> dict:
                            for i, j in ideal.pairs]}
 
 
-def ideal_dumps(ideal: BinomialIdeal) -> str:
-    """``canonical_dumps(ideal_to_json(ideal))``, each monomial encoded once.
+class _Texts(dict):
+    """The canonical text of each distinct integer vector, encoded once."""
 
-    The generator list is one join over references to the monomial texts
-    and constant fragments, so a binomial costs no string of its own.
+    def __missing__(self, v):
+        self[v] = text = _encode(_vector_out(v))
+        return text
+
+    def join(self, vectors) -> str:
+        return ",".join([self[v] for v in vectors])
+
+
+def _by_reference(*pieces) -> list[str]:
+    """A canonical document as str parts: constant texts and tables.
+
+    A table write(parts, texts) appends list items, each ending in ','
+    (dropped from the last), by reference to texts[v], the text of vector v
+    encoded once per document: a repeated entry costs no string of its own.
     """
-    texts = [_encode(_vector_out(e)) for e in ideal.monomials]
-    parts = [f'{{"degreeBound":{_encode(ideal.degree_bound)},"generators":[']
-    for i, j in ideal.pairs:
-        parts += '},{"mu":', texts[j], ',"nu":', texts[i]
-    if ideal.pairs:
-        parts[1] = '{"mu":'  # no separator before the first binomial
-        parts.append("}")
-    parts.append(f'],"map":{_encode(map_to_json(ideal.map))}}}\n')
-    return "".join(parts)
+    texts, parts = _Texts(), []
+    for piece in pieces:
+        if isinstance(piece, str):
+            parts.append(piece)
+        else:
+            piece(parts, texts)
+            parts[-1] = parts[-1].removesuffix(",")
+    return parts
+
+
+def ideal_dumps(ideal: BinomialIdeal) -> list[str]:
+    """``canonical_dumps(ideal_to_json(ideal))`` as parts, by reference."""
+    def generators(parts, texts):
+        mus = [texts[e] for e in ideal.monomials]
+        nus = [t + "}," for t in mus]
+        for i, j in ideal.pairs:
+            parts += '{"mu":', mus[j], ',"nu":', nus[i]
+    return _by_reference(
+        f'{{"degreeBound":{_encode(ideal.degree_bound)},"generators":[',
+        generators, f'],"map":{_encode(map_to_json(ideal.map))}}}\n')
+
+
+def fan_dumps(fan: Fan, end: str = "\n") -> list[str]:
+    """``canonical_dumps(fan_to_json(fan))`` as parts, by reference."""
+    head = f'{{"dim":{fan.dim},"generators":['
+    def cones(parts, texts):
+        for c in fan.cones:
+            parts += head, texts.join(c.generators), "]},"
+    return _by_reference('{"cones":[', cones, f'],"dim":{fan.dim}}}{end}')
+
+
+def atlas_dumps(atlas: ChartAtlas) -> list[str]:
+    """``canonical_dumps(atlas_to_json(atlas))`` as parts, by reference."""
+    def charts(parts, texts):
+        for ch in atlas.charts:
+            parts += (f'{{"cone":{{"dim":{ch.cone.dim},"generators":[',
+                      texts.join(ch.cone.generators), ']},"coordinates":[',
+                      texts.join(ch.coordinates), "]},")
+    def transitions(parts, texts):
+        for i, j, mat in atlas.transitions:
+            parts += f'{{"from":{i},"matrix":[', texts.join(mat), f'],"to":{j}}},'
+    return _by_reference('{"charts":[', charts, '],"fan":',
+                         *fan_dumps(atlas.fan, ""), ',"transitions":[',
+                         transitions, "]}\n")
+
+
+def segre_minors_dumps(shape) -> list[str]:
+    """``{"minors": [minor_to_json(m) for m in segre_minors(shape)],
+    "shape": list(shape)}`` as parts, by reference."""
+    def minors(parts, texts):
+        for mode, ks, ls, partners in minor_blocks(shape):
+            l_texts = [f'{texts[l]},"mode":{mode}}},' for l in ls]
+            for k, js in zip(ks, partners):
+                k_text = f'{{"k":{texts[k]},"l":'
+                for j in js:
+                    parts += k_text, l_texts[j]
+    return _by_reference('{"minors":[', minors,
+                         f'],"shape":{_encode(list(shape))}}}\n')
 
 
 def _amplitude_out(value) -> dict:
@@ -143,9 +204,7 @@ def _amplitude_out(value) -> dict:
 def _amplitude_part_in(x):
     if isinstance(x, bool):
         raise ValueError("amplitude parts must be numbers or 'p/q' strings")
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
+    if isinstance(x, (str, int)):
         return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):

@@ -163,6 +163,13 @@ class ParameterizationMap:
     m: int
     exponents: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        # parameterization_image reads only m; a wrong length is rejected
+        # before the 2^m subsets are built
+        if len(self.exponents) != 2 ** self.m or \
+                self.exponents != tuple(product((0, 1), repeat=self.m)):
+            raise ValueError("exponents must be all of {0,1}^m, lexicographic")
+
 
 def parameterization(m: int) -> ParameterizationMap:
     if not 1 <= m <= 10:

@@ -117,29 +117,35 @@ def segre_map(p: ProductState) -> PureState:
     return PureState(p.shape, dict(prods))
 
 
-def segre_minors(shape) -> tuple[MinorSpec, ...]:
-    """The complete duplicate-free list of nontrivial minors for a shape.
-
-    Ordered by (mode, local index pair, complement pair).  A minor of two
-    modes s < j (index pairs differing in exactly two slots) is kept under s:
-    mode j skips the complement pairs that differ in one slot only, s < j.
-    """
+def minor_blocks(shape):
+    """The minors of ``segre_minors`` in order, as blocks (mode, ks, ls,
+    partners), the minors (mode, ks[i], ls[j]) for j in partners[i]: per
+    mode and local pair a < b, ks and ls insert a and b into the index
+    tuples of the other modes.  A minor of two modes s < j (index pairs
+    differing in two slots) is kept under s: mode j skips the pairs
+    differing in one other slot s < j only."""
     shape = check_shape(shape)
-    m = len(shape)
-    minors = []
-    for mode in range(m):
-        others = [n for j, n in enumerate(shape) if j != mode]
-        complements = sorted(product(*(range(n) for n in others)))
-        pairs = []
-        for c, c2 in combinations(complements, 2):
-            diff = [s for s in range(m - 1) if c[s] != c2[s]]
-            if not (len(diff) == 1 and diff[0] < mode):
-                pairs.append((c, c2))
-        for a, b in combinations(range(shape[mode]), 2):
-            for c, c2 in pairs:
-                minors.append(MinorSpec(mode, c[:mode] + (a,) + c[mode:],
-                                        c2[:mode] + (b,) + c2[mode:]))
-    return tuple(minors)
+    for mode, n in enumerate(shape):
+        others = shape[:mode] + shape[mode + 1:]
+        complements = list(product(*map(range, others)))
+        strides = _strides(others)
+        partners = []
+        for i, c in enumerate(complements):
+            skip = {i + d * strides[s]
+                    for s in range(mode) for d in range(1, others[s] - c[s])}
+            partners.append([j for j in range(i + 1, len(complements))
+                             if j not in skip])
+        for a, b in combinations(range(n), 2):
+            yield (mode, [c[:mode] + (a,) + c[mode:] for c in complements],
+                   [c[:mode] + (b,) + c[mode:] for c in complements], partners)
+
+
+def segre_minors(shape) -> tuple[MinorSpec, ...]:
+    """The complete duplicate-free list of nontrivial minors for a shape,
+    ordered by (mode, local index pair, complement pair)."""
+    return tuple(MinorSpec(mode, k, ls[j])
+                 for mode, ks, ls, partners in minor_blocks(shape)
+                 for k, js in zip(ks, partners) for j in js)
 
 
 def minor_value(state: PureState, minor: MinorSpec):

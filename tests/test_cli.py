@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qtoric import Binomial
+from qtoric import Binomial, MinorSpec, cli, jsonio
 from qtoric.cli import VERBS, build_parser, main
 
 SQ2 = 1 / math.sqrt(2)
@@ -292,6 +292,59 @@ class TestIdealVerbs:
             raise AssertionError("a Binomial was built")
 
         monkeypatch.setattr(Binomial, "__post_init__", refuse)
+        assert run_cli(capsys, *argv) == expected
+
+
+class TestTableVerbs:
+    FANS = [("qubit-fan", "--m", "3"), ("atlas", "--qubits", "2"),
+            ("normal-fan", "--polytope",
+             '{"dim":2,"vertices":[[0,0],[2,0],[0,1],[1,2]]}')]
+    TABLES = [("segre-minors", "--shape", "[2,3,2]"), FANS[0],
+              ("toric-ideal", "--map", "[[3,0],[2,1],[1,2],[0,3]]",
+               "--degree", "3")]
+
+    def test_segre_minors_builds_no_minor(self, capsys, monkeypatch):
+        argv = self.TABLES[0]
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0 and json.loads(expected[1])["minors"]
+
+        def refuse(self, *args):
+            raise AssertionError("a MinorSpec was built")
+
+        monkeypatch.setattr(MinorSpec, "__init__", refuse)
+        assert run_cli(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("argv", FANS, ids=lambda a: a[0])
+    def test_fans_build_no_cone_document(self, capsys, monkeypatch, argv):
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0
+
+        def refuse(cone):
+            raise AssertionError("a cone document was built")
+
+        monkeypatch.setattr(jsonio, "cone_to_json", refuse)
+        assert run_cli(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("argv", TABLES, ids=lambda a: a[0])
+    def test_error_mid_list_prints_only_the_error(self, capsys, monkeypatch,
+                                                  argv):
+        encoded = []
+        vector_out = jsonio._vector_out
+
+        def fail_third(v):
+            encoded.append(v)
+            if len(encoded) == 3:
+                raise ValueError("encoder failed")
+            return vector_out(v)
+
+        monkeypatch.setattr(jsonio, "_vector_out", fail_third)
+        assert run_cli(capsys, *argv) == (2, '{"error":"encoder failed"}\n')
+        assert len(encoded) == 3
+
+    @pytest.mark.parametrize("argv", TABLES, ids=lambda a: a[0])
+    def test_written_in_chunks(self, capsys, monkeypatch, argv):
+        expected = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "_CHUNK", 7)
         assert run_cli(capsys, *argv) == expected
 
 

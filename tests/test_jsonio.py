@@ -1,6 +1,8 @@
 """JSON round-trips and canonical serialization."""
 
 import json
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as hs
 
 from qtoric import (chart_atlas, multiqubit_fan, multiqubit_polytope,
-                    parameterization, pos_hull, projective_space_fan,
-                    segre_map, toric_ideal_binomials, MonomialMap,
-                    ProductState, PureState)
+                    normal_fan, parameterization, polytope_hull, pos_hull,
+                    projective_space_fan, segre_map, segre_minors,
+                    toric_ideal_binomials, MonomialMap, ProductState,
+                    PureState)
 from qtoric import jsonio
 from qtoric.rationals import ComplexRational
 from qtoric.toric_ideal import BinomialIdeal
@@ -93,7 +96,7 @@ class TestIdealDumps:
     @given(monomial_maps(), hs.integers(1, 3))
     def test_equals_the_dict_form(self, m, degree):
         ideal = toric_ideal_binomials(m, degree)
-        assert jsonio.ideal_dumps(ideal) == \
+        assert "".join(jsonio.ideal_dumps(ideal)) == \
             jsonio.canonical_dumps(jsonio.ideal_to_json(ideal))
         sides = [(b.nu, b.mu) for b in ideal.generators]
         assert sides == sorted(sides, key=lambda g: (sum(g[0]), g))
@@ -101,7 +104,7 @@ class TestIdealDumps:
     def test_empty_ideal(self):
         ideal = toric_ideal_binomials(MonomialMap(1, ((1,), (2 ** 60,))), 2)
         assert ideal.pairs == ()
-        assert jsonio.ideal_dumps(ideal) == \
+        assert "".join(jsonio.ideal_dumps(ideal)) == \
             '{"degreeBound":2,"generators":[],"map":' \
             '{"dim":1,"exponents":[[1],["1152921504606846976"]]}}\n'
 
@@ -109,9 +112,97 @@ class TestIdealDumps:
         big = 2 ** 53 + 1
         ideal = BinomialIdeal(MonomialMap(1, ((0,), (0,))), 2,
                               ((big, 0), (0, big)), ((0, 1),))
-        text = jsonio.ideal_dumps(ideal)
+        text = "".join(jsonio.ideal_dumps(ideal))
         assert text == jsonio.canonical_dumps(jsonio.ideal_to_json(ideal))
         assert f'"nu":["{big}",0]' in text
+
+
+@hs.composite
+def shapes(draw):
+    """1-6 modes of local dimension 1-4, at most 128 entries; a dimension 1
+    is rejected, and a single mode has no minors."""
+    shape = []
+    for _ in range(draw(hs.integers(1, 6))):
+        shape.append(draw(hs.integers(1, min(4, 128 // math.prod(shape)))))
+    return shape
+
+
+class TestSegreMinorsDumps:
+    @given(shapes())
+    def test_equals_the_dict_form(self, shape):
+        try:
+            minors = segre_minors(shape)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                jsonio.segre_minors_dumps(shape)
+            return
+        doc = {"shape": shape,
+               "minors": [jsonio.minor_to_json(minor) for minor in minors]}
+        assert "".join(jsonio.segre_minors_dumps(shape)) == \
+            jsonio.canonical_dumps(doc)
+
+    def test_no_minors(self):
+        assert "".join(jsonio.segre_minors_dumps([3])) == \
+            '{"minors":[],"shape":[3]}\n'
+
+
+@hs.composite
+def polytopes(draw):
+    """Full-dimensional lattice polytopes in Q^2..Q^4: a simplex and up to
+    five more points."""
+    dim = draw(hs.integers(2, 4))
+    simplex = [(0,) * dim] + [tuple(2 * (i == j) for i in range(dim))
+                              for j in range(dim)]
+    points = draw(hs.lists(hs.tuples(*[hs.integers(-2, 2)] * dim),
+                           max_size=5))
+    return polytope_hull(simplex + points, dim)
+
+
+@hs.composite
+def fan_documents(draw):
+    """Fan JSON of up to five cones in Z^1..Z^3 with entries beyond 2^53."""
+    dim = draw(hs.integers(1, 3))
+    entry = hs.integers(-2, 2) | hs.sampled_from([2 ** 53 + 1, -(2 ** 60)])
+    generators = hs.lists(hs.lists(entry, min_size=dim, max_size=dim),
+                          max_size=3)
+    return {"dim": dim, "cones": [{"dim": dim, "generators": gens}
+                                  for gens in draw(hs.lists(generators,
+                                                            max_size=5))]}
+
+
+def assert_fan_dumps(fan):
+    assert "".join(jsonio.fan_dumps(fan)) == \
+        jsonio.canonical_dumps(jsonio.fan_to_json(fan))
+
+
+class TestFanAndAtlasDumps:
+    @given(polytopes())
+    def test_normal_fans(self, polytope):
+        assert_fan_dumps(normal_fan(polytope))
+
+    @given(fan_documents())
+    def test_fans_read_from_json(self, doc):
+        assert_fan_dumps(jsonio.fan_from_json(doc))
+
+    def test_rays_beyond_2_53(self):
+        fan = jsonio.fan_from_json({"dim": 2, "cones": [
+            {"dim": 2, "generators": [[1, 2 ** 60], [0, 1]]}]})
+        assert_fan_dumps(fan)
+        assert f'[1,"{2 ** 60}"]' in "".join(jsonio.fan_dumps(fan))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_projective_fans_and_atlases(self, n):
+        assert_fan_dumps(projective_space_fan(n))
+        atlas = chart_atlas(projective_space_fan(n))
+        assert "".join(jsonio.atlas_dumps(atlas)) == \
+            jsonio.canonical_dumps(jsonio.atlas_to_json(atlas))
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_qubit_fans_and_atlases(self, m):
+        assert_fan_dumps(multiqubit_fan(m))
+        atlas = chart_atlas(multiqubit_fan(m))
+        assert "".join(jsonio.atlas_dumps(atlas)) == \
+            jsonio.canonical_dumps(jsonio.atlas_to_json(atlas))
 
 
 class TestStateJson:

@@ -14,7 +14,8 @@ from qtoric import (chart_atlas, dual_cone, evaluate_binomial,
                     parameterization, parameterization_image, polar,
                     polytope_hull, pos_hull, projective_space_fan,
                     segre_minors,minor_value, toric_ideal_binomials,
-                    validate_fan, verify_parameterization, MonomialMap)
+                    validate_fan, verify_parameterization, MonomialMap,
+                    ParameterizationMap)
 from qtoric.rationals import ComplexRational
 
 
@@ -280,6 +281,17 @@ class TestParameterization:
             pm = parameterization(m)
             assert pm.exponents[0] == (0,) * m
             assert pm.exponents[-1] == (1,) * m
+
+    def test_hand_built_map_must_list_every_subset(self):
+        # the image is the Segre map of (1, z_j): it reads only m
+        with pytest.raises(ValueError, match="exponents"):
+            ParameterizationMap(2, ((0, 0), (1, 1)))
+        with pytest.raises(ValueError, match="exponents"):
+            ParameterizationMap(2, ((0, 0), (1, 1), (0, 1), (1, 0)))
+        with pytest.raises(ValueError, match="exponents"):
+            ParameterizationMap(60, ((0,) * 60,))
+        assert ParameterizationMap(2, parameterization(2).exponents) == \
+            parameterization(2)
 
     def test_index_bit_convention(self):
         # amplitude index (0,1) carries z_2, matching the displayed map

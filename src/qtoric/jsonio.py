@@ -115,7 +115,9 @@ def ideal_to_json(ideal: BinomialIdeal) -> dict:
 
 
 class _Texts(dict):
-    """The canonical text of each distinct integer vector, encoded once."""
+    """The canonical text of each distinct integer vector, encoded once per
+    document; a table refers to these texts, so a repeated entry costs no
+    string of its own."""
 
     def __missing__(self, v):
         self[v] = text = _encode(_vector_out(v))
@@ -125,71 +127,62 @@ class _Texts(dict):
         return ",".join([self[v] for v in vectors])
 
 
-def _by_reference(*pieces) -> list[str]:
-    """A canonical document as str parts: constant texts and tables.
-
-    A table write(parts, texts) appends list items, each ending in ','
-    (dropped from the last), by reference to texts[v], the text of vector v
-    encoded once per document: a repeated entry costs no string of its own.
-    """
-    texts, parts = _Texts(), []
-    for piece in pieces:
-        if isinstance(piece, str):
-            parts.append(piece)
-        else:
-            piece(parts, texts)
-            parts[-1] = parts[-1].removesuffix(",")
+def _close(parts: list[str], tail: str) -> list[str]:
+    """End a table whose items each end in ',': drop the last ',', add tail."""
+    parts[-1] = parts[-1].removesuffix(",")
+    parts.append(tail)
     return parts
 
 
 def ideal_dumps(ideal: BinomialIdeal) -> list[str]:
-    """``canonical_dumps(ideal_to_json(ideal))`` as parts, by reference."""
-    def generators(parts, texts):
-        mus = [texts[e] for e in ideal.monomials]
-        nus = [t + "}," for t in mus]
-        for i, j in ideal.pairs:
-            parts += '{"mu":', mus[j], ',"nu":', nus[i]
-    return _by_reference(
-        f'{{"degreeBound":{_encode(ideal.degree_bound)},"generators":[',
-        generators, f'],"map":{_encode(map_to_json(ideal.map))}}}\n')
+    """``canonical_dumps(ideal_to_json(ideal))`` as str parts."""
+    texts = _Texts()
+    mus = [texts[e] for e in ideal.monomials]
+    nus = [t + "}," for t in mus]
+    parts = [f'{{"degreeBound":{_encode(ideal.degree_bound)},"generators":[']
+    for i, j in ideal.pairs:
+        parts += '{"mu":', mus[j], ',"nu":', nus[i]
+    return _close(parts, f'],"map":{_encode(map_to_json(ideal.map))}}}\n')
 
 
-def fan_dumps(fan: Fan, end: str = "\n") -> list[str]:
-    """``canonical_dumps(fan_to_json(fan))`` as parts, by reference."""
+def _fan_parts(fan: Fan, texts: _Texts, parts: list[str]) -> list[str]:
     head = f'{{"dim":{fan.dim},"generators":['
-    def cones(parts, texts):
-        for c in fan.cones:
-            parts += head, texts.join(c.generators), "]},"
-    return _by_reference('{"cones":[', cones, f'],"dim":{fan.dim}}}{end}')
+    parts.append('{"cones":[')
+    for c in fan.cones:
+        parts += head, texts.join(c.generators), "]},"
+    return _close(parts, f'],"dim":{fan.dim}}}')
+
+
+def fan_dumps(fan: Fan) -> list[str]:
+    """``canonical_dumps(fan_to_json(fan))`` as str parts."""
+    return _fan_parts(fan, _Texts(), []) + ["\n"]
 
 
 def atlas_dumps(atlas: ChartAtlas) -> list[str]:
-    """``canonical_dumps(atlas_to_json(atlas))`` as parts, by reference."""
-    def charts(parts, texts):
-        for ch in atlas.charts:
-            parts += (f'{{"cone":{{"dim":{ch.cone.dim},"generators":[',
-                      texts.join(ch.cone.generators), ']},"coordinates":[',
-                      texts.join(ch.coordinates), "]},")
-    def transitions(parts, texts):
-        for i, j, mat in atlas.transitions:
-            parts += f'{{"from":{i},"matrix":[', texts.join(mat), f'],"to":{j}}},'
-    return _by_reference('{"charts":[', charts, '],"fan":',
-                         *fan_dumps(atlas.fan, ""), ',"transitions":[',
-                         transitions, "]}\n")
+    """``canonical_dumps(atlas_to_json(atlas))`` as str parts."""
+    texts, parts = _Texts(), ['{"charts":[']
+    for ch in atlas.charts:
+        parts += (f'{{"cone":{{"dim":{ch.cone.dim},"generators":[',
+                  texts.join(ch.cone.generators), ']},"coordinates":[',
+                  texts.join(ch.coordinates), "]},")
+    _fan_parts(atlas.fan, texts, _close(parts, '],"fan":'))
+    parts.append(',"transitions":[')
+    for i, j, mat in atlas.transitions:
+        parts += f'{{"from":{i},"matrix":[', texts.join(mat), f'],"to":{j}}},'
+    return _close(parts, "]}\n")
 
 
 def segre_minors_dumps(shape) -> list[str]:
-    """``{"minors": [minor_to_json(m) for m in segre_minors(shape)],
-    "shape": list(shape)}`` as parts, by reference."""
-    def minors(parts, texts):
-        for mode, ks, ls, partners in minor_blocks(shape):
-            l_texts = [f'{texts[l]},"mode":{mode}}},' for l in ls]
-            for k, js in zip(ks, partners):
-                k_text = f'{{"k":{texts[k]},"l":'
-                for j in js:
-                    parts += k_text, l_texts[j]
-    return _by_reference('{"minors":[', minors,
-                         f'],"shape":{_encode(list(shape))}}}\n')
+    """``canonical_dumps`` of ``{"minors": [minor_to_json(m) for m in
+    segre_minors(shape)], "shape": list(shape)}`` as str parts."""
+    texts, parts = _Texts(), ['{"minors":[']
+    for mode, ks, ls, partners in minor_blocks(shape):
+        l_texts = [f'{texts[l]},"mode":{mode}}},' for l in ls]
+        for k, js in zip(ks, partners):
+            k_text = f'{{"k":{texts[k]},"l":'
+            for j in js:
+                parts += k_text, l_texts[j]
+    return _close(parts, f'],"shape":{_encode(list(shape))}}}\n')
 
 
 def _amplitude_out(value) -> dict:
@@ -204,7 +197,9 @@ def _amplitude_out(value) -> dict:
 def _amplitude_part_in(x):
     if isinstance(x, bool):
         raise ValueError("amplitude parts must be numbers or 'p/q' strings")
-    if isinstance(x, (str, int)):
+    if isinstance(x, str):
+        return Fraction(x)
+    if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):

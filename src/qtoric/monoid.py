@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, product
 from operator import mul
 
@@ -53,16 +52,6 @@ class MonoidGenerators:
         if list(self.generators) != sorted(set(self.generators)):
             raise ValueError("generators must be sorted and duplicate-free")
 
-    @cached_property
-    def _functional(self):
-        """(w, halfspaces) of pos{generators}, w . g >= 1 for each g: else a
-        search could add a zero generator forever."""
-        message = "generator set does not span a pointed cone"
-        w, h = _ambient_functional(pos_hull(self.generators, self.cone.dim), message)
-        if any(dot(w, g) < 1 for g in self.generators):
-            raise ValueError(message)
-        return w, h
-
 
 def monoid_generators(cone: Cone, generators) -> MonoidGenerators:
     """Validating constructor: members of the cone, minimal as a generating set."""
@@ -103,7 +92,12 @@ def monoid_contains(g: MonoidGenerators, x) -> bool:
     x = tuple(x)
     if len(x) != g.cone.dim:
         raise ValueError("point dimension mismatch")
-    return _reachable(list(g.generators), x, g._functional)
+    message = "generator set does not span a pointed cone"
+    functional = _ambient_functional(pos_hull(g.generators, g.cone.dim), message)
+    # a zero generator would let the search add it forever
+    if any(dot(functional[0], v) < 1 for v in g.generators):
+        raise ValueError(message)
+    return _reachable(list(g.generators), x, functional)
 
 
 def _saturation(vectors, dim):

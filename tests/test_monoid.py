@@ -215,30 +215,6 @@ class TestMonoidContains:
                            match="generator set does not span a pointed cone"):
             monoid_contains(g, (2, 0))
 
-    def test_pointed_functional_computed_once(self, monkeypatch):
-        from qtoric import geometry
-        calls = []
-        real = geometry._dd_rays
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(geometry, "_dd_rays", counted)
-        g = hilbert_basis(pos_hull([(1, 0, 0), (0, 1, 0), (3, 4, 5), (2, -1, 3)]))
-        calls.clear()
-        points = [(a, b, c) for a in range(3) for b in range(-1, 3)
-                  for c in range(2)][:20]
-        answers = [monoid_contains(g, x) for x in points]
-        assert len(calls) <= 1
-        assert any(answers) and not all(answers)
-
-    def test_bad_generator_set_raises_on_every_call(self):
-        g = MonoidGenerators(pos_hull([(1, 0), (0, 1)]), ((0, 0), (1, 0)))
-        for _ in range(2):
-            with pytest.raises(ValueError, match="pointed cone"):
-                monoid_contains(g, (2, 0))
-
     def test_validating_constructor(self):
         cone = pos_hull([(1, 0), (0, 1)])
         with pytest.raises(ValueError, match="outside"):

@@ -115,7 +115,8 @@ class Face:
 
 @dataclass(frozen=True)
 class Fan:
-    """A finite collection of cones, canonically sorted.
+    """A finite collection of cones as a ray table: the distinct generators of
+    the cones, sorted, and one sorted tuple of ray indices per cone, sorted.
 
     Face closure and pairwise compatibility are properties of the trusted
     constructors (:func:`normal_fan`, :func:`fan_from_maximal`); use
@@ -123,23 +124,37 @@ class Fan:
     """
 
     dim: int
-    cones: tuple[Cone, ...]
+    rays: tuple[tuple[int, ...], ...]
+    indices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for c in self.cones:
-            if c.dim != self.dim:
-                raise ValueError("cone dimension mismatch in fan")
-        key = [c.generators for c in self.cones]
-        if key != sorted(set(key)):
+        if any(len(r) != self.dim for r in self.rays):
+            raise ValueError("ray dimension mismatch in fan")
+        if any(a >= b for a, b in zip(self.rays, self.rays[1:])):
+            raise ValueError("fan rays must be sorted and duplicate-free")
+        if any(a >= b for a, b in zip(self.indices, self.indices[1:])) or \
+                any(a >= b for t in self.indices for a, b in zip(t, t[1:])):
             raise ValueError("fan cones must be sorted and duplicate-free")
+        if set().union(*self.indices) != set(range(len(self.rays))):
+            raise ValueError("ray index out of range, or a ray on no cone")
+
+    def _cone(self, t) -> Cone:
+        return Cone(self.dim, tuple(self.rays[i] for i in t))
+
+    @cached_property
+    def cones(self) -> tuple[Cone, ...]:
+        return tuple(map(self._cone, self.indices))
 
     def maximal_cones(self) -> tuple[Cone, ...]:
-        """Cones of maximal linear dimension (the full cones of a complete fan)."""
-        if not self.cones:
-            return ()
-        ranks = [c.rank for c in self.cones]
-        top = max(ranks)
-        return tuple(c for c, r in zip(self.cones, ranks) if r == top)
+        """Cones of maximal linear dimension (the full cones of a complete fan);
+        a rank is at most the ray count, so only the longest cones are ranked."""
+        ranks, top = {}, 0
+        for t in sorted(self.indices, key=len, reverse=True):
+            if len(t) < top:
+                break
+            ranks[t] = rank_int([self.rays[i] for i in t])
+            top = max(top, ranks[t])
+        return tuple(self._cone(t) for t in sorted(ranks) if ranks[t] == top)
 
 
 def _minimal_generators(vectors, dim):
@@ -375,23 +390,23 @@ def face_cone(face: Face) -> Cone:
 
 
 def make_fan(cones, dim: int | None = None) -> Fan:
-    """Canonicalise a cone collection into a Fan (sort and deduplicate)."""
+    """The fan of a cone collection: its rays and its distinct cones."""
     cones = list(cones)
     if dim is None:
         if not cones:
             raise ValueError("ambient dimension required for an empty fan")
         dim = cones[0].dim
-    uniq = {c.generators: c for c in cones}
-    return Fan(dim, tuple(uniq[k] for k in sorted(uniq)))
+    if any(c.dim != dim for c in cones):
+        raise ValueError("cone dimension mismatch in fan")
+    rays = sorted({g for c in cones for g in c.generators})
+    index = {g: i for i, g in enumerate(rays)}
+    return Fan(dim, tuple(rays), tuple(sorted(
+        {tuple(index[g] for g in c.generators) for c in cones})))
 
 
 def fan_from_maximal(maximal) -> Fan:
     """The fan generated by maximal cones together with all their faces."""
-    cones = []
-    for c in maximal:
-        for f in faces(c):
-            cones.append(face_cone(f))
-    return make_fan(cones, maximal[0].dim if maximal else None)
+    return make_fan([face_cone(f) for c in maximal for f in faces(c)])
 
 
 def normal_fan(p: Polytope) -> Fan:
@@ -399,15 +414,13 @@ def normal_fan(p: Polytope) -> Fan:
     if p.rank != p.dim:
         raise ValueError("polytope is not full-dimensional")
     # a ray (c, y) is the facet c + <y, x> >= 0; nothing is tight when y == 0
-    outer = [(z, tuple(-x for x in primitive(r[1:])))
-             for r, z in p.halfspaces if z]
-    cones = []
-    for s in _face_family(p, [tight for tight, _ in outer]):
-        # the outer normals of the facets containing F are distinct and are
-        # the extreme rays of N(F): no redundancy check is needed
-        cones.append(Cone(p.dim, tuple(sorted(
-            n for tight, n in outer if s & tight == s))))
-    return make_fan(cones, p.dim)
+    rays, tights = zip(*sorted((tuple(-x for x in primitive(r[1:])), z)
+                               for r, z in p.halfspaces if z))
+    # the outer normals of the facets containing F are distinct and are the
+    # extreme rays of N(F): no redundancy check is needed
+    return Fan(p.dim, rays, tuple(sorted(
+        tuple(i for i, t in enumerate(tights) if s & t == s)
+        for s in _face_family(p, tights))))
 
 
 def intersect_cones(a: Cone, b: Cone) -> Cone:

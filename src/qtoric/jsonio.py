@@ -147,9 +147,10 @@ def ideal_dumps(ideal: BinomialIdeal) -> list[str]:
 
 def _fan_parts(fan: Fan, texts: _Texts, parts: list[str]) -> list[str]:
     head = f'{{"dim":{fan.dim},"generators":['
+    rays = [texts[r] for r in fan.rays]
     parts.append('{"cones":[')
-    for c in fan.cones:
-        parts += head, texts.join(c.generators), "]},"
+    for t in fan.indices:
+        parts += head, ",".join([rays[i] for i in t]), "]},"
     return _close(parts, f'],"dim":{fan.dim}}}')
 
 

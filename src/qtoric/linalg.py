@@ -181,8 +181,3 @@ def det_adj(mat):
         d = _pivot(rows, c, c, d)
     return sign * d, [[sign * x for x in row[n:]] for row in rows]
 
-
-def det_int(mat) -> int:
-    """Determinant of a square integer matrix."""
-    return det_adj(mat)[0]
-

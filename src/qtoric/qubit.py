@@ -7,7 +7,7 @@ from functools import cached_property
 from itertools import product
 
 from .geometry import Cone, Fan, Polytope, is_simplicial, normal_fan
-from .linalg import det_adj, det_int, dot
+from .linalg import det_adj, dot
 from .segre import ProductState, PureState, is_separable, segre_map
 
 
@@ -81,34 +81,29 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
     if not maximal:
         raise ValueError("fan is not complete: it has no maximal cone")
     charts, inverses = [], []
-    facet_owners: dict[frozenset, list[int]] = {}
+    facet_owners: dict[tuple, list] = {}
     for pos_idx, cone in enumerate(maximal):
-        if not is_simplicial(cone):
-            raise ValueError(f"maximal cone {cone.generators} is not simplicial")
-        det, adj = (det_adj(cone.generators)
-                    if len(cone.generators) == fan.dim else (0, None))
-        if abs(det) != 1:
-            raise ValueError(f"maximal cone {cone.generators} is not smooth")
-        # column u_i of det * adj is dual to generator g_i, so
-        # b == sum_i dot(g_i, b) * u_i for every b
-        dual = sorted((tuple(det * row[i] for row in adj), g)
-                      for i, g in enumerate(cone.generators))
+        gens = cone.generators
+        det, adj = det_adj(gens) if len(gens) == fan.dim else (0, None)
+        if abs(det) != 1:  # rank the cone only to name the fault
+            fault = "smooth" if is_simplicial(cone) else "simplicial"
+            raise ValueError(f"maximal cone {gens} is not {fault}")
+        # column u_i of det * adj is dual to g_i (b == sum_i dot(g_i, b) * u_i),
+        # so it is the inner normal of the facet that omits g_i
+        cols = [tuple(det * row[i] for row in adj) for i in range(len(gens))]
+        dual = sorted(zip(cols, gens))
         charts.append(Chart(cone, tuple(u for u, _ in dual)))
         inverses.append([g for _, g in dual])
-        for drop in range(len(cone.generators)):
-            key = frozenset(g for t, g in enumerate(cone.generators)
-                            if t != drop)
-            facet_owners.setdefault(key, []).append(pos_idx)
+        for drop, (u, g) in enumerate(zip(cols, gens)):
+            facet_owners.setdefault(gens[:drop] + gens[drop + 1:], []).append(
+                (pos_idx, u, g))
     adjacent = set()
     for facet, owners in facet_owners.items():
-        base = sorted(facet)
-        sides = {det_int(base + [next(g for g in maximal[i].generators
-                                      if g not in facet)]) > 0
-                 for i in owners}
-        if len(owners) != 2 or len(sides) != 2:
-            raise ValueError(f"fan is not complete: facet {base} does not lie "
-                             "between two maximal cones on opposite sides")
-        i, j = owners
+        # the second owner's extra generator lies beyond the first one's facet
+        if len(owners) != 2 or dot(owners[0][1], owners[1][2]) >= 0:
+            raise ValueError(f"fan is not complete: facet {list(facet)} does "
+                             "not lie between two maximal cones on opposite sides")
+        (i, _, _), (j, _, _) = owners
         adjacent.update({(i, j), (j, i)})
     transitions = [(i, j, tuple(tuple(dot(row, b) for row in inverses[i])
                                 for b in charts[j].coordinates))
@@ -134,21 +129,16 @@ def invariant_subvarieties(fan: Fan) -> tuple[Subvariety, ...]:
     m = fan.dim
     if not (1 <= m <= 10 and fan == multiqubit_fan(m)):
         raise ValueError("unsupported fan: expected multiqubit_fan(m), 1 <= m <= 10")
-    out = []
-    for cone in fan.cones:
-        if len(cone.generators) == 1:
-            g = cone.generators[0]
-            axis = next(i for i, x in enumerate(g) if x != 0)
-            parts = ["CP1"] * m
-            parts[axis] = "{0}" if g[axis] > 0 else "{inf}"
-            out.append(Subvariety(cone, "ray", " x ".join(parts)))
-    for cone in fan.cones:
-        if len(cone.generators) == m:
-            point = ["?"] * m
-            for g in cone.generators:
-                axis = next(i for i, x in enumerate(g) if x != 0)
-                point[axis] = "0" if g[axis] > 0 else "inf"
-            out.append(Subvariety(cone, "fixed_point", "(" + ", ".join(point) + ")"))
+    out, pins = [], {}
+    for g in fan.rays:
+        axis = next(i for i, x in enumerate(g) if x != 0)
+        pins[g] = axis, "0" if g[axis] > 0 else "inf"
+        parts = ["CP1"] * m
+        parts[axis] = "{" + pins[g][1] + "}"
+        out.append(Subvariety(Cone(m, (g,)), "ray", " x ".join(parts)))
+    for cone in fan.maximal_cones():
+        point = ", ".join(p for _, p in sorted(pins[g] for g in cone.generators))
+        out.append(Subvariety(cone, "fixed_point", f"({point})"))
     return tuple(out)
 
 

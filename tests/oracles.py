@@ -60,6 +60,13 @@ def frac_rank(rows) -> int:
     return len(_rref(rows, len(rows[0]) if rows else 0)[1])
 
 
+def maximal_cones(fan):
+    """The cones of a fan of largest rank, every cone ranked, in fan order."""
+    ranks = [frac_rank(c.generators) for c in fan.cones]
+    top = max(ranks, default=0)
+    return tuple(c for c, r in zip(fan.cones, ranks) if r == top)
+
+
 def frac_det(mat):
     """Determinant by Gaussian elimination over the rationals."""
     m = [[Fraction(x) for x in row] for row in mat]

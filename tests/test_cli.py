@@ -1,5 +1,7 @@
 """CLI verbs: correctness, determinism, and exit codes."""
 
+import hashlib
+import itertools
 import json
 import math
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qtoric import Binomial, MinorSpec, cli, jsonio
+from qtoric import Binomial, MinorSpec, cli, geometry, jsonio, linalg
 from qtoric.cli import VERBS, build_parser, main
 
 SQ2 = 1 / math.sqrt(2)
@@ -324,6 +326,38 @@ class TestTableVerbs:
 
         monkeypatch.setattr(jsonio, "cone_to_json", refuse)
         assert run_cli(capsys, *argv) == expected
+
+    CUBE5 = json.dumps({"dim": 5, "vertices": [
+        list(v) for v in itertools.product((-1, 1), repeat=5)]})
+
+    @pytest.mark.parametrize("argv", [("qubit-fan", "--m", "5"),
+                                      ("normal-fan", "--polytope", CUBE5)],
+                             ids=lambda a: a[0])
+    def test_fans_build_no_cone(self, capsys, monkeypatch, argv):
+        def refuse(cone):
+            raise AssertionError("a Cone was built")
+
+        monkeypatch.setattr(geometry.Cone, "__post_init__", refuse)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        # the 5-cube's normal fan is the (CP^1)^5 fan, pinned to its bytes
+        # from before the fan became a ray table
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "1e22fd20564109e73b887e73687a6de2ce527e5524e630f46681737bcec4852d"
+
+    def test_atlas_ranks_only_the_maximal_cones(self, capsys, monkeypatch):
+        calls = []
+        pivot_columns = linalg.pivot_columns
+
+        def counted(rows):
+            calls.append(rows)
+            return pivot_columns(rows)
+
+        for module in (linalg, geometry):
+            monkeypatch.setattr(module, "pivot_columns", counted)
+        assert run_cli(capsys, "atlas", "--qubits", "5")[0] == 0
+        # one rank per maximal cone, one DD and one rank of the cube
+        assert len(calls) <= 2 ** 5 + 2
 
     @pytest.mark.parametrize("argv", TABLES, ids=lambda a: a[0])
     def test_error_mid_list_prints_only_the_error(self, capsys, monkeypatch,

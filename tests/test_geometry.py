@@ -8,9 +8,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as hs
 
 import oracles
-from qtoric import (Cone, Polytope, dual_cone, faces, is_simplicial,
-                    is_strongly_convex, multiqubit_polytope, normal_fan,
-                    polar, polytope_hull, pos_hull, validate_fan)
+from qtoric import (Cone, Fan, Polytope, dual_cone, faces, is_simplicial,
+                    is_strongly_convex, make_fan, multiqubit_polytope,
+                    normal_fan, polar, polytope_hull, pos_hull, validate_fan)
 from qtoric.geometry import _dd_rays, cone_contains, face_cone, intersect_cones
 
 
@@ -413,6 +413,30 @@ class TestCanonicalForms:
             Cone(2, ((1, 0), (1, 0)))  # duplicate
         with pytest.raises(ValueError):
             Polytope(2, ())  # empty
+
+    X, Y = (0, 1), (1, 0)
+
+    @pytest.mark.parametrize("rays, indices, message", [
+        ((Y, X), ((0,), (1,)), "rays must be sorted"),
+        ((X, X), ((0,), (1,)), "rays must be sorted"),
+        ((X, (1, 0, 0)), ((0,), (1,)), "ray dimension mismatch"),
+        ((X, Y), ((0,), (0,), (1,)), "cones must be sorted"),
+        ((X, Y), ((1,), (0,)), "cones must be sorted"),
+        ((X, Y), ((0,), (1, 0)), "cones must be sorted"),
+        ((X, Y), ((0, 0), (1,)), "cones must be sorted"),
+        ((X, Y), ((0,), (1,), (1, 2)), "index out of range"),
+        ((X, Y), ((-1, 0), (1,)), "index out of range"),
+        ((X, Y), ((), (0,)), "a ray on no cone"),
+    ], ids=str)
+    def test_invalid_fan_table_rejected(self, rays, indices, message):
+        with pytest.raises(ValueError, match=message):
+            Fan(2, rays, indices)
+
+    def test_fan_table_cones(self):
+        fan = Fan(2, (self.X, self.Y), ((), (0,), (0, 1), (1,)))
+        assert fan.cones == (C(dim=2), C(self.X), C(self.X, self.Y), C(self.Y))
+        assert fan.maximal_cones() == (C(self.X, self.Y),)
+        assert make_fan(reversed(fan.cones)) == fan
 
     def test_polytope_hull_drops_interior_points(self):
         p = polytope_hull([(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)])

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from qtoric import (chart_atlas, multiqubit_fan, multiqubit_polytope,
+import oracles
+from qtoric import (chart_atlas, make_fan, multiqubit_fan, multiqubit_polytope,
                     normal_fan, parameterization, polytope_hull, pos_hull,
                     projective_space_fan, segre_map, segre_minors,
                     toric_ideal_binomials, MonomialMap, ProductState,
@@ -66,6 +67,12 @@ class TestGeometryRoundTrips:
             jsonio.cone_from_json({"generators": [[1, 0]]})
         with pytest.raises(ValueError):
             jsonio.polytope_from_json({"dim": 2})
+
+    def test_fan_cone_of_another_dimension_rejected(self):
+        # also when an equal cone of the right dimension follows it
+        zero = [{"dim": 3, "generators": []}, {"dim": 2, "generators": []}]
+        with pytest.raises(ValueError, match="cone dimension mismatch"):
+            jsonio.fan_from_json({"dim": 2, "cones": zero})
 
 
 class TestIdealAndMapJson:
@@ -203,6 +210,24 @@ class TestFanAndAtlasDumps:
         atlas = chart_atlas(multiqubit_fan(m))
         assert "".join(jsonio.atlas_dumps(atlas)) == \
             jsonio.canonical_dumps(jsonio.atlas_to_json(atlas))
+
+
+class TestFanTable:
+    """The ray table against the cones it describes."""
+
+    def check(self, fan):
+        for cone, t in zip(fan.cones, fan.indices, strict=True):
+            assert cone.generators == tuple(fan.rays[i] for i in t)
+        assert make_fan(fan.cones, fan.dim) == fan
+        assert fan.maximal_cones() == oracles.maximal_cones(fan)
+
+    @given(polytopes())
+    def test_normal_fans(self, polytope):
+        self.check(normal_fan(polytope))
+
+    @given(fan_documents())
+    def test_fans_read_from_json(self, doc):
+        self.check(jsonio.fan_from_json(doc))
 
 
 class TestStateJson:

@@ -8,8 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from qtoric.linalg import (det_adj, det_int, hermite_basis, pivot_columns,
-                           rank_int)
+from qtoric.linalg import det_adj, hermite_basis, pivot_columns, rank_int
 
 BIG = 10**30
 entries = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
@@ -41,7 +40,6 @@ class TestDetAdj:
         n = len(m)
         det, adj = det_adj(m)
         assert det == oracles.frac_det(m)
-        assert det_int(m) == det
         if det == 0:
             assert adj is None
             return

@@ -178,26 +178,46 @@ VERBS = {
 _CHUNK = 1 << 15
 
 
+def _add_verb(parser: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
+    """Add the arguments of the verb's VERBS row and its operation to a parser."""
+    _, arguments, operation = VERBS[verb]
+    for name, keywords in arguments:
+        parser.add_argument(name, **keywords)
+    parser.set_defaults(operation=operation)
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; ``parse_args`` leaves it unchanged."""
+    """The whole parser, for top-level help, unknown verbs and arguments a
+    verb does not take; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qtoric",
         description="Exact toric geometry applied to multipartite quantum states. "
                     "Inputs are file paths, inline JSON, or '-' for stdin; "
                     "output is canonical JSON on stdout.")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (help_text, arguments, operation) in VERBS.items():
-        p = sub.add_parser(verb, help=help_text)
-        for name, keywords in arguments:
-            p.add_argument(name, **keywords)
-        p.set_defaults(operation=operation)
+    for verb, (help_text, _, _) in VERBS.items():
+        _add_verb(sub.add_parser(verb, help=help_text), verb)
     return parser
 
 
+@functools.cache
+def _verb_parser(verb: str) -> argparse.ArgumentParser:
+    """The sub-parser of one verb alone, with the prog argparse gives it."""
+    return _add_verb(argparse.ArgumentParser(prog=f"qtoric {verb}"), verb)
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        # a call builds only its verb's sub-parser; leftover arguments are
+        # parsed again by the whole parser, which reports them with its usage
+        args = extra = None
+        if argv and argv[0] in VERBS:
+            args, extra = _verb_parser(argv[0]).parse_known_args(argv[1:])
+        if args is None or extra:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -23,10 +23,6 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                            allow_nan=False).encode
 
 
-def encode_int(x: int):
-    return x if abs(x) <= _SAFE else str(x)
-
-
 def decode_int(x) -> int:
     if isinstance(x, bool):
         raise ValueError("expected an integer, got a boolean")
@@ -38,7 +34,6 @@ def decode_int(x) -> int:
 
 
 def _vector_out(v):
-    # encode_int inlined: this runs once per integer of every output vector
     return [x if abs(x) <= _SAFE else str(x) for x in v]
 
 

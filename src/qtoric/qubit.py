@@ -105,10 +105,25 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
                              "not lie between two maximal cones on opposite sides")
         (i, _, _), (j, _, _) = owners
         adjacent.update({(i, j), (j, i)})
-    transitions = [(i, j, tuple(tuple(dot(row, b) for row in inverses[i])
-                                for b in charts[j].coordinates))
+    positions = [{g: c for c, g in enumerate(gens)} for gens in inverses]
+    transitions = [(i, j, _transition(inverses[i], positions[j],
+                                      charts[j].coordinates))
                    for i, j in sorted(adjacent)]
     return ChartAtlas(fan, tuple(charts), tuple(transitions))
+
+
+def _transition(gens, positions, coordinates):
+    """Entry (c, k) is dot(gens[k], coordinates[c]).  A generator shared with
+    the other chart has the unit column at its position in that chart's dual
+    basis; only the one generator beyond it needs dot products."""
+    rows = [[0] * len(gens) for _ in coordinates]
+    for k, g in enumerate(gens):
+        if g in positions:
+            rows[positions[g]][k] = 1
+        else:
+            for row, u in zip(rows, coordinates):
+                row[k] = dot(g, u)
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True)

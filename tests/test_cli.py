@@ -1,5 +1,6 @@
 """CLI verbs: correctness, determinism, and exit codes."""
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -382,14 +383,51 @@ class TestTableVerbs:
         assert run_cli(capsys, *argv) == expected
 
 
+def _verb_argvs(verb):
+    """Arguments the verb's parser accepts, spelt three ways: --opt value,
+    --opt=value and abbreviated options; the values are read only by the
+    verb's operation."""
+    plain, equals, abbreviated = [], [], []
+    for name, keywords in VERBS[verb][1]:
+        value = {int: "2", float: "0.5"}.get(keywords.get("type"), "x")
+        if name.startswith("--"):
+            plain += [name, value]
+            equals.append(f"{name}={value}")
+            abbreviated += [name[:max(3, len(name) - 2)], value]
+        else:
+            for spelling in (plain, equals, abbreviated):
+                spelling.append(value)
+    return plain, equals, abbreviated
+
+
+def _parse_errors(verb):
+    """A missing required argument, a bad number, an unknown option, a stray
+    positional, --opt=value and abbreviated options (each with a stray
+    positional) and -h, where the verb has them."""
+    rows = VERBS[verb][1]
+    plain, equals, abbreviated = _verb_argvs(verb)
+    cases = [[verb, *plain, "--bogus"], [verb, *plain, "extra"],
+             [verb, *equals, "extra"], [verb, *abbreviated, "extra"],
+             [verb, "-h"]]
+    if any(k.get("required") or not n.startswith("-") for n, k in rows):
+        cases.append([verb])
+    typed = [n for n, k in rows if "type" in k]
+    if typed:
+        bad = list(plain)
+        bad[bad.index(typed[0]) + 1] = "x"
+        cases.append([verb, *bad])
+    return cases
+
+
 class TestParser:
-    ERRORS = [[], ["nope"], ["dual", "--cone", "x", "extra"], ["param", "--m", "x"],
-              ["toric-ideal", "-h"], ["-h"]]
+    TOP = [[], ["nope"], ["dual", "--cone", "x", "extra"], ["param", "--m", "x"],
+           ["toric-ideal", "-h"], ["-h"]]
+    ERRORS = TOP + [argv for verb in VERBS for argv in _parse_errors(verb)]
 
     @pytest.mark.parametrize("argv", ERRORS, ids=str)
     def test_reused_parser_reports_like_a_fresh_one(self, capsys, argv):
-        """main keeps one parser per process; earlier calls leave no trace."""
-        for other in self.ERRORS:
+        """main reports like a fresh whole parser; earlier calls leave no trace."""
+        for other in self.TOP + [a for a in self.ERRORS if a[:1] == argv[:1]]:
             main(other)
         run_cli(capsys, "dual", "--cone", "[[1,0],[1,2]]")
         code = main(argv)
@@ -398,6 +436,28 @@ class TestParser:
             build_parser.__wrapped__().parse_args(argv)
         assert got == (exc.value.code, capsys.readouterr())
         assert got[1].out or got[1].err
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_verb_parser_parses_like_the_whole_parser(self, verb):
+        for rest in _verb_argvs(verb):
+            args, extra = cli._verb_parser.__wrapped__(verb).parse_known_args(rest)
+            whole = build_parser.__wrapped__().parse_args([verb, *rest])
+            assert extra == [] and vars(whole) == {**vars(args), "verb": verb}
+
+    def test_valid_call_builds_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        cli._verb_parser.cache_clear()
+        code, _ = run_cli(capsys, "dual", "--cone",
+                          '{"dim":2,"generators":[[1,0],[1,2]]}')
+        assert code == 0 and built == ["qtoric dual"]
 
 
 class TestExitCodes:

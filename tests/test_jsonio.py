@@ -22,12 +22,17 @@ from qtoric.toric_ideal import BinomialIdeal
 
 class TestIntEncoding:
     def test_small_ints_stay_numbers(self):
-        assert jsonio.encode_int(42) == 42
-        assert jsonio.encode_int(-(2 ** 53)) == -(2 ** 53)
+        cone = pos_hull([(2 ** 53, 1), (-(2 ** 53), 1)])
+        assert jsonio.cone_to_json(cone)["generators"] == [
+            [-(2 ** 53), 1], [2 ** 53, 1]]
 
     def test_big_ints_become_strings(self):
         big = 2 ** 60 + 1
-        assert jsonio.encode_int(big) == str(big)
+        cone = pos_hull([(2 ** 53 + 1, 1), (-(2 ** 53) - 1, 1)])
+        assert jsonio.cone_to_json(cone)["generators"] == [
+            [str(-(2 ** 53) - 1), 1], [str(2 ** 53 + 1), 1]]
+        doc = jsonio.cone_to_json(pos_hull([(big, 1), (1, 0)]))
+        assert doc["generators"] == [[1, 0], [str(big), 1]]
         assert jsonio.decode_int(str(big)) == big
 
     def test_booleans_rejected(self):

@@ -174,12 +174,13 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
     the rows of the tensor through its largest-magnitude amplitude; on a
     non-separable verdict the maximal violating minor is reported: the
     first largest as a float in ``segre_minors`` order, found by scanning
-    the rows of every flattening, and the only minor built as a
-    ``MinorSpec``.  An exact state is decided on its Gaussian integers over
-    one denominator: with P its peak amplitude and R_j the slot-j rows
-    through P, it is rank one exactly when T[i] P^(m-1) = prod_j R_j[i_j]
-    for every index i; otherwise its minors are scanned in exact integers,
-    and only the report builds rationals.  Scaling a state never changes
+    the nonzero columns of every flattening, and the only minor built as a
+    ``MinorSpec``.  Only the given amplitudes are read, never a dense
+    tensor.  An exact state is decided on its Gaussian integers over one
+    denominator: with P its peak amplitude and R_j the slot-j rows through
+    P, it is rank one exactly when T[i] P^(m-1) = prod_j R_j[i_j] for every
+    index i; otherwise its minors are scanned in exact integers, and only
+    the report builds rationals.  Scaling a state never changes
     the verdict, also for states beyond float range; their reported minor
     magnitudes are rounded to floats (infinite above the float range).
     """
@@ -188,17 +189,18 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
     # a state whose peak |a|^2 lies outside float range is decided on
     # state / 2^k, which has the same relative verdict, and scaled back
     if _is_exact(state):
-        flat, d = _dense(state, True)
-        k = _gaussian_shift(flat, d)
+        table, d = _gaussian(state)
+        k = _gaussian_shift(table, d)
         if k < 0:
-            flat = [(x << -k, y << -k) for x, y in flat]
-        r = _gaussian_verdict(state.shape, flat, d << max(k, 0), tol)
+            table = {i: (x << -k, y << -k) for i, (x, y) in table.items()}
+        r = _gaussian_verdict(state.shape, table, d << max(k, 0), tol)
     else:
         k = _float_range_shift(state)
         if k:
             state = PureState(state.shape, {i: _times_power_of_two(v, -k)
                                             for i, v in state.amplitudes.items()})
-        r = _float_verdict(state.shape, _dense(state, False)[0], tol)
+        r = _float_verdict(state.shape, {i: complex(v) for i, v in
+                                         state.amplitudes.items()}, tol)
     if k == 0:
         return r
     if r.witness is not None:
@@ -220,12 +222,12 @@ def _float_range_shift(state: PureState) -> int:
     return 0 if -510 <= e <= 510 else e
 
 
-def _gaussian_shift(flat, d) -> int:
+def _gaussian_shift(table, d) -> int:
     """0 when the peak |a|^2 = n / D^2 of Gaussian integers is a normal
     float whose double, the largest possible minor, is still finite, i.e.
     2^-1022 <= n / D^2 < 2^1023; else the k that brings the peak |a|^2 of
     state / 2^k near 1."""
-    n, d2 = max(x * x + y * y for x, y in flat), d * d
+    n, d2 = max(x * x + y * y for x, y in table.values()), d * d
     if d2 <= n << 1022 and n < d2 << 1023:
         return 0
     g = math.gcd(n, d2)
@@ -253,36 +255,38 @@ def _ldexp(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _float_verdict(shape, flat, tol) -> SeparabilityResult:
-    """The verdict on complex floats."""
-    peak, p = max((abs(v), o) for o, v in enumerate(flat))
+def _float_verdict(shape, table, tol) -> SeparabilityResult:
+    """The verdict on complex floats {index: value}."""
+    peak, p = max((abs(v), i) for i, v in table.items())
     if peak == 0:
         raise ValueError("state is zero")
-    top, where = _first_max(shape, flat, _float_abs, 0)
+    top, where = _first_max(shape, table, _float_abs, 0)
     if top <= tol * peak * peak:
-        rows = _rows(shape, flat, p)
+        rows = _rows(shape, table, p, 0)
         if len(rows) > 1:
-            scale = flat[p] ** (len(rows) - 1)
+            scale = table[p] ** (len(rows) - 1)
             rows[0] = [x / scale for x in rows[0]]
         return SeparabilityResult(True, top, ProductState(rows), None)
-    a, b, c, e = _corners(shape, flat, where)
+    minor = MinorSpec(*where)
+    a, b, c, e = _corners(table, minor, 0)
     value = complex(a * b - c * e)
-    return SeparabilityResult(False, abs(value), None, MinorSpec(*where), value)
+    return SeparabilityResult(False, abs(value), None, minor, value)
 
 
-def _gaussian_verdict(shape, flat, d, tol) -> SeparabilityResult:
-    """The verdict on Gaussian integers (x, y) standing for (x + iy) / d."""
+def _gaussian_verdict(shape, table, d, tol) -> SeparabilityResult:
+    """The verdict on Gaussian integers {index: (x, y)}, each nonzero and
+    standing for (x + iy) / d."""
     d2 = d * d
     # the peak of the witness: |a| rounded as sqrt(float(|a|^2)), the last
     # largest in index order
-    peak, p = max((math.sqrt((x * x + y * y) / d2), o)
-                  for o, (x, y) in enumerate(flat) if x or y)
-    rows, g = _rows(shape, flat, p), (1, 0)
+    peak, p = max((math.sqrt((x * x + y * y) / d2), i)
+                  for i, (x, y) in table.items())
+    rows, g = _rows(shape, table, p, (0, 0)), (1, 0)
     for _ in rows[1:]:
-        g = _gmul(g, flat[p])
-    rank_one = _rank_one(flat, rows, g)
+        g = _gmul(g, table[p])
+    rank_one = _rank_one(table, rows, g)
     top, where = (0.0, None) if rank_one else \
-        _first_max(shape, flat, _exact_abs(d2), (0, 0))
+        _first_max(shape, table, _exact_abs(d2), (0, 0))
     # at tol 0 the verdict is exact: a state that is not rank one has a
     # nonzero minor, even one too small for a float
     if rank_one or tol and top <= tol * peak * peak:
@@ -298,27 +302,23 @@ def _gaussian_verdict(shape, flat, d, tol) -> SeparabilityResult:
             for loc in locs), None)
     if top == 0:
         # every minor rounds to float 0: report the first exactly nonzero one
-        where = _first_max(shape, flat, _exact_nonzero, (0, 0))[1]
-    a, b, c, e = _corners(shape, flat, where)
+        where = _first_max(shape, table, _exact_nonzero, (0, 0))[1]
+    minor = MinorSpec(*where)
+    a, b, c, e = _corners(table, minor, (0, 0))
     (x, y), (u, v) = _gmul(a, b), _gmul(c, e)
     value = complex((x - u) / d2, (y - v) / d2)
-    return SeparabilityResult(False, abs(value), None, MinorSpec(*where), value)
+    return SeparabilityResult(False, abs(value), None, minor, value)
 
 
-def _rows(shape, flat, p) -> list[list]:
-    """The slot-j rows R_j of the flat tensor through offset p, j < m."""
-    strides, at = _strides(shape), _unravel(p, shape)
-    return [[flat[p + (i - at[j]) * strides[j]] for i in range(n)]
+def _rows(shape, table, p, zero) -> list[list]:
+    """The slot-j rows R_j of the table through index p, j < m."""
+    return [[table.get(p[:j] + (i,) + p[j + 1:], zero) for i in range(n)]
             for j, n in enumerate(shape)]
 
 
-def _corners(shape, flat, where):
-    """T[k], T[l], T[k2], T[l2] of the minor where = (mode, k, l)."""
-    strides = _strides(shape)
-    mode, k, l = where
-    o, o2 = (sum(i * s for i, s in zip(idx, strides)) for idx in (k, l))
-    swap = (l[mode] - k[mode]) * strides[mode]
-    return flat[o], flat[o2], flat[o + swap], flat[o2 - swap]
+def _corners(table, minor, zero):
+    """T[k], T[l], T[k2], T[l2] of the minor."""
+    return [table.get(i, zero) for i in (minor.k, minor.l) + minor.swapped()]
 
 
 def _gmul(u, v):
@@ -326,19 +326,24 @@ def _gmul(u, v):
     return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
 
 
-def _rank_one(flat, rows, g) -> bool:
-    """T[i] g == prod_j R_j[i_j] for every row-major index i, where g =
-    P^(m-1) and the rows R_j run through the entry P != 0.
+def _rank_one(table, rows, g) -> bool:
+    """T[i] g == prod_j R_j[i_j] for every index i, where g = P^(m-1) and
+    the rows R_j run through the entry P != 0.
 
     A rank-one T = v_1 x ... x v_m has R_j[a] = v_j[a] P / v_j[p_j], so its
     row products are T[i] P^m / P; conversely the identity writes T as the
     product of the rows, the first divided by g.  Both sides have degree m,
-    so a common denominator cancels.
+    so a common denominator cancels.  The products are nonzero exactly on
+    the product of the rows' supports, so that product must have as many
+    indices as T has entries, and the identity is checked on it alone.
     """
-    prods = [(1, 0)]
-    for row in rows:
-        prods = [_gmul(u, v) for u in prods for v in row]
-    return all(_gmul(t, g) == u for t, u in zip(flat, prods))
+    supports = [[a for a, v in enumerate(row) if v != (0, 0)] for row in rows]
+    if math.prod(map(len, supports)) != len(table):
+        return False
+    prods = [((), (1, 0))]
+    for row, support in zip(rows, supports):
+        prods = [(i + (a,), _gmul(u, row[a])) for i, u in prods for a in support]
+    return all(_gmul(table.get(i, (0, 0)), g) == u for i, u in prods)
 
 
 def _strides(shape) -> list[int]:
@@ -349,48 +354,29 @@ def _strides(shape) -> list[int]:
     return strides
 
 
-def _dense(state: PureState, gaussian: bool):
-    """The amplitudes as a row-major flat list, and their denominator D.
-
-    Gaussian: integer pairs (x, y) standing for (x + iy) / D, with D the lcm
-    of every part's denominator; a float part is a dyadic rational, so a
-    floating state is read exactly this way too.  Otherwise a list of
-    complex, D None.  A missing entry is (0, 0), or the int 0.
+def _gaussian(state: PureState):
+    """The amplitudes as Gaussian integers {index: (x, y)} standing for
+    (x + iy) / D, and D: the lcm of every part's denominator.  A float part
+    is a dyadic rational, so a floating state is read exactly this way too.
     """
-    strides = _strides(state.shape)
-    flat = [(0, 0) if gaussian else 0] * (strides[0] * state.shape[0])
-    offsets = [sum(i * s for i, s in zip(idx, strides))
-               for idx in state.amplitudes]
-    if not gaussian:
-        for o, v in zip(offsets, state.amplitudes.values()):
-            flat[o] = complex(v)
-        return flat, None
     parts = [((v.re, v.im) if isinstance(v, ComplexRational)
               else (v.real, v.imag)) for v in state.amplitudes.values()]
     ratios = [(p.as_integer_ratio(), q.as_integer_ratio()) for p, q in parts]
     d = math.lcm(*(den for pair in ratios for _, den in pair))
-    for o, ((x, dx), (y, dy)) in zip(offsets, ratios):
-        flat[o] = (x * (d // dx), y * (d // dy))
-    return flat, d
+    return {i: (x * (d // dx), y * (d // dy)) for i, ((x, dx), (y, dy))
+            in zip(state.amplitudes, ratios)}, d
 
 
-def _flattening(shape, strides, j) -> list[list[int]]:
-    """Rows of the mode-j flattening as flat offsets: row a holds the
-    offsets with slot j equal to a, their complements in lexicographic order."""
-    stride, n = strides[j], shape[j]
-    bases = [o for o in range(strides[0] * shape[0]) if o // stride % n == 0]
-    return [[o + a * stride for o in bases] for a in range(n)]
+def _columns(table, j, n, zero) -> dict:
+    """The mode-j flattening by its nonzero columns: each complement (an
+    index with slot j removed) maps to its n entries, ``zero`` if missing."""
+    cols = {}
+    for i, v in table.items():
+        cols.setdefault(i[:j] + i[j + 1:], [zero] * n)[i[j]] = v
+    return cols
 
 
-def _unravel(offset, shape) -> tuple[int, ...]:
-    idx = []
-    for n in reversed(shape):
-        offset, i = divmod(offset, n)
-        idx.append(i)
-    return tuple(reversed(idx))
-
-
-def _first_max(shape, flat, values, zero):
+def _first_max(shape, table, values, zero):
     """The first largest minor key and its (mode, k, l), or (0.0, None).
 
     Every mode j and local pair a < b takes rows ra, rb of the mode-j
@@ -399,26 +385,24 @@ def _first_max(shape, flat, values, zero):
     minors in their order, plus the ones ``segre_minors`` skips under mode j
     as already listed under an earlier mode s; such a duplicate has the same
     two products, so its key equals the earlier one and, under strict >,
-    never replaces it.  A column equal to ``zero`` in both rows is dropped
-    first: its minors vanish, so a sparse state costs O(nnz^2) per pair.
+    never replaces it.  Only the columns nonzero in row a or row b are
+    walked, in complement order: the minors of the others vanish, so a
+    sparse state costs O(nnz^2) per pair.
     """
-    strides = _strides(shape)
     best, where = 0.0, None
-    for j in range(len(shape)):
-        offsets = _flattening(shape, strides, j)
-        rows = [[flat[o] for o in row] for row in offsets]
-        for a, b in combinations(range(shape[j]), 2):
-            cols = [c for c, (u, v) in enumerate(zip(rows[a], rows[b]))
-                    if u != zero or v != zero]
-            ra, rb = [rows[a][c] for c in cols], [rows[b][c] for c in cols]
-            for i in range(len(cols) - 1):
+    for j, n in enumerate(shape):
+        columns = sorted(_columns(table, j, n, zero).items())
+        for a, b in combinations(range(n), 2):
+            kept = [(c, col[a], col[b]) for c, col in columns
+                    if col[a] != zero or col[b] != zero]
+            ra, rb = [u for _, u, _ in kept], [v for _, _, v in kept]
+            for i in range(len(kept) - 1):
                 keys = values(ra[i], rb[i], ra[i + 1:], rb[i + 1:])
                 top = max(keys)
                 if where is None or top > best:
-                    i2 = i + 1 + keys.index(top)
+                    c, c2 = kept[i][0], kept[i + 1 + keys.index(top)][0]
                     best = top
-                    where = (j, _unravel(offsets[a][cols[i]], shape),
-                             _unravel(offsets[b][cols[i2]], shape))
+                    where = (j, c[:j] + (a,) + c[j:], c2[:j] + (b,) + c2[j:])
     return best, where
 
 
@@ -454,56 +438,68 @@ def concurrence(state: PureState, weights=None) -> float:
     are), rounded once.  Custom weights must be finite and nonnegative and
     are summed in floating point minor by minor.
     """
-    flat, d = _dense(state, True)
+    table, d = _gaussian(state)
     # in integers, so that no part of an exact state need fit a float
-    if abs(sum(x * x + y * y for x, y in flat) - d * d) * 10 ** 9 > d * d:
+    norm2, d2 = sum(x * x + y * y for x, y in table.values()), d * d
+    if abs(norm2 - d2) * 10 ** 9 > d2:
         raise ValueError("state is not normalized: "
                          f"sum |amp|^2 = {state.norm_squared()}")
     if weights is None:
-        return _sqrt_ratio(4 * _minor_norm2(state.shape, flat), d ** 4)
-    minors = segre_minors(state.shape)
-    if len(weights) != len(minors):
-        raise ValueError(f"expected {len(minors)} weights, got {len(weights)}")
+        return _sqrt_ratio(4 * _minor_norm2(state.shape, table), d ** 4)
+    # counted before the minors are listed, which may be exponentially many
+    count = _minor_count(state.shape)
+    if len(weights) != count:
+        raise ValueError(f"expected {count} weights, got {len(weights)}")
     if not all(0 <= w < math.inf for w in weights):
         raise ValueError("weights must be finite and nonnegative")
     total = 0.0
-    for w, minor in zip(weights, minors):
+    for w, minor in zip(weights, segre_minors(state.shape)):
         total += w * abs(complex(minor_value(state, minor))) ** 2
     return 2.0 * math.sqrt(total)
 
 
-def _minor_norm2(shape, flat) -> int:
+def _minor_count(shape) -> int:
+    """len(segre_minors(shape)): C(n, 2) C(N / n, 2) minors of each mode of
+    dimension n, N = prod(shape), less the C(n_s, 2) C(n_j, 2) N / (n_s n_j)
+    minors of the (s, j) slices, which two modes share."""
+    size = math.prod(shape)
+    return sum(math.comb(n, 2) * math.comb(size // n, 2) for n in shape) - \
+        sum(math.comb(a, 2) * math.comb(b, 2) * size // (a * b)
+            for a, b in combinations(shape, 2))
+
+
+def _minor_norm2(shape, table) -> int:
     """Sum of |minor|^2 over the canonical minors of Gaussian integers.
 
     By Cauchy-Binet the 2x2 minors of a matrix M have squared norms summing
-    to e2(M M^H) = sum_{a<b} G_aa G_bb - |G_ab|^2.  Summed over the
-    flattenings this counts twice each minor of two modes s < j, i.e. each
-    2x2 minor of an (s, j) slice with the other slots fixed; those are
-    subtracted once.
+    to e2(M M^H) = sum_{a<b} G_aa G_bb - |G_ab|^2, a sum over the nonzero
+    columns of M.  Summed over the flattenings this counts twice each minor
+    of two modes s < j, i.e. each 2x2 minor of an (s, j) slice with the
+    other slots fixed: of two mode-s columns whose complements differ in
+    slot j only.  Those are subtracted once.
     """
-    strides = _strides(shape)
-    flattenings = [_flattening(shape, strides, j) for j in range(len(shape))]
     total = 0
-    for offsets in flattenings:
-        rows = [[flat[o] for o in row] for row in offsets]
+    for s, n in enumerate(shape):
+        cols = _columns(table, s, n, (0, 0))
+        rows = list(zip(*cols.values()))
         norms = [sum(x * x + y * y for x, y in row) for row in rows]
-        for a, b in combinations(range(len(rows)), 2):
-            pairs = list(zip(rows[a], rows[b]))
-            re = sum(xa * xb + ya * yb for (xa, ya), (xb, yb) in pairs)
-            im = sum(ya * xb - xa * yb for (xa, ya), (xb, yb) in pairs)
+        # the column pairs p, q of every (s, j + 1) slice: the complement
+        # of q is that of p with slot j larger by dv
+        pairs = [(p, q) for j in range(s, len(shape) - 1)
+                 for dv in range(1, shape[j + 1]) for c, p in cols.items()
+                 if c[j] + dv < shape[j + 1]
+                 and (q := cols.get(c[:j] + (c[j] + dv,) + c[j + 1:]))]
+        for a, b in combinations(range(n), 2):
+            ab = list(zip(rows[a], rows[b]))
+            re = sum(xa * xb + ya * yb for (xa, ya), (xb, yb) in ab)
+            im = sum(ya * xb - xa * yb for (xa, ya), (xb, yb) in ab)
             total += norms[a] * norms[b] - re * re - im * im
-    for s, j in combinations(range(len(shape)), 2):
-        rest = [o for o in flattenings[j][0] if o // strides[s] % shape[s] == 0]
-        for u, u2 in combinations(range(shape[s]), 2):
-            for v, v2 in combinations(range(shape[j]), 2):
-                # the minor S[u][v] S[u2][v2] - S[u][v2] S[u2][v] of every slice
-                corners = [[flat[o + p * strides[s] + q * strides[j]]
-                            for o in rest]
-                           for p, q in ((u, v), (u2, v2), (u, v2), (u2, v))]
-                total -= sum(
-                    (ax * bx - ay * by - cx * dx + cy * dy) ** 2
-                    + (ax * by + ay * bx - cx * dy - cy * dx) ** 2
-                    for (ax, ay), (bx, by), (cx, cy), (dx, dy) in zip(*corners))
+            # the slice minor p[a] q[b] - q[a] p[b] of columns p, q
+            total -= sum(
+                (ax * bx - ay * by - cx * dx + cy * dy) ** 2
+                + (ax * by + ay * bx - cx * dy - cy * dx) ** 2
+                for (ax, ay), (bx, by), (cx, cy), (dx, dy) in
+                ((p[a], q[b], q[a], p[b]) for p, q in pairs))
     return total
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -108,6 +109,7 @@ class TestSegreMinors:
             got = {m.key() for m in segre_minors(shape)}
             assert len(got) == len(segre_minors(shape))
             assert got == _brute_force_minor_keys(shape)
+            assert segre._minor_count(shape) == len(segre_minors(shape))
 
     def test_no_identically_zero_minors(self, rng):
         for shape in [(2, 2), (2, 2, 2), (2, 3)]:
@@ -279,6 +281,14 @@ class TestConcurrence:
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="weights"):
                 concurrence(ghz(), [bad] + [1.0] * (len(minors) - 1))
+
+    def test_weight_count_checked_before_listing(self, monkeypatch):
+        # 40 qubits have about 10^26 minors: listing them never ends
+        def boom(shape):
+            raise AssertionError("minors listed before the weight count")
+        monkeypatch.setattr(segre, "minor_blocks", boom)
+        with pytest.raises(ValueError, match=r"expected \d+ weights, got 1"):
+            concurrence(star(40, ComplexRational(Fraction(1, 2))), [1.0])
 
     def test_unnormalized_rejected(self):
         st = PureState((2, 2), {(0, 0): 1.0, (1, 1): 1.0})
@@ -616,6 +626,70 @@ class TestFastPaths:
                    lambda st: st.norm_squared() > 1e-300).map(normalized))))
     def test_concurrence_is_rounded_exact_sum(self, st):
         assert_nearest_root(concurrence(st), 4 * oracles.minor_norm2(st))
+
+
+def star(m, value):
+    """S_m: the value on |0...0>, |1...1>, |0...01> and |1...10>."""
+    return PureState((2,) * m, {idx: value for idx in (
+        (0,) * m, (1,) * m, (0,) * (m - 1) + (1,), (1,) * (m - 1) + (0,))})
+
+
+def padded(state, k):
+    """The state tensored with |0> on k more qubits."""
+    return PureState(state.shape + (2,) * k,
+                     {idx + (0,) * k: v for idx, v in state.amplitudes.items()})
+
+
+class TestSparseScale:
+    """The Segre layer reads the nonzero amplitudes only: a sparse state on
+    40 qubits costs what it costs on a few."""
+
+    @given(shapes.flatmap(sparse_states), hs.sampled_from([1, 5, 36]))
+    def test_padding_with_zero_qubits_changes_nothing(self, st, k):
+        big = padded(st, k)
+        small, large = is_separable(st), is_separable(big)
+        assert (large.separable, large.max_violation, large.worst_value) == \
+            (small.separable, small.max_violation, small.worst_value)
+        if not small.separable:
+            w, v = small.worst_minor, large.worst_minor
+            assert (v.mode, v.k, v.l) == (w.mode, w.k + (0,) * k,
+                                          w.l + (0,) * k)
+        if st.norm_squared() > 1e-300:
+            unit = normalized(st)
+            assert concurrence(padded(unit, k)) == concurrence(unit)
+
+    @pytest.mark.parametrize("half", [ComplexRational(Fraction(1, 2)), 0.5],
+                             ids=["exact", "float"])
+    def test_forty_qubit_star_closed_forms(self, half):
+        st = star(40, half)
+        tracemalloc.start()
+        try:
+            verdict = is_separable(st)
+            c = concurrence(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every nonzero minor is (1/2)^2; 156 of them give 4 * 156 / 16 = 39
+        assert not verdict.separable and verdict.max_violation == 0.25
+        worst = verdict.worst_minor
+        assert (worst.mode, worst.k, worst.l) == \
+            (0, (0,) * 40, (1,) * 39 + (0,))
+        assert c == math.sqrt(39)
+        assert peak < 2 ** 20
+
+    def test_forty_qubit_ghz(self):
+        st = PureState((2,) * 40, {(0,) * 40: SQ2, (1,) * 40: SQ2})
+        tracemalloc.start()
+        try:
+            verdict = is_separable(st)
+            c = concurrence(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not verdict.separable
+        assert abs(verdict.max_violation - 0.5) < 1e-12
+        assert abs(c - math.sqrt(40)) < 1e-12
+        assert peak < 2 ** 20
 
 
 class TestSqrtRatio:

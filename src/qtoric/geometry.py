@@ -25,8 +25,8 @@ from itertools import combinations
 from math import gcd
 from operator import and_
 
-from .linalg import (det_adj, dot, hermite_basis, left_kernel_basis,
-                     pivot_columns, primitive, rank_int)
+from .linalg import (det_adj, dot, orthogonal_lattice, pivot_columns,
+                     primitive, rank_int)
 
 
 @dataclass(frozen=True)
@@ -267,9 +267,7 @@ def _dd_rays(dim, constraints):
     """
     rays = _adjacency_dd(dim, constraints)
     if rays is None:
-        # the transpose, with dim rows even when there are no constraints
-        lines = hermite_basis(left_kernel_basis(
-            [[h[j] for h in constraints] for j in range(dim)]))
+        lines = orthogonal_lattice(constraints, dim)
         lines += [tuple(-x for x in b) for b in lines]
         every = (1 << len(constraints)) - 1
         rays = [(r, z & every)

@@ -1,8 +1,8 @@
 """Exact integer linear algebra underpinning the geometry layer.
 
 Field eliminations (determinant, adjugate, rank, pivot columns) share one
-fraction-free pivot step on Python ints; lattice kernels and Hermite bases
-use the unimodular row echelon instead.
+fraction-free Bareiss loop on Python ints; lattice kernels, Hermite bases and
+orthogonal lattices share one unimodular row echelon instead.
 """
 
 from __future__ import annotations
@@ -37,62 +37,59 @@ def _xgcd(a: int, b: int):
     return g, x, y
 
 
-def integer_row_echelon(rows):
-    """Row echelon form of an integer matrix via unimodular row operations.
-
-    Returns (echelon, transform) where transform @ rows == echelon and
-    transform is unimodular.
+def integer_row_echelon(rows, n):
+    """Make the first n columns of integer rows echelon, with positive pivots,
+    in place by unimodular row operations; later columns are carried along,
+    so on [M | I] the right block ends as a unimodular U with U M echelon.
     """
-    m = [list(r) for r in rows]
-    k = len(m)
-    n = len(m[0]) if k else 0
-    u = [[int(i == j) for j in range(k)] for i in range(k)]
-    cur = 0
+    cur, k = 0, len(rows)
     for col in range(n):
-        piv = next((i for i in range(cur, k) if m[i][col] != 0), None)
+        piv = next((i for i in range(cur, k) if rows[i][col] != 0), None)
         if piv is None:
             continue
-        if piv != cur:
-            m[cur], m[piv] = m[piv], m[cur]
-            u[cur], u[piv] = u[piv], u[cur]
+        rows[cur], rows[piv] = rows[piv], rows[cur]
         for i in range(cur + 1, k):
-            if m[i][col] == 0:
+            if rows[i][col] == 0:
                 continue
-            a, b = m[cur][col], m[i][col]
+            a, b = rows[cur][col], rows[i][col]
             g, s, t = _xgcd(a, b)
             ac, bc = a // g, b // g
-            m[cur], m[i] = (
-                [s * x + t * y for x, y in zip(m[cur], m[i])],
-                [-bc * x + ac * y for x, y in zip(m[cur], m[i])],
+            rows[cur], rows[i] = (
+                [s * x + t * y for x, y in zip(rows[cur], rows[i])],
+                [-bc * x + ac * y for x, y in zip(rows[cur], rows[i])],
             )
-            u[cur], u[i] = (
-                [s * x + t * y for x, y in zip(u[cur], u[i])],
-                [-bc * x + ac * y for x, y in zip(u[cur], u[i])],
-            )
-        if m[cur][col] < 0:
-            m[cur] = [-x for x in m[cur]]
-            u[cur] = [-x for x in u[cur]]
+        if rows[cur][col] < 0:
+            rows[cur] = [-x for x in rows[cur]]
         cur += 1
-        if cur == k:
-            break
-    return m, u
 
 
-def _pivot(rows, r, c, d):
-    """One fraction-free Gauss-Jordan step (Bareiss) on integer rows, in place.
+def _eliminate(rows, n):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the first n
+    columns of integer rows, in place.
 
-    Clears column c from every row but r with the pivot rows[r][c]; d is the
-    previous pivot (1 before the first step) and divides every entry exactly.
-    Afterwards each row is the row a field elimination would give times the
-    returned new pivot.
+    A pivot p clears its column from every other row y by (x p - f y) / d,
+    with x the pivot row, f the entry of y in the column and d the previous
+    pivot (1 at first), which divides every x p - f y exactly.  Each row ends
+    as the row a field elimination gives times the last pivot.  Returns
+    (pivot columns, last pivot, sign of the row swaps).
     """
-    p = rows[r]
-    pc = p[c]
-    for i, row in enumerate(rows):
-        if i != r:
-            f = row[c]
-            rows[i] = [(x * pc - f * y) // d for x, y in zip(row, p)]
-    return pc
+    cols, d, sign = [], 1, 1
+    for c in range(n):
+        r = len(cols)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        p = rows[r]
+        prev, d = d, p[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(x * d - f * y) // prev for x, y in zip(row, p)]
+        cols.append(c)
+    return cols, d, sign
 
 
 def pivot_columns(rows) -> list[int]:
@@ -102,18 +99,7 @@ def pivot_columns(rows) -> list[int]:
     a pivot column exactly when it is not in the span of the columns before.
     """
     rows = [list(r) for r in rows]
-    cols, d = [], 1
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(cols)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        d = _pivot(rows, r, c, d)
-        cols.append(c)
-        if len(cols) == len(rows):
-            break
-    return cols
+    return _eliminate(rows, len(rows[0]) if rows else 0)[0]
 
 
 def rank_int(rows) -> int:
@@ -124,20 +110,20 @@ def rank_int(rows) -> int:
 def left_kernel_basis(rows):
     """Z-basis of {v : sum_i v_i * rows[i] == 0}, each vector primitive.
 
-    The result is a basis of the full integer kernel lattice (rows of a
-    unimodular transform hitting zero echelon rows), sign-normalised so the
-    first nonzero entry is positive, sorted.
+    The result is a basis of the full integer kernel lattice (the right
+    blocks of the rows of echelon [rows | I] whose left block is zero),
+    sign-normalised so the first nonzero entry is positive, sorted.
     """
-    if not rows:
-        return []
-    ech, u = integer_row_echelon(rows)
+    n = len(rows[0]) if rows else 0
+    m = [list(r) + [int(i == j) for j in range(len(rows))]
+         for i, r in enumerate(rows)]
+    integer_row_echelon(m, n)
     basis = []
-    for i, row in enumerate(ech):
-        if any(x != 0 for x in row):
+    for row in m:
+        if any(row[:n]):
             continue
-        v = u[i]
-        lead = next((x for x in v if x != 0), 0)
-        if lead < 0:
+        v = row[n:]
+        if next(x for x in v if x) < 0:
             v = [-x for x in v]
         basis.append(tuple(v))
     return sorted(basis)
@@ -150,13 +136,22 @@ def hermite_basis(rows):
     pivots are positive, into [0, pivot); the nonzero rows are then the one
     basis of the lattice in that form.
     """
-    basis = [row for row in integer_row_echelon(rows)[0] if any(row)]
+    basis = [list(r) for r in rows]
+    integer_row_echelon(basis, len(basis[0]) if basis else 0)
+    basis = [row for row in basis if any(row)]
     for i, row in enumerate(basis):
         c = next(j for j, x in enumerate(row) if x)
         for k in range(i):
             q = basis[k][c] // row[c]
             basis[k] = [x - q * y for x, y in zip(basis[k], row)]
     return [tuple(row) for row in basis]
+
+
+def orthogonal_lattice(vectors, dim):
+    """The Hermite basis of {y in Z^dim : v . y == 0 for every v}: the left
+    kernel of the transpose, dim rows even when there are no vectors."""
+    return hermite_basis(left_kernel_basis(
+        [[v[j] for v in vectors] for j in range(dim)]))
 
 
 def det_adj(mat):
@@ -170,14 +165,7 @@ def det_adj(mat):
     n = len(mat)
     rows = [list(row) + [int(i == j) for j in range(n)]
             for i, row in enumerate(mat)]
-    sign, d = 1, 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return 0, None
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        d = _pivot(rows, c, c, d)
+    cols, d, sign = _eliminate(rows, n)
+    if len(cols) < n:
+        return 0, None
     return sign * d, [[sign * x for x in row[n:]] for row in rows]
-

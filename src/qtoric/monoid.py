@@ -7,7 +7,7 @@ from itertools import combinations, product
 from operator import mul
 
 from .geometry import Cone, is_strongly_convex, pos_hull
-from .linalg import (det_adj, dot, hermite_basis, left_kernel_basis,
+from .linalg import (det_adj, dot, hermite_basis, orthogonal_lattice,
                      pivot_columns)
 
 
@@ -103,12 +103,10 @@ def monoid_contains(g: MonoidGenerators, x) -> bool:
 def _saturation(vectors, dim):
     """The Hermite basis of Z^dim intersect span(vectors).
 
-    It is the integer kernel of an integer basis of the orthogonal
-    complement; for vectors of rank dim it is the identity.
+    It is the lattice orthogonal to the lattice orthogonal to the vectors;
+    for vectors of rank dim it is the identity.
     """
-    normals = left_kernel_basis([[v[j] for v in vectors] for j in range(dim)])
-    return hermite_basis(left_kernel_basis([[h[j] for h in normals]
-                                            for j in range(dim)]))
+    return orthogonal_lattice(orthogonal_lattice(vectors, dim), dim)
 
 
 def _parallelepiped_points(basis, lattice):

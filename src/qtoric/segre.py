@@ -214,12 +214,16 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
 
 
 def _float_range_shift(state: PureState) -> int:
-    """0, or for a float state whose largest part lies outside [2^-511,
-    2^510) the k that brings the largest part of state / 2^k near 1."""
-    # the largest part c = f 2^e, 1/2 <= f < 1, has c^2 <= peak^2 < 2 c^2
+    """0 for a float state inside the window below, else the k that brings
+    the largest part of state / 2^k near 1.  The largest part c = f 2^e,
+    1/2 <= f < 1, bounds the peak P by 2^(e-1) <= |P| < 2^(e+1); the window
+    keeps |P|^2 and the witness scale P^(m-1) of m parties normal floats:
+    -510 <= e <= 510, (e - 1)(m - 1) >= -1022, (e + 1)(m - 1) <= 1023."""
     e = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in
                        map(complex, state.amplitudes.values())))[1]
-    return 0 if -510 <= e <= 510 else e
+    m = len(state.shape)
+    return 0 if -510 <= e <= 510 and (e - 1) * (m - 1) >= -1022 and \
+        (e + 1) * (m - 1) <= 1023 else e
 
 
 def _gaussian_shift(table, d) -> int:
@@ -452,9 +456,20 @@ def concurrence(state: PureState, weights=None) -> float:
         raise ValueError(f"expected {count} weights, got {len(weights)}")
     if not all(0 <= w < math.inf for w in weights):
         raise ValueError("weights must be finite and nonnegative")
-    total = 0.0
-    for w, minor in zip(weights, segre_minors(state.shape)):
-        total += w * abs(complex(minor_value(state, minor))) ** 2
+    # minor (mode, ks[i], ls[j]) is T[ks[i]] T[ls[j]] - T[ls[i]] T[ks[j]]
+    if _is_exact(state):
+        values, zero = _exact_abs(d * d), (0, 0)
+    else:
+        values, zero = _float_abs, 0j
+        table = {i: complex(v) for i, v in state.amplitudes.items()}
+    total, weights = 0.0, iter(weights)
+    for _, ks, ls, partners in minor_blocks(state.shape):
+        t = [table.get(idx, zero) for idx in ks]
+        u = [table.get(idx, zero) for idx in ls]
+        for i, js in enumerate(partners):
+            vs = values(t[i], u[i], [t[j] for j in js], [u[j] for j in js])
+            for v, w in zip(vs, weights):
+                total += w * v ** 2
     return 2.0 * math.sqrt(total)
 
 

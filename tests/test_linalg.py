@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from qtoric.linalg import det_adj, hermite_basis, pivot_columns, rank_int
+from qtoric.linalg import (det_adj, hermite_basis, left_kernel_basis,
+                           orthogonal_lattice, pivot_columns, rank_int)
 
 BIG = 10**30
 entries = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
@@ -60,6 +61,21 @@ class TestDetAdj:
     def test_empty_and_unit(self):
         assert det_adj([]) == (1, [])
         assert det_adj([[-7]]) == (-7, [[1]])
+
+    def test_row_swaps_flip_the_sign(self):
+        # columns 0 and 1 each take their pivot from a later row
+        m = [[0, 2, 1], [0, 0, 5], [3, 0, 0]]
+        det, adj = det_adj(m)
+        assert det == oracles.frac_det(m) == 30
+        assert matmul(adj, m, 3) == [[30 * int(i == j) for j in range(3)]
+                                     for i in range(3)]
+        assert det_adj([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+
+    def test_singular_only_after_a_swap(self):
+        # column 0 pivots after a swap; column 2 then has no pivot left
+        assert det_adj([[0, 1, 2], [1, 0, 0], [0, 2, 4]]) == (0, None)
+        # column 0 has no pivot at all, and later columns still do
+        assert det_adj([[0, 1, 0], [0, 0, 1], [0, 1, 1]]) == (0, None)
 
 
 class TestRank:
@@ -115,3 +131,43 @@ class TestHermiteBasis:
             [(2, 3, 1), (0, 4, 2)]
         assert hermite_basis([[0, 3], [1, 5]]) == [(1, 2), (0, 3)]
         assert hermite_basis([[0, 0]]) == []
+
+
+def kernel_cases():
+    """(rows, dim): no rows, zero rows, rank-deficient rows, rows of
+    length 0 (dim = 0) and random rows."""
+    return st.integers(0, 5).flatmap(lambda dim: st.tuples(st.one_of(
+        st.just([]),
+        st.integers(1, 3).map(lambda r: [[0] * dim for _ in range(r)]),
+        st.tuples(st.integers(1, 4), st.integers(1, 2)).flatmap(
+            lambda s: st.tuples(matrices(s[0], s[1]), matrices(s[1], dim)))
+        .map(lambda f: matmul(f[0], f[1], dim)),
+        st.integers(1, 4).flatmap(lambda r: matrices(r, dim))), st.just(dim)))
+
+
+class TestLatticeKernels:
+    @given(kernel_cases())
+    def test_orthogonal_lattice_is_the_hermite_kernel_basis(self, case):
+        rows, dim = case
+        assert oracles.is_hermite_kernel_basis(orthogonal_lattice(rows, dim),
+                                               rows, dim)
+
+    def test_orthogonal_lattice_of_no_vectors(self):
+        # the transpose still has dim rows
+        assert orthogonal_lattice([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert orthogonal_lattice([], 0) == []
+
+    @given(kernel_cases())
+    def test_left_kernel_basis_is_a_saturated_kernel_basis(self, case):
+        rows, dim = case
+        k = len(rows)
+        basis = left_kernel_basis(rows)
+        assert len(basis) == k - oracles.frac_rank(rows)
+        for v in basis:
+            assert len(v) == k
+            assert all(sum(x * row[j] for x, row in zip(v, rows)) == 0
+                       for j in range(dim))
+            assert next(x for x in v if x) > 0
+        assert basis == sorted(basis)
+        # maximal minors with gcd 1: the whole kernel lattice, not a sublattice
+        assert oracles.minors_gcd(basis, len(basis), k) == 1

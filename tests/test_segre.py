@@ -8,7 +8,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hs
 
 import oracles
@@ -240,6 +240,20 @@ class TestSeparability:
         for idx, v in st.amplitudes.items():
             assert abs(complex(rebuilt.amplitude(idx)) - v) <= 1e-12 * abs(v)
 
+    @pytest.mark.parametrize(
+        "m, value", [(4, 1e-120), (40, 1e-10), (5, 1e100)],
+        ids=["4q-1e-120", "40q-1e-10", "5q-1e100"])
+    def test_float_witness_scale_beyond_float_range(self, m, value):
+        # the peak amplitude P is in range, but the P^(m-1) the witness
+        # divides by underflows or overflows unless the state is shifted
+        verdict = is_separable(PureState((2,) * m, {(0,) * m: value}))
+        assert verdict.separable and verdict.max_violation == 0.0
+        # entry by entry: segre_map of 40 parties enumerates 2^40 prefixes
+        locs = verdict.witness.locals
+        assert all(v[1] == 0 for v in locs)
+        rebuilt = math.prod(complex(v[0]) for v in locs)
+        assert abs(rebuilt - value) <= 1e-15 * value
+
     def test_zero_state_unconstructible(self):
         with pytest.raises(ValueError, match="nonzero"):
             PureState((2, 2), {})
@@ -250,6 +264,19 @@ class TestSeparability:
         assert verdict.separable
         assert verdict.witness.locals == ((0.6, 0, 0.8),)
         assert abs(concurrence(st)) == 0.0
+
+
+def per_minor_concurrence(state, weights):
+    """The weighted concurrence minor by minor: one MinorSpec and one
+    minor_value call per canonical minor, in the library's number types."""
+    total = 0.0
+    for w, minor in zip(weights, segre_minors(state.shape)):
+        total += w * abs(complex(minor_value(state, minor))) ** 2
+    return 2.0 * math.sqrt(total)
+
+
+def refuse_per_minor(*args, **kwargs):
+    raise AssertionError("a minor was built or evaluated one by one")
 
 
 class TestConcurrence:
@@ -281,6 +308,37 @@ class TestConcurrence:
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="weights"):
                 concurrence(ghz(), [bad] + [1.0] * (len(minors) - 1))
+
+    @given(hs.sampled_from([(2, 2), (2, 2, 2), (3, 3), (2, 5), (2, 3, 4),
+                            (2, 2, 2, 3)]).flatmap(lambda shape: hs.one_of(
+               exact_unit_states(shape),
+               hs.one_of(float_states(shape), sparse_states(shape)).filter(
+                   lambda st: st.norm_squared() > 1e-300).map(normalized))),
+           hs.randoms(use_true_random=False))
+    def test_weighted_sum_matches_the_per_minor_loop(self, st, rng):
+        weights = [rng.choice((0.0, rng.random(), rng.randint(1, 9)))
+                   for _ in segre_minors(st.shape)]
+        expected = per_minor_concurrence(st, weights)
+        # no minor is built or evaluated one by one
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(segre.MinorSpec, "__init__", refuse_per_minor)
+            mp.setattr(segre, "minor_value", refuse_per_minor)
+            assert concurrence(st, weights) == expected
+
+    def test_weighted_mixed_state_reads_as_complex(self, rng):
+        # exact and float values in one library state: the per-minor loop
+        # raised TypeError multiplying a ComplexRational by a complex
+        amps = {(0, 0, 0): ComplexRational(Fraction(3, 10)),
+                (0, 1, 1): ComplexRational(0, Fraction(2, 5)),
+                (1, 0, 1): 0.3 + 0.4j, (1, 1, 0): Fraction(-1, 2),
+                (1, 1, 1): 0.5}
+        mixed = PureState((2, 2, 2), amps)
+        floating = PureState((2, 2, 2),
+                             {i: complex(v) for i, v in amps.items()})
+        weights = [rng.random() for _ in segre_minors((2, 2, 2))]
+        assert concurrence(mixed, weights) == concurrence(floating, weights) \
+            == per_minor_concurrence(floating, weights)
+        assert concurrence(mixed, weights) > 0
 
     def test_weight_count_checked_before_listing(self, monkeypatch):
         # 40 qubits have about 10^26 minors: listing them never ends
@@ -645,6 +703,7 @@ class TestSparseScale:
     40 qubits costs what it costs on a few."""
 
     @given(shapes.flatmap(sparse_states), hs.sampled_from([1, 5, 36]))
+    @example(PureState((2,) * 4, {(0,) * 4: 9.756096581360554e-139 + 0j}), 1)
     def test_padding_with_zero_qubits_changes_nothing(self, st, k):
         big = padded(st, k)
         small, large = is_separable(st), is_separable(big)

@@ -11,8 +11,8 @@ from .geometry import (Cone, Face, Fan, Polytope, dual_cone, faces,
                        validate_fan)
 from .monoid import (LaurentMonomial, MonoidGenerators, hilbert_basis,
                      monoid_contains, monoid_generators)
-from .qubit import (Chart, ChartAtlas, ParameterizationMap, Subvariety,
-                    chart_atlas, invariant_subvarieties, multiqubit_fan,
+from .qubit import (Chart, ChartAtlas, Subvariety, chart_atlas,
+                    invariant_subvarieties, multiqubit_fan,
                     multiqubit_polytope, parameterization,
                     parameterization_image, projective_space_fan,
                     verify_parameterization)
@@ -30,8 +30,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Binomial", "BinomialIdeal", "Chart", "ChartAtlas", "ComplexRational",
     "Cone", "Face", "Fan", "LaurentMonomial", "MinorSpec", "MonoidGenerators",
-    "MonomialMap", "PublishedGenerator", "ParameterizationMap", "Polytope",
-    "ProductState", "PureState", "SeparabilityResult", "Subvariety",
+    "MonomialMap", "PublishedGenerator", "Polytope", "ProductState",
+    "PureState", "SeparabilityResult", "Subvariety",
     "chart_atlas", "concurrence", "dual_cone", "evaluate_binomial", "faces",
     "fan_from_maximal", "hilbert_basis", "homogenize",
     "invariant_subvarieties", "is_separable", "is_simplicial",

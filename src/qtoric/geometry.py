@@ -63,9 +63,6 @@ class Cone:
         a zero set is the bitmask of the generators g with h . g == 0."""
         return _dd_rays(self.dim, self.generators)
 
-    def is_zero(self) -> bool:
-        return not self.generators
-
 
 @dataclass(frozen=True)
 class Polytope:

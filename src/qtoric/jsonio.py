@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .geometry import Cone, Fan, Polytope, make_fan, polytope_hull, pos_hull
 from .monoid import MonoidGenerators
-from .qubit import ChartAtlas, ParameterizationMap
-from .rationals import ComplexRational, rational_str
+from .qubit import ChartAtlas
+from .rationals import ComplexRational
 from .segre import MinorSpec, ProductState, PureState, minor_blocks
 from .toric_ideal import BinomialIdeal, MonomialMap
 
@@ -183,9 +183,9 @@ def segre_minors_dumps(shape) -> list[str]:
 
 def _amplitude_out(value) -> dict:
     if isinstance(value, ComplexRational):
-        return {"re": rational_str(value.re), "im": rational_str(value.im)}
+        return {"re": str(value.re), "im": str(value.im)}
     if isinstance(value, (int, Fraction)):
-        return {"re": rational_str(Fraction(value)), "im": "0"}
+        return {"re": str(Fraction(value)), "im": "0"}
     z = complex(value)
     return {"re": z.real, "im": z.imag}
 
@@ -261,8 +261,8 @@ def atlas_to_json(atlas: ChartAtlas) -> dict:
     }
 
 
-def parameterization_to_json(pm: ParameterizationMap) -> dict:
-    return {"m": pm.m, "exponents": [list(e) for e in pm.exponents]}
+def parameterization_to_json(exponents) -> dict:
+    return {"m": len(exponents[0]), "exponents": [list(e) for e in exponents]}
 
 
 def _rational_part_in(x) -> Fraction:

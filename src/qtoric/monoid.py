@@ -156,7 +156,7 @@ def hilbert_basis(c: Cone) -> MonoidGenerators:
     """
     w, halfspaces = _ambient_functional(
         c, "cone is not strongly convex; the minimal generating set is not unique")
-    if c.is_zero():
+    if not c.generators:
         return MonoidGenerators(c, ())
     lattice = _saturation(c.generators, c.dim)
     candidates = set(c.generators)
@@ -180,10 +180,6 @@ def _reachable(gens, target, functional) -> bool:
     cone via its halfspace description.  ``functional`` is (w, halfspaces) of
     a pointed cone containing gens, with w >= 1 on every generator.
     """
-    if all(x == 0 for x in target):
-        return True
-    if not gens:
-        return False
     w, halfspaces = functional
     seen_fail = set()
     stack = [(target, 0)]
@@ -191,8 +187,6 @@ def _reachable(gens, target, functional) -> bool:
         vec, idx = stack.pop()
         if all(x == 0 for x in vec):
             return True
-        if idx == 0 and vec in seen_fail:
-            continue
         advanced = False
         for j in range(idx, len(gens)):
             g = gens[j]

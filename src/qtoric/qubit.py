@@ -20,12 +20,15 @@ def projective_space_fan(n: int) -> Fan:
     return normal_fan(Polytope(n, tuple(vertices) + ((0,) * n,)))
 
 
-def multiqubit_polytope(m: int) -> Polytope:
-    """The cube with all 2^m sign vectors as vertices."""
+def _party_count(m: int) -> int:
     if not 1 <= m <= 10:
         raise ValueError("party count must be between 1 and 10")
-    vertices = tuple(sorted(product((-1, 1), repeat=m)))
-    return Polytope(m, vertices)
+    return m
+
+
+def multiqubit_polytope(m: int) -> Polytope:
+    """The cube with all 2^m sign vectors as vertices."""
+    return Polytope(m, tuple(sorted(product((-1, 1), repeat=_party_count(m)))))
 
 
 def multiqubit_fan(m: int) -> Fan:
@@ -157,37 +160,19 @@ def invariant_subvarieties(fan: Fan) -> tuple[Subvariety, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ParameterizationMap:
+def parameterization(m: int) -> tuple[tuple[int, ...], ...]:
     """The 2^m subset-product exponent vectors of {0,1}^m, lexicographic.
 
     Amplitude index (k_1,...,k_m) carries the monomial prod_j z_j^(k_j); the
     first exponent is the constant monomial, the last the full product.
     """
-
-    m: int
-    exponents: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        # parameterization_image reads only m; a wrong length is rejected
-        # before the 2^m subsets are built
-        if len(self.exponents) != 2 ** self.m or \
-                self.exponents != tuple(product((0, 1), repeat=self.m)):
-            raise ValueError("exponents must be all of {0,1}^m, lexicographic")
+    return tuple(product((0, 1), repeat=_party_count(m)))
 
 
-def parameterization(m: int) -> ParameterizationMap:
-    if not 1 <= m <= 10:
-        raise ValueError("party count must be between 1 and 10")
-    return ParameterizationMap(m, tuple(product((0, 1), repeat=m)))
-
-
-def parameterization_image(pm: ParameterizationMap, z_point) -> PureState:
-    """The amplitude tensor of the parameterization at a torus point."""
-    z = tuple(z_point)
-    if len(z) != pm.m:
-        raise ValueError("expected one coordinate per party")
-    return segre_map(ProductState([(1, zj) for zj in z]))
+def parameterization_image(z_point) -> PureState:
+    """The amplitude tensor of the parameterization at a torus point: the
+    Segre map of (1, z_j), one party per coordinate."""
+    return segre_map(ProductState([(1, zj) for zj in z_point]))
 
 
 def verify_parameterization(m: int, z_point) -> bool:
@@ -195,5 +180,6 @@ def verify_parameterization(m: int, z_point) -> bool:
     z = tuple(z_point)
     if any(not zj for zj in z):
         raise ValueError("all torus coordinates must be nonzero")
-    return is_separable(parameterization_image(parameterization(m), z),
-                        0).separable
+    if len(z) != _party_count(m):
+        raise ValueError("expected one coordinate per party")
+    return is_separable(parameterization_image(z), 0).separable

@@ -1,15 +1,10 @@
-"""Exact complex rational numbers and p/q string formatting."""
+"""Exact complex rational numbers."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-
-def rational_str(value: Fraction) -> str:
-    """Format a rational as "p/q" (just "p" when the denominator is 1)."""
-    return str(Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -20,8 +15,11 @@ class ComplexRational:
     im: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        # the JSON reader already makes Fractions: wrap only the other parts
+        if type(self.re) is not Fraction:
+            object.__setattr__(self, "re", Fraction(self.re))
+        if type(self.im) is not Fraction:
+            object.__setattr__(self, "im", Fraction(self.im))
 
     @staticmethod
     def _coerce(other):

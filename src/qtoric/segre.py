@@ -196,11 +196,12 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
         r = _gaussian_verdict(state.shape, table, d << max(k, 0), tol)
     else:
         k = _float_range_shift(state)
+        amps = state.amplitudes.items()
         if k:
-            state = PureState(state.shape, {i: _times_power_of_two(v, -k)
-                                            for i, v in state.amplitudes.items()})
-        r = _float_verdict(state.shape, {i: complex(v) for i, v in
-                                         state.amplitudes.items()}, tol)
+            amps = [(i, _times_power_of_two(v, -k)) for i, v in amps]
+        # as PureState does, drop the amplitudes the shift takes to zero
+        r = _float_verdict(state.shape, {i: complex(v) for i, v in amps if v},
+                           tol, k)
     if k == 0:
         return r
     if r.witness is not None:
@@ -259,22 +260,36 @@ def _ldexp(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _float_verdict(shape, table, tol) -> SeparabilityResult:
-    """The verdict on complex floats {index: value}."""
+def _float_verdict(shape, table, tol, k) -> SeparabilityResult:
+    """The verdict on complex floats {index: value}, a state shifted by 2^-k."""
     peak, p = max((abs(v), i) for i, v in table.items())
-    if peak == 0:
-        raise ValueError("state is zero")
     top, where = _first_max(shape, table, _float_abs, 0)
     if top <= tol * peak * peak:
-        rows = _rows(shape, table, p, 0)
-        if len(rows) > 1:
-            scale = table[p] ** (len(rows) - 1)
-            rows[0] = [x / scale for x in rows[0]]
-        return SeparabilityResult(True, top, ProductState(rows), None)
+        rows = _rows(shape, table, p, 0j)
+        return SeparabilityResult(True, top, ProductState(
+            _float_witness(rows, table[p], k)), None)
     minor = MinorSpec(*where)
     a, b, c, e = _corners(table, minor, 0)
     value = complex(a * b - c * e)
     return SeparabilityResult(False, abs(value), None, minor, value)
+
+
+def _float_witness(rows, peak, k) -> list[list]:
+    """The rows through the peak P with the first divided by P^(m-1), while
+    that row scaled back by 2^k is finite and zero only where it was.  Else
+    each later row is divided by P, the same products with no power of P
+    formed, and the scaled-back first row is the state's own."""
+    if len(rows) > 1:
+        try:
+            scale = peak ** (len(rows) - 1)
+            first = [x / scale for x in rows[0]]
+            back = [_times_power_of_two(x, k) for x in first]
+            if all(math.isfinite(y.real) and math.isfinite(y.imag) and
+                   (y or not x) for x, y in zip(rows[0], back)):
+                return [first] + rows[1:]
+        except (OverflowError, ZeroDivisionError):
+            pass
+    return rows[:1] + [[x / peak for x in row] for row in rows[1:]]
 
 
 def _gaussian_verdict(shape, table, d, tol) -> SeparabilityResult:

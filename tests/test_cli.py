@@ -239,6 +239,38 @@ class TestVerbs:
         assert code == 0
         assert json.loads(out) == {"m": 2, "onVariety": True}
 
+    def test_float_witness_writes_zeros_as_numbers(self, capsys):
+        code, out = run_cli(capsys, "check-separable",
+                            '{"shape":[2,2],"amplitudes":[{"index":[0,0],'
+                            '"re":1.0,"im":0.0}]}')
+        assert code == 0
+        assert out == (
+            '{"maxViolation":0.0,"separable":true,"witness":{"locals":['
+            '[{"im":0.0,"re":1.0},{"im":0.0,"re":0.0}],'
+            '[{"im":0.0,"re":1.0},{"im":0.0,"re":0.0}]]},"worstMinor":null}\n')
+
+    @pytest.mark.parametrize("m", [1025, 1100])
+    def test_float_witness_past_the_power_range(self, capsys, m):
+        # the witness divided by P^(m-1) held inf, which JSON cannot carry,
+        # and from about 1,076 parties P^(m-1) underflowed to 0
+        state = {"shape": [2] * m,
+                 "amplitudes": [{"index": [0] * m, "re": 1.0, "im": 0.0}]}
+        code, out = run_cli(capsys, "check-separable", json.dumps(state))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["separable"]
+        assert doc["witness"]["locals"][0][0] == {"im": 0.0, "re": 1.0}
+        assert doc["witness"]["locals"][1] == [{"im": 0.0, "re": 1.0},
+                                               {"im": 0.0, "re": 0.0}]
+
+    def test_map_dict_form_matches_list_form(self, capsys):
+        as_dict = run_cli(capsys, "toric-ideal", "--degree", "2", "--map",
+                          '{"dim":2,"exponents":[[2,0],[1,1],[0,2]]}')
+        as_list = run_cli(capsys, "toric-ideal", "--degree", "2", "--map",
+                          "[[2,0],[1,1],[0,2]]")
+        assert as_dict == as_list
+        assert as_dict[0] == 0 and json.loads(as_dict[1])["generators"]
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr(sys, "stdin",
@@ -493,6 +525,35 @@ class TestExitCodes:
                             '{"dim":2,"generators":[[1,0],[-1,0]]}')
         assert code == 2
         assert "strongly convex" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("dual", "--cone", '{"dim":2.5,"generators":[[1,0]]}'),
+         "expected an integer, got 2.5"),
+        (("atlas", "--fan", '{"dim":2}'), "fan JSON needs 'dim' and 'cones'"),
+        (("check-separable", '{"shape":[2,2]}'),
+         "state JSON needs 'shape' and 'amplitudes'"),
+        (("toric-ideal", "--map", "[]", "--degree", "2"),
+         "monomial map needs at least one exponent vector"),
+        (("check-separable",
+          '{"shape":[2],"amplitudes":[{"index":[0],"re":true}]}'),
+         "amplitude parts must be numbers or 'p/q' strings"),
+        (("check-separable",
+          '{"shape":[2],"amplitudes":[{"index":[0],"re":[1]}]}'),
+         "bad amplitude part [1]"),
+        (("verify-param", "--m", "1", "--z", "[[1]]"), "bad exact rational [1]"),
+        (("verify-param", "--m", "1", "--z", "{}"),
+         "torus point must be a JSON list"),
+        (("polar", "--polytope", '{"dim":2,"vertices":[[1,0],[1]]}'),
+         "dimension mismatch among input points"),
+        (("projective-relations", "--exponents", "{}", "--degree", "2"),
+         "--exponents must be a JSON list of integer vectors"),
+    ], ids=["float-int", "fan-keys", "state-keys", "empty-map",
+            "bool-part", "list-part", "list-coordinate", "point-not-list",
+            "mixed-vertices", "exponents-not-list"])
+    def test_rejection_document(self, capsys, argv, message):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == jsonio.canonical_dumps({"error": message})
 
     def test_verify_param_rejects_float_coordinates(self, capsys):
         code, out = run_cli(capsys, "verify-param", "--m", "1",

@@ -385,6 +385,39 @@ class TestPredicates:
         assert intersect_cones(a, C((-1, -1), (0, -1))).generators == ()
 
 
+class TestRejections:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Cone(0, ()), "ambient dimension must be positive"),
+        (lambda: Cone(2, ((1, 0, 0),)), "generator dimension mismatch"),
+        (lambda: Cone(2, ((2, 0),)), "generator (2, 0) is not primitive"),
+        (lambda: Cone(2, ((1, 0), (0, 1))),
+         "generators must be sorted and duplicate-free"),
+        (lambda: Polytope(0, ((),)), "ambient dimension must be positive"),
+        (lambda: Polytope(2, ()), "polytope needs at least one vertex"),
+        (lambda: Polytope(2, ((1,),)), "vertex dimension mismatch"),
+        (lambda: Polytope(1, ((1,), (0,))),
+         "vertices must be sorted and duplicate-free"),
+        (lambda: face_cone(faces(polytope_hull([(0,), (1,)]))[0]),
+         "face_cone expects a face of a cone"),
+        (lambda: pos_hull([]), "ambient dimension required for an empty hull"),
+        (lambda: polytope_hull([]),
+         "ambient dimension required for an empty hull"),
+        (lambda: make_fan([]), "ambient dimension required for an empty fan"),
+        (lambda: intersect_cones(C((1, 0)), C((1, 0, 0))),
+         "cone dimension mismatch"),
+        (lambda: cone_contains(C((1, 0)), (1, 0, 0)),
+         "point dimension mismatch"),
+    ], ids=["cone-dim", "cone-generator-dim", "cone-primitive", "cone-order",
+            "polytope-dim", "polytope-empty", "polytope-vertex-dim",
+            "polytope-order", "face-cone-of-polytope", "empty-hull",
+            "empty-polytope-hull", "empty-fan",
+            "intersect-dims", "contains-length"])
+    def test_message(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
 class TestValidateFanRejections:
     def test_missing_faces_detected(self):
         from qtoric import make_fan

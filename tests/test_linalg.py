@@ -4,12 +4,14 @@ Entries reach 10**30, far past any float, so a wrong exact divisor in the
 elimination step shows as a wrong result rather than hiding in rounding.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
 from qtoric.linalg import (det_adj, hermite_basis, left_kernel_basis,
-                           orthogonal_lattice, pivot_columns, rank_int)
+                           orthogonal_lattice, pivot_columns, primitive,
+                           rank_int)
 
 BIG = 10**30
 entries = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
@@ -33,6 +35,12 @@ def low_rank_matrices():
 def matmul(a, b, cols):
     return [[sum(x * row[j] for x, row in zip(r, b)) for j in range(cols)]
             for r in a]
+
+
+def test_zero_vector_has_no_primitive_representative():
+    with pytest.raises(ValueError,
+                       match="^zero vector has no primitive representative$"):
+        primitive((0, 0))
 
 
 class TestDetAdj:

@@ -1,6 +1,7 @@
 """Hilbert bases and lattice-monoid membership."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -112,6 +113,24 @@ class TestHilbertBasis:
             assert sorted(basis) == sorted(brute), (vecs, basis, brute)
             done += 1
 
+    def test_cube_cone_skips_dependent_subsets(self):
+        # the cone over the unit 3-cube at height 1: the four vertices of each
+        # of its 6 faces and 6 diagonal rectangles lie in one hyperplane, so
+        # 12 of the 4-subsets are dependent and add no parallelepiped point
+        gens = [(x, y, z, 1) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+        cone = pos_hull(gens, 4)
+        lattice = monoid._saturation(cone.generators, 4)
+        dependent = [s for s in combinations(cone.generators, 4)
+                     if oracles.frac_rank(s) < 4]
+        assert len(dependent) == 12
+        assert all(monoid._parallelepiped_points(s, lattice) == []
+                   for s in dependent)
+        w, ineqs = oracles.positive_functional(gens, 4)
+        basis = hilbert_basis(cone).generators
+        cap = max(oracles.dot(w, b) for b in basis)
+        assert list(basis) == sorted(oracles.brute_irreducibles(
+            gens, 4, w, ineqs, cap))
+
     @given(pointed_cones())
     @example((3, [(1, -1, 0), (1, 1, -2)]))
     @example((4, [(1, 2, 0, 1), (0, 1, 3, 1), (2, 0, 1, 5)]))
@@ -215,6 +234,16 @@ class TestMonoidContains:
                            match="generator set does not span a pointed cone"):
             monoid_contains(g, (2, 0))
 
+    @pytest.mark.parametrize("gens, message", [
+        (((1, 0, 0),), "generator dimension mismatch"),
+        (((1, 1), (1, 0)), "generators must be sorted and duplicate-free"),
+        (((1, 0), (1, 0)), "generators must be sorted and duplicate-free"),
+    ], ids=["dimension", "order", "duplicate"])
+    def test_direct_construction_messages(self, gens, message):
+        with pytest.raises(ValueError) as info:
+            MonoidGenerators(pos_hull([(1, 0), (0, 1)]), gens)
+        assert str(info.value) == message
+
     def test_validating_constructor(self):
         cone = pos_hull([(1, 0), (0, 1)])
         with pytest.raises(ValueError, match="outside"):
@@ -243,6 +272,19 @@ class TestMonoidContains:
         assert monoid_generators(pos_hull(rays), gens).generators == gens
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("gens, x, expected", [
+        # the search meets remainders it has already failed on, and skips them
+        (((1, 0), (1, 5), (2, 5), (3, 5)), (7, 11), False),
+        ((), (1, 0), False),
+        ((), (0, 0), True),
+    ], ids=["failed-remainder", "no-generators", "origin-no-generators"])
+    def test_search_edges(self, gens, x, expected):
+        cone = pos_hull(gens or [(1, 0), (0, 1)], 2)
+        assert monoid_contains(MonoidGenerators(cone, gens), x) is expected
+        if gens:
+            w, ineqs = oracles.positive_functional(gens, 2)
+            assert oracles.generates(list(gens), x, w, ineqs, {}) is expected
+
     def test_agreement_with_oracle(self, rng):
         for dim, rounds, radius in ((2, 5, 4), (3, 3, 3)):
             for _ in range(rounds):
@@ -269,3 +311,11 @@ class TestLaurentMonomial:
         m = LaurentMonomial(ComplexRational(Fraction(2)), (-1, 1))
         z = (ComplexRational(Fraction(1, 3)), ComplexRational(Fraction(5)))
         assert m.evaluate(z) == ComplexRational(Fraction(30))
+
+    def test_refuses_a_scalar_factor(self):
+        with pytest.raises(TypeError):
+            LaurentMonomial(Fraction(2), (1, -1)) * 2
+
+    def test_evaluate_arity(self):
+        with pytest.raises(ValueError, match="^point dimension mismatch$"):
+            LaurentMonomial(Fraction(2), (1, -1)).evaluate((Fraction(1),))

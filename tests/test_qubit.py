@@ -14,8 +14,8 @@ from qtoric import (chart_atlas, dual_cone, evaluate_binomial,
                     parameterization, parameterization_image, polar,
                     polytope_hull, pos_hull, projective_space_fan,
                     segre_minors,minor_value, toric_ideal_binomials,
-                    validate_fan, verify_parameterization, MonomialMap,
-                    ParameterizationMap)
+                    validate_fan, verify_parameterization, MonomialMap)
+from qtoric import qubit
 from qtoric.rationals import ComplexRational
 
 
@@ -77,6 +77,18 @@ class TestProjectiveSpaceFan:
         validate_fan(projective_space_fan(3))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: projective_space_fan(0), "projective dimension must be at least 1"),
+    (lambda: multiqubit_polytope(0), "party count must be between 1 and 10"),
+    (lambda: multiqubit_fan(11), "party count must be between 1 and 10"),
+    (lambda: parameterization(11), "party count must be between 1 and 10"),
+], ids=["cp0", "polytope-0", "fan-11", "param-11"])
+def test_size_rejected(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 class TestMultiqubitPolytopeAndFan:
     def test_cube_vertices(self):
         cube = multiqubit_polytope(3)
@@ -132,10 +144,10 @@ class TestMultiqubitPolytopeAndFan:
     def test_upper_bound_constructions(self):
         assert len(multiqubit_polytope(10).vertices) == 1024
         assert len(multiqubit_fan(8).cones) == 3 ** 8
-        pm = parameterization(10)
-        assert len(pm.exponents) == 1024
-        assert pm.exponents[0] == (0,) * 10
-        assert pm.exponents[-1] == (1,) * 10
+        exponents = parameterization(10)
+        assert len(exponents) == 1024
+        assert exponents[0] == (0,) * 10
+        assert exponents[-1] == (1,) * 10
 
 
 class TestChartAtlas:
@@ -273,31 +285,18 @@ class TestInvariantSubvarieties:
 
 class TestParameterization:
     def test_two_qubit_exponents(self):
-        pm = parameterization(2)
-        assert pm.exponents == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert parameterization(2) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def test_first_zero_last_ones(self):
         for m in (1, 2, 3, 5):
-            pm = parameterization(m)
-            assert pm.exponents[0] == (0,) * m
-            assert pm.exponents[-1] == (1,) * m
-
-    def test_hand_built_map_must_list_every_subset(self):
-        # the image is the Segre map of (1, z_j): it reads only m
-        with pytest.raises(ValueError, match="exponents"):
-            ParameterizationMap(2, ((0, 0), (1, 1)))
-        with pytest.raises(ValueError, match="exponents"):
-            ParameterizationMap(2, ((0, 0), (1, 1), (0, 1), (1, 0)))
-        with pytest.raises(ValueError, match="exponents"):
-            ParameterizationMap(60, ((0,) * 60,))
-        assert ParameterizationMap(2, parameterization(2).exponents) == \
-            parameterization(2)
+            exponents = parameterization(m)
+            assert exponents[0] == (0,) * m
+            assert exponents[-1] == (1,) * m
 
     def test_index_bit_convention(self):
         # amplitude index (0,1) carries z_2, matching the displayed map
-        pm = parameterization(2)
         z = (ComplexRational(Fraction(7)), ComplexRational(Fraction(11)))
-        st = parameterization_image(pm, z)
+        st = parameterization_image(z)
         assert st.amplitude((0, 1)) == ComplexRational(Fraction(11))
         assert st.amplitude((1, 0)) == ComplexRational(Fraction(7))
         assert st.amplitude((1, 1)) == ComplexRational(Fraction(77))
@@ -305,8 +304,7 @@ class TestParameterization:
     def test_image_matches_segre_map(self, rng):
         for m in (1, 2, 3, 5):
             z = tuple(random_complex_rational(rng) for _ in range(m))
-            image = list(parameterization_image(parameterization(m),
-                                                z).amplitudes.items())
+            image = list(parameterization_image(z).amplitudes.items())
             assert image == list(oracles.subset_products(z).items())
             assert image == list(oracles.segre_product(
                 [(1, zj) for zj in z]).items())
@@ -325,7 +323,7 @@ class TestParameterization:
         monkeypatch.setattr(ComplexRational, "__rmul__", counted)
         z = [ComplexRational(Fraction(j + 2), Fraction(1, j + 1))
              for j in range(10)]
-        st = parameterization_image(parameterization(10), z)
+        st = parameterization_image(z)
         assert len(st.amplitudes) == 1024
         assert len(calls) <= 2 ** 11 - 2
 
@@ -345,10 +343,28 @@ class TestParameterization:
     def test_agrees_with_all_minors(self, z):
         # exact or float coordinates; a float minor can keep a rounding residue
         m = len(z)
-        image = parameterization_image(parameterization(m), z)
+        image = parameterization_image(z)
         expected = all(not minor_value(image, minor)
                        for minor in segre_minors((2,) * m))
         assert verify_parameterization(m, z) == expected
+
+    def test_checks_in_order_without_exponent_table(self, monkeypatch):
+        # the image is the Segre map of (1, z_j), with the party count read
+        # off z: verification builds no exponent table
+        def refuse(m):
+            raise AssertionError("exponent table built")
+
+        monkeypatch.setattr(qubit, "parameterization", refuse)
+        two, zero = ComplexRational(Fraction(2)), ComplexRational(Fraction(0))
+        assert verify_parameterization(2, (two, two))
+        assert verify_parameterization(10, [two] * 10)
+        for m, z, message in (
+                (11, (zero,) * 3, "all torus coordinates must be nonzero"),
+                (11, (two,) * 3, "party count must be between 1 and 10"),
+                (0, (), "party count must be between 1 and 10"),
+                (2, (two,) * 3, "expected one coordinate per party")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                verify_parameterization(m, z)
 
     def test_zero_coordinate_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -357,7 +373,7 @@ class TestParameterization:
 
     def test_perturbed_image_fails(self):
         z = (ComplexRational(Fraction(2)), ComplexRational(Fraction(3)))
-        st = parameterization_image(parameterization(2), z)
+        st = parameterization_image(z)
         bumped = dict(st.amplitudes)
         bumped[(0, 1)] = bumped[(0, 1)] + 1
         perturbed_amps = bumped
@@ -371,18 +387,18 @@ class TestParameterization:
             for _ in range(50):
                 z = tuple(random_complex_rational(rng) for _ in range(m))
                 assert verify_parameterization(m, z)
-                st = parameterization_image(parameterization(m), z)
+                st = parameterization_image(z)
                 for minor in minors:
                     assert not minor_value(st, minor)
 
     def test_ideal_vanishes_on_images(self, rng):
         for m in (2, 3):
-            pm = parameterization(m)
-            ideal = toric_ideal_binomials(MonomialMap(m, pm.exponents), 2)
+            exponents = parameterization(m)
+            ideal = toric_ideal_binomials(MonomialMap(m, exponents), 2)
             assert ideal.generators
             for _ in range(50):
                 z = tuple(random_complex_rational(rng) for _ in range(m))
-                st = parameterization_image(pm, z)
-                point = [st.amplitude(idx) for idx in pm.exponents]
+                st = parameterization_image(z)
+                point = [st.amplitude(idx) for idx in exponents]
                 for b in ideal.generators:
                     assert not evaluate_binomial(b, point)

@@ -254,6 +254,46 @@ class TestSeparability:
         rebuilt = math.prod(complex(v[0]) for v in locs)
         assert abs(rebuilt - value) <= 1e-15 * value
 
+    @pytest.mark.parametrize("m", [2, 40, 1025, 1080, 3000])
+    @pytest.mark.parametrize(
+        "value", [1.0, 0.5, 1.4, 0.9 + 0.9j, 1e-300, 1e300, 1e-120,
+                  complex(math.ldexp(1.8, -600), math.ldexp(1.8, -600))],
+        ids=["1", "0.5", "1.4", "0.9+0.9j", "1e-300", "1e300", "1e-120",
+             "1.8(1+j)2^-600"])
+    def test_float_witness_past_the_power_range(self, m, value):
+        # the first row divided by P^(m-1) and scaled back by 2^k leaves the
+        # float range from about 1,025 parties; P^(m-1) itself underflows
+        # from about 1,076, or overflows; at 1.8(1+j)2^-600 on 3,000 parties
+        # the divided first row underflows to zero
+        verdict = is_separable(PureState((2,) * m, {(0,) * m: value}))
+        assert verdict.separable
+        locs = verdict.witness.locals
+        assert all(cmath.isfinite(x) for v in locs for x in v)
+        # entry by entry: segre_map would enumerate 2^m prefixes
+        rebuilt = math.prod(v[0] for v in locs)
+        assert abs(rebuilt - value) <= 1e-12 * abs(value)
+
+    def test_float_witness_writes_zeros_as_floats(self):
+        verdict = is_separable(PureState((2, 2), {(0, 0): 1.0}))
+        assert [[type(x) for x in v] for v in verdict.witness.locals] == \
+            [[complex, complex]] * 2
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: segre.check_shape(()), "a system needs at least one party"),
+        (lambda: ProductState([]), "a product state needs at least one party"),
+        (lambda: ProductState([(1,)]),
+         "every local vector needs dimension >= 2"),
+        (lambda: ProductState([(1, 0), (0, 0)]), "local vectors must be nonzero"),
+    ], ids=["empty-shape", "no-party", "short-local", "zero-local"])
+    def test_shape_messages(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_result_truth_is_the_verdict(self):
+        assert is_separable(segre_map(ProductState([(1, 2), (3, 4)])))
+        assert not is_separable(bell())
+
     def test_zero_state_unconstructible(self):
         with pytest.raises(ValueError, match="nonzero"):
             PureState((2, 2), {})

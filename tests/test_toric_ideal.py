@@ -30,6 +30,22 @@ def in_integer_span(basis, v) -> bool:
     return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
 
+class TestRejections:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: MonomialMap(0, ()), "ambient dimension must be positive"),
+        (lambda: MonomialMap(2, ((1,),)), "exponent dimension mismatch"),
+        (lambda: projective_relations([], 2),
+         "at least one exponent vector is required"),
+    ], ids=["map-dim", "exponent-dim", "no-exponents"])
+    def test_message(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_map_without_exponents_has_an_empty_kernel(self):
+        assert kernel_lattice(MonomialMap(2, ())) == ()
+
+
 class TestKernelLattice:
     def test_two_qubit_affine_map(self):
         # the map contains the constant monomial a_1 = (0,0), so the exact

@@ -73,8 +73,8 @@ def _check_separable(args):
     worst = None
     if verdict.worst_minor is not None:
         worst = jsonio.minor_to_json(verdict.worst_minor)
-        worst["value"] = {"re": verdict.worst_value.real,
-                          "im": verdict.worst_value.imag}
+        worst["value"] = {"re": verdict.worst_value.real + 0.0,
+                          "im": verdict.worst_value.imag + 0.0}
     return {"separable": verdict.separable, "maxViolation": verdict.max_violation,
             "witness": (jsonio.product_state_to_json(verdict.witness)
                         if verdict.witness is not None else None),

@@ -339,30 +339,29 @@ def _indices(mask) -> tuple[int, ...]:
 def faces(obj) -> tuple[Face, ...]:
     """All faces of a cone or polytope, including the improper face.
 
-    For a strongly convex cone the apex {0} appears with an empty index set;
-    the empty face of a polytope is not enumerated.  dim F is one more than
-    the largest proper face F & T over the facets T; only a face with none
-    (a vertex, the apex, the lineality space) takes a rank.
+    A polytope has the faces of the cone over {1} x vertices, one dimension
+    lower, apex excluded; a strongly convex cone's apex {0} has no indices.
+    dim F is one more than the largest proper face F & T over the facets T;
+    only a face with none (the apex, the lineality space) takes a rank.
     """
+    lift = isinstance(obj, Polytope)
+    gens = [(1,) + v for v in obj.vertices] if lift else obj.generators
     tights = [z for _, z in obj.halfspaces]
     dims = {}
-    for s in sorted(_face_family(obj, tights), key=int.bit_count):
+    for s in sorted(_face_family(len(gens), tights), key=int.bit_count):
         below = [dims[t] for t in (s & tight for tight in tights) if t in dims]
-        if below:
-            dims[s] = 1 + max(below)
-        elif isinstance(obj, Cone):  # the apex or the lineality space
-            dims[s] = rank_int([obj.generators[i] for i in _indices(s)])
-        else:  # a vertex
-            dims[s] = 0
-    result = [Face(obj, _indices(s), d) for s, d in dims.items()]
+        dims[s] = (1 + max(below) if below
+                   else rank_int([gens[i] for i in _indices(s)]))
+    result = [Face(obj, _indices(s), d - lift)
+              for s, d in dims.items() if d >= lift]
     result.sort(key=lambda f: (f.dim, f.indices))
     return tuple(result)
 
 
-def _face_family(obj, tights) -> set[int]:
-    """The faces of obj as bitmasks: intersections of the facets' tight sets."""
-    points = obj.generators if isinstance(obj, Cone) else obj.vertices
-    universe = (1 << len(points)) - 1
+def _face_family(n, tights) -> set[int]:
+    """The faces of a cone on n generators as bitmasks: intersections of the
+    facets' tight sets."""
+    universe = (1 << n) - 1
     family = {universe}
     queue = [universe]
     while queue:
@@ -370,9 +369,8 @@ def _face_family(obj, tights) -> set[int]:
         for tight in tights:
             t = s & tight
             if t not in family:
-                if isinstance(obj, Cone) or t:
-                    family.add(t)
-                    queue.append(t)
+                family.add(t)
+                queue.append(t)
     return family
 
 
@@ -380,8 +378,7 @@ def face_cone(face: Face) -> Cone:
     """A face of a cone, as a cone (faces are generated by the tight generators)."""
     if not isinstance(face.of, Cone):
         raise ValueError("face_cone expects a face of a cone")
-    gens = [face.of.generators[i] for i in face.indices]
-    return Cone(face.of.dim, tuple(sorted(gens)))
+    return Cone(face.of.dim, tuple(face.of.generators[i] for i in face.indices))
 
 
 def make_fan(cones, dim: int | None = None) -> Fan:
@@ -406,16 +403,17 @@ def fan_from_maximal(maximal) -> Fan:
 
 def normal_fan(p: Polytope) -> Fan:
     """Fan of outer normal cones N(F) over the nonempty faces F of p."""
-    if p.rank != p.dim:
+    # p is lower-dimensional iff the dual has lines, tight on every vertex
+    if any(z.bit_count() == len(p.vertices) for _, z in p.halfspaces):
         raise ValueError("polytope is not full-dimensional")
-    # a ray (c, y) is the facet c + <y, x> >= 0; nothing is tight when y == 0
+    # a ray (c, y) is the facet c + <y, x> >= 0
     rays, tights = zip(*sorted((tuple(-x for x in primitive(r[1:])), z)
-                               for r, z in p.halfspaces if z))
+                               for r, z in p.halfspaces))
     # the outer normals of the facets containing F are distinct and are the
     # extreme rays of N(F): no redundancy check is needed
     return Fan(p.dim, rays, tuple(sorted(
         tuple(i for i, t in enumerate(tights) if s & t == s)
-        for s in _face_family(p, tights))))
+        for s in _face_family(len(p.vertices), tights) if s)))
 
 
 def intersect_cones(a: Cone, b: Cone) -> Cone:

@@ -187,7 +187,7 @@ def _amplitude_out(value) -> dict:
     if isinstance(value, (int, Fraction)):
         return {"re": str(Fraction(value)), "im": "0"}
     z = complex(value)
-    return {"re": z.real, "im": z.imag}
+    return {"re": z.real + 0.0, "im": z.imag + 0.0}  # -0.0 + 0.0 is 0.0
 
 
 def _amplitude_part_in(x):

@@ -7,8 +7,7 @@ from itertools import combinations, product
 from operator import mul
 
 from .geometry import Cone, is_strongly_convex, pos_hull
-from .linalg import (det_adj, dot, hermite_basis, orthogonal_lattice,
-                     pivot_columns)
+from .linalg import det_adj, dot, hermite_basis, orthogonal_lattice
 
 
 @dataclass(frozen=True)
@@ -119,20 +118,23 @@ def _parallelepiped_points(basis, lattice):
     upper triangular with diagonal d_i = (pivot of L) / (pivot of lattice),
     so sum y_i h_i over 0 <= y_i < d_i are the |lattice / L| cosets.  Each
     one is moved into the parallelepiped through its coordinates
-    t = x_P adj / det over pivot columns P of the basis, keeping the
-    fractional parts.  A dependent basis has none.
+    t = x_P adj / det, keeping the fractional parts.  P holds the pivot
+    columns of the Hermite basis of L: row operations keep column relations,
+    so they are the first independent columns of the basis.  A dependent
+    basis has none.
     """
-    cols = pivot_columns(basis)
-    if len(cols) < len(basis):
+    echelon = hermite_basis(basis)
+    if len(echelon) < len(basis):
         return []
+    cols = [next(c for c, x in enumerate(row) if x) for row in echelon]
     det, adj = det_adj([[b[c] for c in cols] for b in basis])
     if det < 0:
         det, adj = -det, [[-x for x in row] for row in adj]
     # numerators of the coordinates of each lattice basis vector
     steps = [[sum(h[c] * a for c, a in zip(cols, col)) for col in zip(*adj)]
              for h in lattice]
-    diag = [next(x for x in row if x) // next(x for x in h if x)
-            for row, h in zip(hermite_basis(basis), lattice)]
+    diag = [row[c] // next(x for x in h if x)
+            for row, c, h in zip(echelon, cols, lattice)]
     points = []
     for y in product(*map(range, diag)):
         fracs = [sum(map(mul, y, col)) % det for col in zip(*steps)]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .geometry import Cone, Fan, Polytope, is_simplicial, normal_fan
+from .geometry import Cone, Fan, Polytope, normal_fan
 from .linalg import det_adj, dot
 from .segre import ProductState, PureState, is_separable, segre_map
 
@@ -80,22 +80,23 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
     side, so overlapping and incomplete fans are rejected; a fan that winds
     around the origin more than once passes this local check.
     """
-    maximal = fan.maximal_cones()
+    # the maximal cones of a complete simplicial fan are those with dim rays
+    maximal = [t for t in fan.indices if len(t) >= fan.dim]
     if not maximal:
         raise ValueError("fan is not complete: it has no maximal cone")
     charts, inverses = [], []
     facet_owners: dict[tuple, list] = {}
-    for pos_idx, cone in enumerate(maximal):
-        gens = cone.generators
+    for pos_idx, t in enumerate(maximal):
+        gens = tuple(fan.rays[i] for i in t)
         det, adj = det_adj(gens) if len(gens) == fan.dim else (0, None)
-        if abs(det) != 1:  # rank the cone only to name the fault
-            fault = "smooth" if is_simplicial(cone) else "simplicial"
+        if abs(det) != 1:
+            fault = "smooth" if det else "simplicial"
             raise ValueError(f"maximal cone {gens} is not {fault}")
         # column u_i of det * adj is dual to g_i (b == sum_i dot(g_i, b) * u_i),
         # so it is the inner normal of the facet that omits g_i
         cols = [tuple(det * row[i] for row in adj) for i in range(len(gens))]
         dual = sorted(zip(cols, gens))
-        charts.append(Chart(cone, tuple(u for u, _ in dual)))
+        charts.append(Chart(Cone(fan.dim, gens), tuple(u for u, _ in dual)))
         inverses.append([g for _, g in dual])
         for drop, (u, g) in enumerate(zip(cols, gens)):
             facet_owners.setdefault(gens[:drop] + gens[drop + 1:], []).append(

@@ -451,11 +451,12 @@ def concurrence(state: PureState, weights=None) -> float:
     """2 * sqrt(sum of weighted squared minor magnitudes); needs a normalized state.
 
     The norm must be within 1e-9 of 1, checked exactly on the amplitudes
-    read as Gaussian integers over one denominator.  Default weight is 1 per canonical minor, which reproduces the standard
-    two-qubit concurrence 2|a00 a11 - a01 a10|; the default is the exact sum
-    over the given amplitudes (float parts read as the dyadic rationals they
-    are), rounded once.  Custom weights must be finite and nonnegative and
-    are summed in floating point minor by minor.
+    read as Gaussian integers over one denominator.  Default weight is 1 per
+    canonical minor, which reproduces the standard two-qubit concurrence
+    2|a00 a11 - a01 a10|; the default is the exact sum over the given
+    amplitudes (float parts read as the dyadic rationals they are), rounded
+    once.  Custom weights must be finite and nonnegative and are summed in
+    floating point minor by minor.
     """
     table, d = _gaussian(state)
     # in integers, so that no part of an exact state need fit a float

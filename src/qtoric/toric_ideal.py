@@ -104,8 +104,6 @@ class BinomialIdeal:
 
 def kernel_lattice(m: MonomialMap):
     """A Z-basis of {v in Z^k : sum_i v_i a_i = 0}, basis vectors primitive."""
-    if not m.exponents:
-        return ()
     return tuple(left_kernel_basis(list(m.exponents)))
 
 

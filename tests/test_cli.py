@@ -2,17 +2,23 @@
 
 import argparse
 import hashlib
+import io
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as hs
 
 from qtoric import Binomial, MinorSpec, cli, geometry, jsonio, linalg
+from qtoric.segre import SeparabilityResult
 from qtoric.cli import VERBS, build_parser, main
 
 SQ2 = 1 / math.sqrt(2)
@@ -35,6 +41,20 @@ NAN_STATE = '{"shape":[2,2],"amplitudes":[{"index":[0,0],"re":NaN}]}'
 
 CUBE3 = {"dim": 3, "vertices": [[sx, sy, sz] for sx in (-1, 1)
                                 for sy in (-1, 1) for sz in (-1, 1)]}
+
+
+@hs.composite
+def float_product_states(draw):
+    """Float product states on 1-4 qubits, every amplitude listed, with
+    negative, complex and signed-zero parts."""
+    part = hs.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+    locs = [[complex(*draw(hs.tuples(part, part))) for _ in range(2)]
+            for _ in range(draw(hs.integers(1, 4)))]
+    amps = [{"index": list(i), "re": z.real, "im": z.imag}
+            for i in itertools.product((0, 1), repeat=len(locs))
+            for z in [math.prod(v[s] for v, s in zip(locs, i))]]
+    assume(any(a["re"] or a["im"] for a in amps))
+    return {"shape": [2] * len(locs), "amplitudes": amps}
 
 
 def run_cli(capsys, *argv):
@@ -263,6 +283,51 @@ class TestVerbs:
         assert doc["witness"]["locals"][1] == [{"im": 0.0, "re": 1.0},
                                                {"im": 0.0, "re": 0.0}]
 
+    @given(float_product_states())
+    @example({"shape": [2] * 1100, "amplitudes": [
+        {"index": [0] * 1100, "re": -1.0, "im": 0.0}]})
+    @example({"shape": [2, 2], "amplitudes": [
+        {"index": [0, 0], "re": -1.0, "im": 0.0},
+        {"index": [1, 0], "re": 0.5, "im": 0.0}]})
+    def test_float_witness_writes_no_negative_zero(self, state):
+        # dividing by a negative or complex peak turns zero parts into -0.0
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["check-separable", json.dumps(state)]) == 0
+        assert not re.search(r"-0\.0(?!\d)", out.getvalue())
+        doc = json.loads(out.getvalue())
+        assert doc["separable"]
+        amps = {tuple(a["index"]): complex(a["re"], a["im"])
+                for a in state["amplitudes"] if a["re"] or a["im"]}
+        rebuilt = {(): 1}
+        for local in doc["witness"]["locals"]:
+            rebuilt = {k + (i,): a * complex(x["re"], x["im"])
+                       for k, a in rebuilt.items()
+                       for i, x in enumerate(local) if x["re"] or x["im"]}
+        peak = max(map(abs, amps.values()))
+        for index in amps.keys() | rebuilt.keys():
+            assert abs(amps.get(index, 0) - rebuilt.get(index, 0)) <= \
+                1e-12 * peak, index
+
+    def test_worst_value_writes_no_negative_zero(self, capsys, monkeypatch):
+        worst = MinorSpec(0, (0, 0), (1, 1))
+        monkeypatch.setattr(cli, "is_separable", lambda state, tol: (
+            SeparabilityResult(False, 0.0, None, worst, complex(-0.0, -0.0))))
+        code, out = run_cli(capsys, "check-separable", json.dumps(BELL))
+        assert code == 0
+        assert '"value":{"im":0.0,"re":0.0}' in out
+        assert "-0.0" not in out
+
+    @pytest.mark.parametrize("vertices", [[[0, 0], [1, 0]],
+                                          [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+                                          [[2, -1]]],
+                             ids=["segment", "triangle", "point"])
+    def test_normal_fan_of_lower_dimensional_polytope(self, capsys, vertices):
+        polytope = {"dim": len(vertices[0]), "vertices": vertices}
+        assert run_cli(capsys, "normal-fan", "--polytope",
+                       json.dumps(polytope)) == \
+            (2, '{"error":"polytope is not full-dimensional"}\n')
+
     def test_map_dict_form_matches_list_form(self, capsys):
         as_dict = run_cli(capsys, "toric-ideal", "--degree", "2", "--map",
                           '{"dim":2,"exponents":[[2,0],[1,1],[0,2]]}')
@@ -380,17 +445,30 @@ class TestTableVerbs:
 
     def test_atlas_ranks_only_the_maximal_cones(self, capsys, monkeypatch):
         calls = []
-        pivot_columns = linalg.pivot_columns
+        eliminate = linalg._eliminate
 
-        def counted(rows):
+        def counted(rows, n):
             calls.append(rows)
-            return pivot_columns(rows)
+            return eliminate(rows, n)
 
-        for module in (linalg, geometry):
-            monkeypatch.setattr(module, "pivot_columns", counted)
+        monkeypatch.setattr(linalg, "_eliminate", counted)
         assert run_cli(capsys, "atlas", "--qubits", "5")[0] == 0
-        # one rank per maximal cone, one DD and one rank of the cube
+        # one determinant per maximal cone, and the pivots and the first
+        # simplicial cone of the cube's double description
         assert len(calls) <= 2 ** 5 + 2
+
+    @pytest.mark.parametrize("argv", [("qubit-fan", "--m", "5"),
+                                      ("normal-fan", "--polytope", CUBE5)],
+                             ids=lambda a: a[0])
+    def test_fans_rank_no_polytope(self, capsys, monkeypatch, argv):
+        def refuse(polytope):
+            raise AssertionError("a polytope was ranked")
+
+        monkeypatch.setattr(geometry.Polytope, "rank", property(refuse))
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "1e22fd20564109e73b887e73687a6de2ce527e5524e630f46681737bcec4852d"
 
     @pytest.mark.parametrize("argv", TABLES, ids=lambda a: a[0])
     def test_error_mid_list_prints_only_the_error(self, capsys, monkeypatch,

@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as hs
 
 import oracles
-from qtoric import (Cone, Fan, Polytope, dual_cone, faces, is_simplicial,
+from qtoric import (Cone, Face, Fan, Polytope, dual_cone, faces, is_simplicial,
                     is_strongly_convex, make_fan, multiqubit_polytope,
                     normal_fan, polar, polytope_hull, pos_hull, validate_fan)
 from qtoric.geometry import _dd_rays, cone_contains, face_cone, intersect_cones
@@ -263,8 +263,11 @@ class TestNormalFan:
         assert [c.generators for c in fan.cones] == [(), ((-1,),), ((1,),)]
 
     def test_lower_dimensional_rejected(self):
-        with pytest.raises(ValueError, match="full-dimensional"):
-            normal_fan(polytope_hull([(0, 0), (1, 0)]))
+        # a segment in Z^2, a triangle in Z^3 and a point
+        for points in ([(0, 0), (1, 0)], [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+                       [(2, -1)]):
+            with pytest.raises(ValueError, match="full-dimensional"):
+                normal_fan(polytope_hull(points))
 
     def test_completeness_on_ball(self):
         for p in (multiqubit_polytope(2), multiqubit_polytope(3),
@@ -611,6 +614,34 @@ class TestAdjacencyDoubleDescription:
             diffs = [tuple(a - b for a, b in zip(p.vertices[i], v0))
                      for i in f.indices]
             assert f.dim == oracles.frac_rank(diffs)
+
+
+@hs.composite
+def polytopes(draw):
+    """Polytopes of dimension 1-4, lower-dimensional when the trailing
+    ``flat`` coordinates are constant, their entries small or, scaled and
+    shifted, beyond 2^53."""
+    dim = draw(hs.integers(1, 4))
+    flat = draw(hs.integers(0, dim))
+    scale = draw(hs.sampled_from([1, 2 ** 53 + 1]))
+    shift = draw(hs.tuples(*[hs.integers(-2 ** 60, 2 ** 60)] * dim))
+    return polytope_hull(
+        [tuple(scale * x + s for x, s in zip(v[:dim - flat] + (0,) * flat,
+                                             shift))
+         for v in draw(vectors(dim, min_size=1, max_size=dim + 3))], dim)
+
+
+class TestFacesThroughTheCone:
+    @given(polytopes())
+    def test_faces_are_the_faces_of_the_cone(self, p):
+        # each face of p is a face of the cone over {1} x p, with the same
+        # vertex indices and one dimension lower; the apex is no face of p
+        cone = pos_hull([(1,) + v for v in p.vertices])
+        assert cone.generators == tuple((1,) + v for v in p.vertices)
+        apex, *lifted = faces(cone)
+        assert apex == Face(cone, (), 0)
+        assert [(f.dim, f.indices) for f in faces(p)] == \
+            [(f.dim - 1, f.indices) for f in lifted]
 
 
 @hs.composite

@@ -12,6 +12,7 @@ import oracles
 from qtoric import geometry, monoid
 from qtoric import (LaurentMonomial, MonoidGenerators, hilbert_basis,
                     monoid_contains, monoid_generators, pos_hull)
+from qtoric.linalg import hermite_basis, pivot_columns
 from qtoric.rationals import ComplexRational
 
 
@@ -44,6 +45,48 @@ def pointed_cones(draw):
             if any(cs)]
     assume(oracles.frac_rank(gens) == rank)
     return dim, gens
+
+
+@hs.composite
+def bases(draw):
+    """Integer r x n bases, r <= n <= 4, entries in [-5, 5]; a row may be a
+    combination of two others, so dependent bases are drawn often."""
+    n = draw(hs.integers(1, 4))
+    rows = draw(hs.lists(hs.lists(hs.integers(-5, 5), min_size=n, max_size=n),
+                         min_size=1, max_size=n))
+    if len(rows) > 2 and draw(hs.booleans()):
+        a, b = draw(hs.tuples(hs.integers(-2, 2), hs.integers(-2, 2)))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@hs.composite
+def cones_with_dependent_subsets(draw):
+    """Cones over 3-polytopes at height 1 in Z^4 whose extreme rays include
+    four coplanar ones, so some simplicial pieces are dependent."""
+    points = draw(hs.lists(hs.tuples(*[hs.integers(-1, 1)] * 3), min_size=4,
+                           max_size=7, unique=True))
+    gens = [p + (1,) for p in points]
+    rank = oracles.frac_rank(gens)
+    assume(any(oracles.frac_rank(s) < rank for s in
+               combinations(pos_hull(gens, 4).generators, rank)))
+    return gens
+
+
+class TestEchelonPivots:
+    @given(bases())
+    def test_pivots_of_the_hermite_basis(self, basis):
+        # left multiplication by a unimodular matrix keeps column relations
+        assert [next(c for c, x in enumerate(row) if x)
+                for row in hermite_basis(basis)] == pivot_columns(basis)
+
+    @given(cones_with_dependent_subsets())
+    def test_equals_brute_force_irreducibles(self, gens):
+        w, ineqs = oracles.positive_functional(gens, 4)
+        basis = hilbert_basis(pos_hull(gens, 4)).generators
+        cap = max(oracles.dot(w, b) for b in basis)
+        assert list(basis) == sorted(oracles.brute_irreducibles(
+            gens, 4, w, ineqs, cap))
 
 
 class TestHilbertBasis:

@@ -1,6 +1,9 @@
 """Projective and multi-qubit fans, atlases, and the subset-product map."""
 
+import json
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -15,7 +18,7 @@ from qtoric import (chart_atlas, dual_cone, evaluate_binomial,
                     polytope_hull, pos_hull, projective_space_fan,
                     segre_minors,minor_value, toric_ideal_binomials,
                     validate_fan, verify_parameterization, MonomialMap)
-from qtoric import qubit
+from qtoric import cli, geometry, jsonio, qubit
 from qtoric.rationals import ComplexRational
 
 
@@ -150,6 +153,37 @@ class TestMultiqubitPolytopeAndFan:
         assert exponents[-1] == (1,) * 10
 
 
+def _fan_doc(dim, *cones):
+    return {"dim": dim, "cones": [
+        {"dim": dim, "generators": [list(g) for g in c]} for c in cones]}
+
+
+OCTANTS = [[(s, 0, 0), (0, t, 0), (0, 0, u)]
+           for s, t, u in product((1, -1), repeat=3)]
+
+# inputs that are not smooth complete fans, each with the error that the
+# determinants of its cones with at least dim rays decide
+ATLAS_FAULTS = {
+    "lower-dimensional": (
+        _fan_doc(3, [(1, 0, 0), (0, 1, 0)], [(0, 1, 0), (-1, 0, 0)]),
+        "fan is not complete: it has no maximal cone"),
+    "half-plane": (
+        _fan_doc(3, *OCTANTS, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]),
+        "maximal cone ((-1, 0, 0), (0, 1, 0), (1, 0, 0)) is not simplicial"),
+    "square": (
+        _fan_doc(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+        "maximal cone ((-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1)) "
+        "is not simplicial"),
+    "wedge": (_fan_doc(2, [(1, 0), (1, 2)]),
+              "maximal cone ((1, 0), (1, 2)) is not smooth"),
+    "empty": (_fan_doc(2), "fan is not complete: it has no maximal cone"),
+    "overlapping": (
+        _fan_doc(2, [(1, 0), (0, 1)], [(1, 0), (1, 1)], [(1, 1), (0, 1)]),
+        "fan is not complete: facet [(1, 0)] does not lie between two "
+        "maximal cones on opposite sides"),
+}
+
+
 class TestChartAtlas:
     def test_cp1_gluing(self):
         atlas = chart_atlas(projective_space_fan(1))
@@ -259,6 +293,33 @@ class TestChartAtlas:
     def test_empty_fan_rejected(self):
         with pytest.raises(ValueError, match="fan is not complete"):
             chart_atlas(make_fan([], 2))
+
+    @pytest.mark.parametrize("doc, message", ATLAS_FAULTS.values(),
+                             ids=ATLAS_FAULTS.keys())
+    def test_atlas_fault_table(self, capsys, doc, message):
+        with pytest.raises(ValueError) as err:
+            chart_atlas(jsonio.fan_from_json(doc))
+        assert str(err.value) == message
+        assert cli.main(["atlas", "--fan", json.dumps(doc)]) == 2
+        assert capsys.readouterr().out == \
+            json.dumps({"error": message}, separators=(",", ":")) + "\n"
+
+    def test_atlas_takes_no_maximal_cones(self, capsys, monkeypatch):
+        # the charts are the cones with dim rays, decided by their determinants
+        golden = [entry for entry in json.loads(
+            (Path(__file__).parent / "cli_golden.json").read_text())
+            if entry["argv"][0] == "atlas"]
+        assert {tuple(e["argv"][1:]) for e in golden} >= \
+            {("--qubits", "4"), ("--projective", "3")}
+
+        def refuse(obj):
+            raise AssertionError("a maximal cone or a rank was asked for")
+
+        monkeypatch.setattr(geometry.Fan, "maximal_cones", refuse)
+        monkeypatch.setattr(geometry.Cone, "rank", property(refuse))
+        for entry in golden:
+            assert cli.main(entry["argv"]) == 0
+            assert capsys.readouterr().out == entry["stdout"]
 
 
 class TestInvariantSubvarieties:

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 
 from .geometry import Cone, Fan, Polytope, make_fan, polytope_hull, pos_hull
 from .monoid import MonoidGenerators
 from .qubit import ChartAtlas
-from .rationals import ComplexRational
-from .segre import MinorSpec, ProductState, PureState, minor_blocks
+from .rationals import ComplexRational, gaussian_integers
+from .segre import (MinorSpec, ProductState, PureState, check_shape,
+                    minor_blocks)
 from .toric_ideal import BinomialIdeal, MonomialMap
 
 _SAFE = 2 ** 53
@@ -190,13 +192,21 @@ def _amplitude_out(value) -> dict:
     return {"re": z.real + 0.0, "im": z.imag + 0.0}  # -0.0 + 0.0 is 0.0
 
 
-def _amplitude_part_in(x):
+def _part_in(x):
+    """An amplitude part: an exact (numerator, denominator) pair, or a
+    finite float."""
+    if isinstance(x, str):
+        # a plain ASCII [-]digits[/digits] needs no Fraction; every other
+        # string is read, or refused, by Fraction alone
+        num, slash, den = x.partition("/")
+        if x.isascii() and num.removeprefix("-").isdigit() and \
+                (den.isdigit() or not slash) and int(den or 1):
+            return int(num), int(den or 1)
+        return Fraction(x).as_integer_ratio()
     if isinstance(x, bool):
         raise ValueError("amplitude parts must be numbers or 'p/q' strings")
-    if isinstance(x, str):
-        return Fraction(x)
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"amplitude parts must be finite, got {x!r}")
@@ -204,12 +214,9 @@ def _amplitude_part_in(x):
     raise ValueError(f"bad amplitude part {x!r}")
 
 
-def _amplitude_in(data):
-    re = _amplitude_part_in(data.get("re", 0))
-    im = _amplitude_part_in(data.get("im", 0))
-    if isinstance(re, Fraction) and isinstance(im, Fraction):
-        return ComplexRational(re, im)
-    return complex(float(re), float(im))
+def _complex_of(parts) -> complex:
+    """Parts (re, im) as a complex float, an exact part rounded once."""
+    return complex(*(p if isinstance(p, float) else p[0] / p[1] for p in parts))
 
 
 def state_to_json(s: PureState) -> dict:
@@ -224,21 +231,34 @@ def state_to_json(s: PureState) -> dict:
 def state_from_json(data) -> PureState:
     """Parse a state; exact only when every amplitude part is exact.
 
-    A single floating part downgrades the whole state to complex floats so
-    amplitude arithmetic never mixes exact and floating operands.
+    An exact state is read straight into Gaussian integers over the lcm of
+    its parts' denominators.  A single floating part downgrades the whole
+    state to complex floats so amplitude arithmetic never mixes exact and
+    floating operands.  Each index is checked once, after the shape.
     """
     if not isinstance(data, dict) or "shape" not in data or "amplitudes" not in data:
         raise ValueError("state JSON needs 'shape' and 'amplitudes'")
     shape = tuple(decode_int(n) for n in data["shape"])
-    amps = {}
+    amps, floating = {}, False
     for entry in data["amplitudes"]:
-        idx = tuple(decode_int(i) for i in entry["index"])
+        idx = tuple(map(decode_int, entry["index"]))
         if idx in amps:
             raise ValueError(f"duplicate amplitude index {idx}")
-        amps[idx] = _amplitude_in(entry)
-    if any(not isinstance(v, ComplexRational) for v in amps.values()):
-        amps = {idx: complex(v) for idx, v in amps.items()}
-    return PureState(shape, amps)
+        parts = _part_in(entry.get("re", 0)), _part_in(entry.get("im", 0))
+        if any(isinstance(p, float) for p in parts):
+            parts, floating = _complex_of(parts), True
+        amps[idx] = parts
+    if floating:
+        amps = {i: v if isinstance(v, complex) else _complex_of(v)
+                for i, v in amps.items()}
+    shape = check_shape(shape)
+    ranges = [range(n) for n in shape]
+    for idx in amps:
+        if len(idx) != len(shape) or not all(map(operator.contains, ranges, idx)):
+            raise ValueError(f"index {idx} out of range for shape {shape}")
+    if floating:
+        return PureState.from_table(shape, {i: v for i, v in amps.items() if v})
+    return PureState.from_table(shape, *gaussian_integers(amps))
 
 
 def product_state_to_json(p: ProductState) -> dict:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
+from operator import and_
 
 from .geometry import Cone, Fan, Polytope, normal_fan
 from .linalg import det_adj, dot
@@ -78,7 +79,9 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
     facet-adjacent exactly when they share all but one generator.  Every facet
     of a maximal cone must lie between exactly two maximal cones, one on each
     side, so overlapping and incomplete fans are rejected; a fan that winds
-    around the origin more than once passes this local check.
+    around the origin more than once passes this local check.  Every
+    subset of a simplicial cone's rays spans a face of it, so a cone with
+    fewer rays is a face exactly when one maximal cone holds all its rays.
     """
     # the maximal cones of a complete simplicial fan are those with dim rays
     maximal = [t for t in fan.indices if len(t) >= fan.dim]
@@ -101,6 +104,16 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
         for drop, (u, g) in enumerate(zip(cols, gens)):
             facet_owners.setdefault(gens[:drop] + gens[drop + 1:], []).append(
                 (pos_idx, u, g))
+    # bit b of holders[i] is set when maximal cone b holds ray i
+    holders, every = [0] * len(fan.rays), (1 << len(maximal)) - 1
+    for b, t in enumerate(maximal):
+        for i in t:
+            holders[i] |= 1 << b
+    for t in fan.indices:
+        if len(t) < fan.dim and not reduce(and_, map(holders.__getitem__, t),
+                                           every):
+            raise ValueError(f"cone {tuple(fan.rays[i] for i in t)} is not "
+                             "a face of a maximal cone")
     adjacent = set()
     for facet, owners in facet_owners.items():
         # the second owner's extra generator lies beyond the first one's facet

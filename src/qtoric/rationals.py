@@ -117,8 +117,10 @@ class ComplexRational:
         return f"ComplexRational({self.re!s}, {self.im!s})"
 
 
-def magnitude(value) -> float:
-    """Absolute value of an amplitude, accepting exact or floating inputs."""
-    if isinstance(value, ComplexRational):
-        return math.sqrt(float(value.magnitude_squared()))
-    return abs(complex(value))
+def gaussian_integers(ratios: dict):
+    """Complex rationals {key: ((x, p), (y, q))}, standing for x / p + iy / q,
+    as the nonzero Gaussian integers {key: (X, Y)} standing for (X + iY) / D,
+    and D: the lcm of every p and q."""
+    d = math.lcm(*(n for (_, p), (_, q) in ratios.values() for n in (p, q)))
+    return {i: (x * (d // p), y * (d // q))
+            for i, ((x, p), (y, q)) in ratios.items() if x or y}, d

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .rationals import ComplexRational, magnitude
+from .rationals import ComplexRational, gaussian_integers
+
+_EXACT = (int, Fraction, ComplexRational)
 
 
 def check_shape(shape) -> tuple[int, ...]:
@@ -19,16 +21,18 @@ def check_shape(shape) -> tuple[int, ...]:
     return shape
 
 
-@dataclass
 class PureState:
     """Amplitude tensor over a system shape; zero entries are omitted.
 
     Amplitude values may be exact (ints, Fractions, ComplexRational) or
     floating (float, complex); operations state which arithmetic they use.
+    A state holds one table of its nonzero amplitudes, converted once when
+    it is made: an exact state as Gaussian integers {index: (x, y)} standing
+    for (x + iy) / D over one denominator D, any other as {index: complex}.
+    ``amplitudes`` is a view of that table: the values given to the
+    constructor or, for a state read from JSON or built by ``segre_map`` on
+    exact locals, ComplexRational or complex values built when first read.
     """
-
-    shape: tuple[int, ...]
-    amplitudes: dict
 
     def __init__(self, shape, amplitudes):
         self.shape = check_shape(shape)
@@ -42,15 +46,53 @@ class PureState:
                 cleaned[idx] = value
         if not cleaned:
             raise ValueError("state must have at least one nonzero amplitude")
-        self.amplitudes = cleaned
+        self._amplitudes = cleaned
+        if all(isinstance(v, _EXACT) for v in cleaned.values()):
+            self._table, self._d = gaussian_integers(_ratios(cleaned))
+        else:
+            self._table, self._d = {i: complex(v) for i, v in cleaned.items()}, None
+
+    @classmethod
+    def from_table(cls, shape, table, d=None) -> "PureState":
+        """The state of a checked shape from its table of nonzero values at
+        valid indices, as it is held: Gaussian integers {index: (x, y)} over
+        d, or {index: complex} if d is None.  Nothing is checked or
+        converted, except that the table must not be empty."""
+        if not table:
+            raise ValueError("state must have at least one nonzero amplitude")
+        state = cls.__new__(cls)
+        state.shape, state._table, state._d, state._amplitudes = shape, table, d, None
+        return state
+
+    @property
+    def amplitudes(self) -> dict:
+        if self._amplitudes is None:
+            d = self._d
+            self._amplitudes = self._table if d is None else {
+                i: ComplexRational(Fraction(x, d), Fraction(y, d))
+                for i, (x, y) in self._table.items()}
+        return self._amplitudes
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.shape, self.amplitudes) == (other.shape, other.amplitudes)
+
+    def __repr__(self):
+        return f"PureState(shape={self.shape!r}, amplitudes={self.amplitudes!r})"
 
     def amplitude(self, index):
         return self.amplitudes.get(tuple(index), 0)
 
     def norm_squared(self) -> float:
-        """sum |a|^2 over the amplitudes, in floats: math.inf above their range."""
+        """sum |a|^2 over the amplitudes, in floats: math.inf above their
+        range.  An exact |a| is sqrt(|a|^2), with |a|^2 rounded once."""
         try:
-            return sum(magnitude(v) ** 2 for v in self.amplitudes.values())
+            if self._d is None:
+                return sum(abs(v) ** 2 for v in self._table.values())
+            d2 = self._d * self._d
+            return sum(math.sqrt((x * x + y * y) / d2) ** 2
+                       for x, y in self._table.values())
         except OverflowError:
             return math.inf
 
@@ -109,12 +151,21 @@ def segre_map(p: ProductState) -> PureState:
     """Amplitude at (i_1,...,i_m) equals the product of local amplitudes.
 
     Products are built by shared prefixes, ((1 * v_1[i_1]) * v_2[i_2]) * ...,
-    so each index costs about two multiplications instead of m.
+    so each index costs about two multiplications instead of m.  Exact
+    locals are multiplied as Gaussian integers: party j over the lcm q_j of
+    its denominators, the state over D = prod_j q_j.
     """
-    prods = [((), 1)]
+    if not all(isinstance(x, _EXACT) for v in p.locals for x in v):
+        prods = [((), 1)]
+        for v in p.locals:
+            prods = [(i + (a,), u * x) for i, u in prods for a, x in enumerate(v)]
+        return PureState(p.shape, dict(prods))
+    prods, d = [((), (1, 0))], 1
     for v in p.locals:
-        prods = [(i + (a,), u * x) for i, u in prods for a, x in enumerate(v)]
-    return PureState(p.shape, dict(prods))
+        g, q = gaussian_integers(_ratios(dict(enumerate(v))))
+        prods = [(i + (a,), _gmul(u, x)) for i, u in prods for a, x in g.items()]
+        d *= q
+    return PureState.from_table(p.shape, dict(prods), d)
 
 
 def minor_blocks(shape):
@@ -196,12 +247,11 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
         r = _gaussian_verdict(state.shape, table, d << max(k, 0), tol)
     else:
         k = _float_range_shift(state)
-        amps = state.amplitudes.items()
+        amps = state._table.items()
         if k:
             amps = [(i, _times_power_of_two(v, -k)) for i, v in amps]
         # as PureState does, drop the amplitudes the shift takes to zero
-        r = _float_verdict(state.shape, {i: complex(v) for i, v in amps if v},
-                           tol, k)
+        r = _float_verdict(state.shape, {i: v for i, v in amps if v}, tol, k)
     if k == 0:
         return r
     if r.witness is not None:
@@ -220,8 +270,8 @@ def _float_range_shift(state: PureState) -> int:
     1/2 <= f < 1, bounds the peak P by 2^(e-1) <= |P| < 2^(e+1); the window
     keeps |P|^2 and the witness scale P^(m-1) of m parties normal floats:
     -510 <= e <= 510, (e - 1)(m - 1) >= -1022, (e + 1)(m - 1) <= 1023."""
-    e = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in
-                       map(complex, state.amplitudes.values())))[1]
+    e = math.frexp(max(max(abs(z.real), abs(z.imag))
+                       for z in state._table.values()))[1]
     m = len(state.shape)
     return 0 if -510 <= e <= 510 and (e - 1) * (m - 1) >= -1022 and \
         (e + 1) * (m - 1) <= 1023 else e
@@ -240,16 +290,14 @@ def _gaussian_shift(table, d) -> int:
 
 
 def _is_exact(state: PureState) -> bool:
-    return all(isinstance(v, (int, Fraction, ComplexRational))
-               for v in state.amplitudes.values())
+    return state._d is not None
 
 
 def _times_power_of_two(x, e: int):
     """x * 2^e: exact for an exact x, else rounded to complex floats."""
-    if isinstance(x, (int, Fraction, ComplexRational)):
+    if isinstance(x, _EXACT):
         return x * Fraction(2) ** e
-    z = complex(x)
-    return complex(_ldexp(z.real, e), _ldexp(z.imag, e))
+    return complex(_ldexp(x.real, e), _ldexp(x.imag, e))
 
 
 def _ldexp(x: float, e: int) -> float:
@@ -375,15 +423,20 @@ def _strides(shape) -> list[int]:
 
 def _gaussian(state: PureState):
     """The amplitudes as Gaussian integers {index: (x, y)} standing for
-    (x + iy) / D, and D: the lcm of every part's denominator.  A float part
-    is a dyadic rational, so a floating state is read exactly this way too.
-    """
-    parts = [((v.re, v.im) if isinstance(v, ComplexRational)
-              else (v.real, v.imag)) for v in state.amplitudes.values()]
-    ratios = [(p.as_integer_ratio(), q.as_integer_ratio()) for p, q in parts]
-    d = math.lcm(*(den for pair in ratios for _, den in pair))
-    return {i: (x * (d // dx), y * (d // dy)) for i, ((x, dx), (y, dy))
-            in zip(state.amplitudes, ratios)}, d
+    (x + iy) / D, and D: the table an exact state holds.  A float part is a
+    dyadic rational, so a floating state is read exactly this way too."""
+    if state._d is not None:
+        return state._table, state._d
+    return gaussian_integers(_ratios(state._table))
+
+
+def _ratios(values: dict) -> dict:
+    """Exact or float values {key: a} as the integer ratios of their parts,
+    {key: ((x, p), (y, q))} for a = x / p + iy / q."""
+    parts = {i: (v.re, v.im) if isinstance(v, ComplexRational)
+             else (v.real, v.imag) for i, v in values.items()}
+    return {i: (a.as_integer_ratio(), b.as_integer_ratio())
+            for i, (a, b) in parts.items()}
 
 
 def _columns(table, j, n, zero) -> dict:
@@ -476,8 +529,7 @@ def concurrence(state: PureState, weights=None) -> float:
     if _is_exact(state):
         values, zero = _exact_abs(d * d), (0, 0)
     else:
-        values, zero = _float_abs, 0j
-        table = {i: complex(v) for i, v in state.amplitudes.items()}
+        values, zero, table = _float_abs, 0j, state._table
     total, weights = 0.0, iter(weights)
     for _, ks, ls, partners in minor_blocks(state.shape):
         t = [table.get(idx, zero) for idx in ks]

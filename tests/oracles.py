@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor, gcd, sqrt
+from math import ceil, floor, gcd, isfinite, sqrt
 
 import numpy as np
+
+from qtoric import PureState
+from qtoric.jsonio import decode_int
+from qtoric.rationals import ComplexRational
 
 
 def ball(dim, radius):
@@ -669,3 +673,44 @@ def minor_norm2(state):
         p, q = mul(amp(k), amp(l)), mul(amp(k2), amp(l2))
         total += (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
     return total
+
+
+def _amplitude_part_in(x):
+    if isinstance(x, bool):
+        raise ValueError("amplitude parts must be numbers or 'p/q' strings")
+    if isinstance(x, str):
+        return Fraction(x)
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, float):
+        if not isfinite(x):
+            raise ValueError(f"amplitude parts must be finite, got {x!r}")
+        return x
+    raise ValueError(f"bad amplitude part {x!r}")
+
+
+def _amplitude_in(data):
+    re = _amplitude_part_in(data.get("re", 0))
+    im = _amplitude_part_in(data.get("im", 0))
+    if isinstance(re, Fraction) and isinstance(im, Fraction):
+        return ComplexRational(re, im)
+    return complex(float(re), float(im))
+
+
+def state_from_json(data):
+    """The state reader by definition: each part a Fraction or a float, each
+    amplitude a ComplexRational, or a complex when a part is a float; a
+    single complex amplitude makes the whole state complex, and the
+    ``PureState`` constructor checks the shape and the indices."""
+    if not isinstance(data, dict) or "shape" not in data or "amplitudes" not in data:
+        raise ValueError("state JSON needs 'shape' and 'amplitudes'")
+    shape = tuple(decode_int(n) for n in data["shape"])
+    amps = {}
+    for entry in data["amplitudes"]:
+        idx = tuple(decode_int(i) for i in entry["index"])
+        if idx in amps:
+            raise ValueError(f"duplicate amplitude index {idx}")
+        amps[idx] = _amplitude_in(entry)
+    if any(not isinstance(v, ComplexRational) for v in amps.values()):
+        amps = {idx: complex(v) for idx, v in amps.items()}
+    return PureState(shape, amps)

@@ -18,6 +18,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as hs
 
 from qtoric import Binomial, MinorSpec, cli, geometry, jsonio, linalg
+from qtoric.rationals import ComplexRational
 from qtoric.segre import SeparabilityResult
 from qtoric.cli import VERBS, build_parser, main
 
@@ -412,6 +413,45 @@ class TestTableVerbs:
             raise AssertionError("a MinorSpec was built")
 
         monkeypatch.setattr(MinorSpec, "__init__", refuse)
+        assert run_cli(capsys, *argv) == expected
+
+    # an exact entangled state, and an exact normalized entangled one: the
+    # product (3/5, 4/5) x (3/5, 4i/5) with the sign of |11> flipped
+    EXACT_STATES = [
+        ("check-separable", json.dumps({"shape": [2, 2, 3], "amplitudes": [
+            {"index": [0, 0, 0], "re": "1/2", "im": "-1/3"},
+            {"index": [1, 1, 2], "re": "7"},
+            {"index": [0, 1, 1], "im": "2/9"}]})),
+        ("concurrence", json.dumps({"shape": [2, 2], "amplitudes": [
+            {"index": [0, 0], "re": "9/25"}, {"index": [0, 1], "im": "12/25"},
+            {"index": [1, 0], "re": "12/25"}, {"index": [1, 1], "im": "-16/25"}]}))]
+
+    @pytest.mark.parametrize("argv", EXACT_STATES, ids=lambda a: a[0])
+    def test_exact_state_builds_no_complex_rational(self, capsys, monkeypatch,
+                                                    argv):
+        # the state is read straight into Gaussian integers over one
+        # denominator, and decided on them
+        expected = run_cli(capsys, *argv)
+        assert expected[0] == 0 and "error" not in json.loads(expected[1])
+
+        def refuse(self):
+            raise AssertionError("a ComplexRational was built")
+
+        monkeypatch.setattr(ComplexRational, "__post_init__", refuse)
+        assert run_cli(capsys, *argv) == expected
+
+    def test_verify_param_multiplies_no_complex_rational(self, capsys,
+                                                          monkeypatch):
+        argv = ("verify-param", "--m", "10", "--z",
+                '["1/2","-3","2/3","5","-7/2","11","1/13","-17","19/3","23"]')
+        expected = run_cli(capsys, *argv)
+        assert expected == (0, '{"m":10,"onVariety":true}\n')
+
+        def refuse(self, other):
+            raise AssertionError("ComplexRational multiplication")
+
+        monkeypatch.setattr(ComplexRational, "__mul__", refuse)
+        monkeypatch.setattr(ComplexRational, "__rmul__", refuse)
         assert run_cli(capsys, *argv) == expected
 
     @pytest.mark.parametrize("argv", FANS, ids=lambda a: a[0])

@@ -15,7 +15,7 @@ from qtoric import (chart_atlas, make_fan, multiqubit_fan, multiqubit_polytope,
                     projective_space_fan, segre_map, segre_minors,
                     toric_ideal_binomials, MonomialMap, ProductState,
                     PureState)
-from qtoric import jsonio
+from qtoric import cli, jsonio, segre
 from qtoric.rationals import ComplexRational
 from qtoric.toric_ideal import BinomialIdeal
 
@@ -290,6 +290,96 @@ class TestStateJson:
         pt = jsonio.torus_point_from_json(["1/2", {"re": "2", "im": "-1/3"}])
         assert pt == (ComplexRational(Fraction(1, 2)),
                       ComplexRational(Fraction(2), Fraction(-1, 3)))
+
+
+# amplitude parts: every branch of the reader, exact strings in and out of
+# its plain ASCII form, malformed ones, and floats that underflow, round or
+# overflow
+_parts = hs.one_of(
+    hs.integers(-10 ** 30, 10 ** 30), hs.just(10 ** 400),
+    hs.fractions(max_denominator=10 ** 6).map(str),
+    hs.tuples(hs.integers(-999, 999), hs.integers(0, 999)).map(
+        lambda t: f"{t[0]:04d}/{t[1]}"),
+    hs.sampled_from([" 1/2 ", "1_0/3", "+2", "1.5", "1e3", "-1e-3", "-0",
+                     "0/5", "1/" + "0" * 3 + "7", "1e400", "-1e-400", "--2",
+                     "-+2", "-", "1/", "/2", "1//2", "0x10", "\u0661/\u0662",
+                     "1/00"]),
+    hs.floats(allow_nan=False, allow_infinity=False),
+    hs.sampled_from([0.0, -0.0, 5e-324, 1e308]))
+
+
+@hs.composite
+def state_documents(draw):
+    shape = draw(hs.lists(hs.integers(2, 3), min_size=1, max_size=3))
+    indices = draw(hs.lists(
+        hs.tuples(*(hs.integers(0, n - 1) for n in shape)), unique=True,
+        min_size=1, max_size=6))
+    entries = []
+    for idx in indices:
+        entry = {"index": list(idx)}
+        for key in ("re", "im"):
+            if draw(hs.booleans()):
+                entry[key] = draw(_parts)
+        entries.append(entry)
+    return {"shape": shape, "amplitudes": entries}
+
+
+def _decoded(read, doc):
+    try:
+        return read(doc)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestStateDecoder:
+    """The reader into one table against ``oracles.state_from_json``, the
+    reader through Fraction and ComplexRational values."""
+
+    @given(state_documents())
+    def test_table_describes_the_oracle_state(self, doc):
+        st, expected = (_decoded(read, doc) for read in
+                        (jsonio.state_from_json, oracles.state_from_json))
+        if not isinstance(expected, PureState):
+            assert st == expected
+            return
+        assert st.shape == expected.shape
+        assert segre._is_exact(st) == segre._is_exact(expected)
+        if segre._is_exact(st):
+            table, d = segre._gaussian(st)
+            assert list(table) == list(expected.amplitudes)
+            assert all((Fraction(x, d), Fraction(y, d)) ==
+                       (expected.amplitudes[i].re, expected.amplitudes[i].im)
+                       for i, (x, y) in table.items())
+        else:
+            assert list(st.amplitudes.items()) == \
+                list(expected.amplitudes.items())
+            assert all(type(v) is complex for v in st.amplitudes.values())
+        assert st.amplitudes == expected.amplitudes
+        assert st.norm_squared() == expected.norm_squared()
+
+    @pytest.mark.parametrize("text", [
+        '{"shape":[2,2],"amplitudes":[{"index":[0,0],"re":%s},'
+        '{"index":[1,1],"re":"1/3","im":"2"}]}' % part for part in (
+            '" 1/2 "', '"1_0/3"', '"+2"', '"1.5"', '"1e3"', '"\u0663/4"',
+            '"3/-4"', '"1/0"', '"1 /2"', '""', "true", "NaN", "Infinity",
+            "[[1]]", "0.5")] + [
+        '{"shape":[2,2],"amplitudes":[{"index":[1,1],"re":"1"},'
+        '{"index":[1,1],"re":"1/2"}]}',
+        '{"shape":[2,2],"amplitudes":[{"index":[0,1],"re":"1"},'
+        '{"index":[0,2],"re":"1/2"}]}'],
+        ids=["spaces", "underscore", "plus", "decimal", "exponent",
+             "arabic-digit", "negative-denominator", "zero-denominator",
+             "inner-space", "empty", "true", "nan", "infinity", "nested-list",
+             "float", "duplicate-index", "out-of-range-index"])
+    @pytest.mark.parametrize("verb", ["check-separable", "concurrence"])
+    def test_cli_matches_the_oracle_reader(self, capsys, monkeypatch, verb,
+                                           text):
+        def run():
+            code = cli.main([verb, text])
+            return code, capsys.readouterr().out
+        got = run()
+        monkeypatch.setattr(jsonio, "state_from_json", oracles.state_from_json)
+        assert got == run()
 
 
 class TestAtlasAndParamJson:

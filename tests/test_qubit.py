@@ -18,7 +18,7 @@ from qtoric import (chart_atlas, dual_cone, evaluate_binomial,
                     polytope_hull, pos_hull, projective_space_fan,
                     segre_minors,minor_value, toric_ideal_binomials,
                     validate_fan, verify_parameterization, MonomialMap)
-from qtoric import cli, geometry, jsonio, qubit
+from qtoric import cli, geometry, jsonio, qubit, segre
 from qtoric.rationals import ComplexRational
 
 
@@ -181,6 +181,14 @@ ATLAS_FAULTS = {
         _fan_doc(2, [(1, 0), (0, 1)], [(1, 0), (1, 1)], [(1, 1), (0, 1)]),
         "fan is not complete: facet [(1, 0)] does not lie between two "
         "maximal cones on opposite sides"),
+    # a short cone inside the first octant, but not a face of it
+    "inner-cone": (
+        _fan_doc(3, *OCTANTS, [(1, 1, 0), (0, 0, 1)]),
+        "cone ((0, 0, 1), (1, 1, 0)) is not a face of a maximal cone"),
+    # each ray lies in some maximal cone, but no maximal cone holds both
+    "line": (
+        _fan_doc(3, *OCTANTS, [(1, 0, 0), (-1, 0, 0)]),
+        "cone ((-1, 0, 0), (1, 0, 0)) is not a face of a maximal cone"),
 }
 
 
@@ -294,6 +302,16 @@ class TestChartAtlas:
         with pytest.raises(ValueError, match="fan is not complete"):
             chart_atlas(make_fan([], 2))
 
+    def test_faces_of_maximal_cones_accepted(self):
+        # a short cone is a face exactly when one maximal cone holds its rays
+        octants = chart_atlas(jsonio.fan_from_json(_fan_doc(3, *OCTANTS)))
+        for face in ([(1, 0, 0), (0, 1, 0)], [(-1, 0, 0)],
+                     [(0, -1, 0), (0, 0, 1)]):
+            atlas = chart_atlas(jsonio.fan_from_json(
+                _fan_doc(3, *OCTANTS, face)))
+            assert (atlas.charts, atlas.transitions) == \
+                (octants.charts, octants.transitions)
+
     @pytest.mark.parametrize("doc, message", ATLAS_FAULTS.values(),
                              ids=ATLAS_FAULTS.keys())
     def test_atlas_fault_table(self, capsys, doc, message):
@@ -372,21 +390,21 @@ class TestParameterization:
 
     def test_image_multiplication_count(self, monkeypatch):
         # prefix products: at most 2 + 4 + ... + 2^m multiplications, not
-        # one per factor of every amplitude (m 2^(m-1) = 5,120 at m = 10)
+        # one per factor of every amplitude (m 2^(m-1) = 5,120 at m = 10),
+        # taken in Gaussian integers
         calls = []
-        mul = ComplexRational.__mul__
+        mul = segre._gmul
 
         def counted(a, b):
             calls.append(None)
             return mul(a, b)
 
-        monkeypatch.setattr(ComplexRational, "__mul__", counted)
-        monkeypatch.setattr(ComplexRational, "__rmul__", counted)
+        monkeypatch.setattr(segre, "_gmul", counted)
         z = [ComplexRational(Fraction(j + 2), Fraction(1, j + 1))
              for j in range(10)]
         st = parameterization_image(z)
         assert len(st.amplitudes) == 1024
-        assert len(calls) <= 2 ** 11 - 2
+        assert 0 < len(calls) <= 2 ** 11 - 2
 
     def test_verify_parameterization(self):
         assert verify_parameterization(

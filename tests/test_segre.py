@@ -70,7 +70,10 @@ class TestSegreMap:
                         for n in shape))
             for entry in LOCAL_ENTRIES))))
     def test_matches_indexwise_product(self, locs):
-        # same values, types and key order, zero products omitted
+        # same values and key order, zero products omitted; exact locals
+        # mixing int, Fraction and ComplexRational are multiplied as Gaussian
+        # integers over one denominator, and with a floating local the
+        # products are taken as given: same types and reprs too
         def entries(amps):
             return [(k, type(v), repr(v)) for k, v in amps.items()]
         expected = oracles.segre_product(locs)
@@ -78,8 +81,16 @@ class TestSegreMap:
             with pytest.raises(ValueError, match="nonzero amplitude"):
                 segre_map(ProductState(locs))
             return
-        assert entries(segre_map(ProductState(locs)).amplitudes) == \
-            entries(expected)
+        st = segre_map(ProductState(locs))
+        assert list(st.amplitudes.items()) == list(expected.items())
+        if all(isinstance(x, segre._EXACT) for v in locs for x in v):
+            table, d = segre._gaussian(st)
+            assert segre._is_exact(st) and list(table) == list(expected)
+            assert all(oracles._exact_parts(expected[i]) ==
+                       (Fraction(x, d), Fraction(y, d))
+                       for i, (x, y) in table.items())
+        else:
+            assert entries(st.amplitudes) == entries(expected)
 
 
 class TestSegreMinors:

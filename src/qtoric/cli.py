@@ -7,7 +7,6 @@ Exit status 0 on success, 2 on malformed input or a precondition violation
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -64,7 +63,7 @@ def _projective_relations(args):
     data = _read_json_arg(args.exponents)
     if not isinstance(data, list):
         raise ValueError("--exponents must be a JSON list of integer vectors")
-    exponents = [[jsonio.decode_int(x) for x in vec] for vec in data]
+    exponents = [jsonio._vector_in(vec) for vec in data]
     return jsonio.ideal_dumps(projective_relations(exponents, args.degree))
 
 
@@ -73,8 +72,7 @@ def _check_separable(args):
     worst = None
     if verdict.worst_minor is not None:
         worst = jsonio.minor_to_json(verdict.worst_minor)
-        worst["value"] = {"re": verdict.worst_value.real + 0.0,
-                          "im": verdict.worst_value.imag + 0.0}
+        worst["value"] = jsonio._amplitude_out(verdict.worst_value)
     return {"separable": verdict.separable, "maxViolation": verdict.max_violation,
             "witness": (jsonio.product_state_to_json(verdict.witness)
                         if verdict.witness is not None else None),
@@ -146,7 +144,7 @@ VERBS = {
     "segre-minors": ("canonical two-by-two minors for a system shape",
                      [("--shape", {**_REQUIRED, "help": "JSON list, e.g. [2,2,2]"})],
                      lambda a: jsonio.segre_minors_dumps(
-                         [jsonio.decode_int(n) for n in _read_json_arg(a.shape)])),
+                         jsonio._vector_in(_read_json_arg(a.shape)))),
     "check-separable": ("separability verdict for a state file",
                         [_STATE, ("--tol", {
                             "type": float, "default": 1e-10,
@@ -187,7 +185,6 @@ def _add_verb(parser: argparse.ArgumentParser, verb: str) -> argparse.ArgumentPa
     return parser
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The whole parser, for top-level help, unknown verbs and arguments a
     verb does not take; ``parse_args`` leaves it unchanged."""
@@ -202,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
 def _verb_parser(verb: str) -> argparse.ArgumentParser:
     """The sub-parser of one verb alone, with the prog argparse gives it."""
     return _add_verb(argparse.ArgumentParser(prog=f"qtoric {verb}"), verb)

@@ -42,7 +42,7 @@ def _vector_out(v):
 def _vector_in(v):
     if not isinstance(v, list):
         raise ValueError(f"expected a list of integers, got {v!r}")
-    return tuple(decode_int(x) for x in v)
+    return tuple(map(decode_int, v))
 
 
 def cone_to_json(c: Cone) -> dict:
@@ -238,10 +238,10 @@ def state_from_json(data) -> PureState:
     """
     if not isinstance(data, dict) or "shape" not in data or "amplitudes" not in data:
         raise ValueError("state JSON needs 'shape' and 'amplitudes'")
-    shape = tuple(decode_int(n) for n in data["shape"])
+    shape = _vector_in(data["shape"])
     amps, floating = {}, False
     for entry in data["amplitudes"]:
-        idx = tuple(map(decode_int, entry["index"]))
+        idx = _vector_in(entry["index"])
         if idx in amps:
             raise ValueError(f"duplicate amplitude index {idx}")
         parts = _part_in(entry.get("re", 0)), _part_in(entry.get("im", 0))

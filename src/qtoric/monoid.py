@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import mul
+from operator import ge, mul
 
 from .geometry import Cone, is_strongly_convex, pos_hull
 from .linalg import det_adj, dot, hermite_basis, orthogonal_lattice
@@ -154,7 +154,10 @@ def hilbert_basis(c: Cone) -> MonoidGenerators:
     per coset.  They are reduced to the irreducible elements in the order
     of a positive degree w: the Hilbert basis is among them, so every
     nonzero monoid element has degree at least that of the first, lo, and
-    a candidate of degree below 2 lo is irreducible without a search.
+    a candidate of degree below 2 lo is irreducible without a test.  The
+    monoid is saturated, so any other candidate v is reducible exactly when
+    v - b lies in c for a kept b (Bruns & Ichim 2010): one membership test,
+    H v >= H b on the halfspaces H, per kept element.
     """
     w, halfspaces = _ambient_functional(
         c, "cone is not strongly convex; the minimal generating set is not unique")
@@ -166,11 +169,13 @@ def hilbert_basis(c: Cone) -> MonoidGenerators:
         candidates.update(_parallelepiped_points(subset, lattice))
     ordered = sorted(candidates, key=lambda v: (dot(w, v), v))
     least_sum = 2 * dot(w, ordered[0])
-    basis: list[tuple[int, ...]] = []
+    basis, levels = [], []
     for v in ordered:
+        hv = [dot(h, v) for h in halfspaces]
         if dot(w, v) < least_sum or \
-                not _reachable(basis, v, (w, halfspaces)):
+                not any(all(map(ge, hv, hb)) for hb in levels):
             basis.append(v)
+            levels.append(hv)
     return MonoidGenerators(c, tuple(sorted(basis)))
 
 

@@ -244,7 +244,7 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
         k = _gaussian_shift(table, d)
         if k < 0:
             table = {i: (x << -k, y << -k) for i, (x, y) in table.items()}
-        r = _gaussian_verdict(state.shape, table, d << max(k, 0), tol)
+        r = _gaussian_verdict(state.shape, table, d << max(k, 0), tol, k)
     else:
         k = _float_range_shift(state)
         amps = state._table.items()
@@ -254,9 +254,6 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
         r = _float_verdict(state.shape, {i: v for i, v in amps if v}, tol, k)
     if k == 0:
         return r
-    if r.witness is not None:
-        first = tuple(_times_power_of_two(x, k) for x in r.witness.locals[0])
-        r.witness = ProductState((first,) + r.witness.locals[1:])
     if r.worst_value is not None:
         r.worst_value = complex(_ldexp(r.worst_value.real, 2 * k),
                                 _ldexp(r.worst_value.imag, 2 * k))
@@ -293,10 +290,8 @@ def _is_exact(state: PureState) -> bool:
     return state._d is not None
 
 
-def _times_power_of_two(x, e: int):
-    """x * 2^e: exact for an exact x, else rounded to complex floats."""
-    if isinstance(x, _EXACT):
-        return x * Fraction(2) ** e
+def _times_power_of_two(x, e: int) -> complex:
+    """x * 2^e, rounded to complex floats."""
     return complex(_ldexp(x.real, e), _ldexp(x.imag, e))
 
 
@@ -323,26 +318,27 @@ def _float_verdict(shape, table, tol, k) -> SeparabilityResult:
 
 
 def _float_witness(rows, peak, k) -> list[list]:
-    """The rows through the peak P with the first divided by P^(m-1), while
-    that row scaled back by 2^k is finite and zero only where it was.  Else
-    each later row is divided by P, the same products with no power of P
-    formed, and the scaled-back first row is the state's own."""
+    """The rows through the peak P of a state shifted by 2^-k, the first
+    divided by P^(m-1) and scaled back by 2^k, while that row is finite and
+    zero only where it was.  Else each later row is divided by P, the same
+    products with no power of P formed, and the first row scaled back is
+    the state's own."""
     if len(rows) > 1:
         try:
             scale = peak ** (len(rows) - 1)
-            first = [x / scale for x in rows[0]]
-            back = [_times_power_of_two(x, k) for x in first]
+            first = [_times_power_of_two(x / scale, k) for x in rows[0]]
             if all(math.isfinite(y.real) and math.isfinite(y.imag) and
-                   (y or not x) for x, y in zip(rows[0], back)):
+                   (y or not x) for x, y in zip(rows[0], first)):
                 return [first] + rows[1:]
         except (OverflowError, ZeroDivisionError):
             pass
-    return rows[:1] + [[x / peak for x in row] for row in rows[1:]]
+    return [[_times_power_of_two(x, k) for x in rows[0]]] + \
+        [[x / peak for x in row] for row in rows[1:]]
 
 
-def _gaussian_verdict(shape, table, d, tol) -> SeparabilityResult:
+def _gaussian_verdict(shape, table, d, tol, k) -> SeparabilityResult:
     """The verdict on Gaussian integers {index: (x, y)}, each nonzero and
-    standing for (x + iy) / d."""
+    standing for (x + iy) / d, a state shifted by 2^-k."""
     d2 = d * d
     # the peak of the witness: |a| rounded as sqrt(float(|a|^2)), the last
     # largest in index order
@@ -364,6 +360,9 @@ def _gaussian_verdict(shape, table, d, tol) -> SeparabilityResult:
             s, n = d ** (len(rows) - 2), g[0] * g[0] + g[1] * g[1]
             locs[0] = [(x * s, y * s, n) for x, y in
                        (_gmul(r, (g[0], -g[1])) for r in rows[0])]
+        # the first row times 2^k is the witness of the unshifted state
+        locs[0] = [(x << k, y << k, q) if k > 0 else (x, y, q << -k)
+                   for x, y, q in locs[0]]
         return SeparabilityResult(True, top, ProductState(
             [ComplexRational(Fraction(x, q), Fraction(y, q)) for x, y, q in loc]
             for loc in locs), None)

@@ -454,6 +454,31 @@ class TestTableVerbs:
         monkeypatch.setattr(ComplexRational, "__rmul__", refuse)
         assert run_cli(capsys, *argv) == expected
 
+    @pytest.mark.parametrize("factor, digest", [
+        (Fraction(1, 10 ** 400),
+         "9bd292706ff9d30d61b6bacbafd2d895eb61a88832eaab1be5baccd0bb00b7ac"),
+        (Fraction(10 ** 400),
+         "76338beca83c3b613c078eacad75c0acc20119166592368669d6c0bf1ba6e88b")],
+        ids=["1e-400", "1e400"])
+    def test_exact_witness_scaled_back_without_complex_rational_products(
+            self, capsys, monkeypatch, factor, digest):
+        # the product of (3/5, 4/5) with itself is decided on a copy shifted
+        # by 2^-k; the witness's integer triples take the 2^k back
+        loc = (Fraction(3, 5), Fraction(4, 5))
+        state = json.dumps({"shape": [2, 2], "amplitudes": [
+            {"index": [i, j], "re": str(loc[i] * loc[j] * factor)}
+            for i in (0, 1) for j in (0, 1)]})
+        expected = run_cli(capsys, "check-separable", state)
+        assert expected[0] == 0
+        assert hashlib.sha256(expected[1].encode()).hexdigest() == digest
+
+        def refuse(self, other):
+            raise AssertionError("ComplexRational multiplication")
+
+        monkeypatch.setattr(ComplexRational, "__mul__", refuse)
+        monkeypatch.setattr(ComplexRational, "__rmul__", refuse)
+        assert run_cli(capsys, "check-separable", state) == expected
+
     @pytest.mark.parametrize("argv", FANS, ids=lambda a: a[0])
     def test_fans_build_no_cone_document(self, capsys, monkeypatch, argv):
         expected = run_cli(capsys, *argv)
@@ -583,15 +608,15 @@ class TestParser:
         code = main(argv)
         got = code, capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
-            build_parser.__wrapped__().parse_args(argv)
+            build_parser().parse_args(argv)
         assert got == (exc.value.code, capsys.readouterr())
         assert got[1].out or got[1].err
 
     @pytest.mark.parametrize("verb", VERBS)
     def test_verb_parser_parses_like_the_whole_parser(self, verb):
         for rest in _verb_argvs(verb):
-            args, extra = cli._verb_parser.__wrapped__(verb).parse_known_args(rest)
-            whole = build_parser.__wrapped__().parse_args([verb, *rest])
+            args, extra = cli._verb_parser(verb).parse_known_args(rest)
+            whole = build_parser().parse_args([verb, *rest])
             assert extra == [] and vars(whole) == {**vars(args), "verb": verb}
 
     def test_valid_call_builds_one_parser(self, capsys, monkeypatch):
@@ -603,8 +628,6 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        build_parser.cache_clear()
-        cli._verb_parser.cache_clear()
         code, _ = run_cli(capsys, "dual", "--cone",
                           '{"dim":2,"generators":[[1,0],[1,2]]}')
         assert code == 0 and built == ["qtoric dual"]
@@ -665,9 +688,21 @@ class TestExitCodes:
          "dimension mismatch among input points"),
         (("projective-relations", "--exponents", "{}", "--degree", "2"),
          "--exponents must be a JSON list of integer vectors"),
+        # a number is not a vector, nor a JSON object the list of its keys
+        (("projective-relations", "--exponents", "[5]", "--degree", "2"),
+         "expected a list of integers, got 5"),
+        (("segre-minors", "--shape", '{"2": 0, "3": 0}'),
+         "expected a list of integers, got {'2': 0, '3': 0}"),
+        (("check-separable", '{"shape":{"2":0,"3":0},"amplitudes":'
+          '[{"index":[0,0],"re":1}]}'),
+         "expected a list of integers, got {'2': 0, '3': 0}"),
+        (("check-separable", '{"shape":[2,3],"amplitudes":'
+          '[{"index":{"0":1,"1":2},"re":1}]}'),
+         "expected a list of integers, got {'0': 1, '1': 2}"),
     ], ids=["float-int", "fan-keys", "state-keys", "empty-map",
             "bool-part", "list-part", "list-coordinate", "point-not-list",
-            "mixed-vertices", "exponents-not-list"])
+            "mixed-vertices", "exponents-not-list", "exponent-not-list",
+            "shape-object", "state-shape-object", "index-object"])
     def test_rejection_document(self, capsys, argv, message):
         code, out = run_cli(capsys, *argv)
         assert code == 2

@@ -1,7 +1,7 @@
 """Hilbert bases and lattice-monoid membership."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -28,6 +28,17 @@ def random_pointed_cone(rng, dim, lo=-5, hi=5):
         if cert is None:
             continue
         return pos_hull(vecs, dim), cert
+
+
+def searchless_hilbert_basis(cone):
+    """hilbert_basis(cone) with monoid._reachable patched to raise: the
+    reduction of a saturated monoid tests membership and never searches."""
+    def refuse(*args):
+        raise AssertionError("hilbert_basis searched for a combination")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monoid, "_reachable", refuse)
+        return hilbert_basis(cone)
 
 
 @hs.composite
@@ -83,7 +94,7 @@ class TestEchelonPivots:
     @given(cones_with_dependent_subsets())
     def test_equals_brute_force_irreducibles(self, gens):
         w, ineqs = oracles.positive_functional(gens, 4)
-        basis = hilbert_basis(pos_hull(gens, 4)).generators
+        basis = searchless_hilbert_basis(pos_hull(gens, 4)).generators
         cap = max(oracles.dot(w, b) for b in basis)
         assert list(basis) == sorted(oracles.brute_irreducibles(
             gens, 4, w, ineqs, cap))
@@ -150,7 +161,7 @@ class TestHilbertBasis:
             if cert is None:
                 continue
             w, ineqs = cert
-            basis = hilbert_basis(pos_hull(vecs, dim)).generators
+            basis = searchless_hilbert_basis(pos_hull(vecs, dim)).generators
             cap = max(oracles.dot(w, b) for b in basis)
             brute = oracles.brute_irreducibles(vecs, dim, w, ineqs, cap)
             assert sorted(basis) == sorted(brute), (vecs, basis, brute)
@@ -169,7 +180,7 @@ class TestHilbertBasis:
         assert all(monoid._parallelepiped_points(s, lattice) == []
                    for s in dependent)
         w, ineqs = oracles.positive_functional(gens, 4)
-        basis = hilbert_basis(cone).generators
+        basis = searchless_hilbert_basis(cone).generators
         cap = max(oracles.dot(w, b) for b in basis)
         assert list(basis) == sorted(oracles.brute_irreducibles(
             gens, 4, w, ineqs, cap))
@@ -182,10 +193,18 @@ class TestHilbertBasis:
         # span, so its box scan keeps only the points of the span
         dim, gens = case
         w, ineqs = oracles.positive_functional(gens, dim)
-        basis = hilbert_basis(pos_hull(gens, dim)).generators
+        basis = searchless_hilbert_basis(pos_hull(gens, dim)).generators
         cap = max(oracles.dot(w, b) for b in basis)
         assert list(basis) == sorted(oracles.brute_irreducibles(
             gens, dim, w, ineqs, cap))
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_sign_cube_cone(self, m):
+        # the cone over {-1, 1}^m x {1}: the cube is normal, so the Hilbert
+        # basis is its 3^m lattice points at height 1
+        gens = [v + (1,) for v in product((-1, 1), repeat=m)]
+        assert searchless_hilbert_basis(pos_hull(gens)).generators == \
+            tuple(v + (1,) for v in product((-1, 0, 1), repeat=m))
 
     @given(hs.integers(1, 10 ** 6))
     @example(10 ** 6)

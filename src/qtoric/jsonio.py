@@ -45,6 +45,14 @@ def _vector_in(v):
     return tuple(map(decode_int, v))
 
 
+def _list_in(data: dict, field: str) -> list:
+    """data[field], which must be a JSON list; a missing field is empty."""
+    value = data.get(field, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{field!r} must be a JSON list, got {value!r}")
+    return value
+
+
 def cone_to_json(c: Cone) -> dict:
     return {"dim": c.dim, "generators": [_vector_out(g) for g in c.generators]}
 
@@ -53,7 +61,7 @@ def cone_from_json(data) -> Cone:
     if not isinstance(data, dict) or "dim" not in data:
         raise ValueError("cone JSON needs 'dim' and 'generators'")
     dim = decode_int(data["dim"])
-    gens = [_vector_in(g) for g in data.get("generators", [])]
+    gens = [_vector_in(g) for g in _list_in(data, "generators")]
     return pos_hull(gens, dim)
 
 
@@ -65,7 +73,7 @@ def polytope_from_json(data) -> Polytope:
     if not isinstance(data, dict) or "dim" not in data or "vertices" not in data:
         raise ValueError("polytope JSON needs 'dim' and 'vertices'")
     dim = decode_int(data["dim"])
-    return polytope_hull([_vector_in(v) for v in data["vertices"]], dim)
+    return polytope_hull([_vector_in(v) for v in _list_in(data, "vertices")], dim)
 
 
 def fan_to_json(f: Fan) -> dict:
@@ -76,7 +84,7 @@ def fan_from_json(data) -> Fan:
     if not isinstance(data, dict) or "dim" not in data or "cones" not in data:
         raise ValueError("fan JSON needs 'dim' and 'cones'")
     dim = decode_int(data["dim"])
-    return make_fan([cone_from_json(c) for c in data["cones"]], dim)
+    return make_fan([cone_from_json(c) for c in _list_in(data, "cones")], dim)
 
 
 def monoid_to_json(m: MonoidGenerators) -> dict:
@@ -95,7 +103,7 @@ def map_from_json(data) -> MonomialMap:
             raise ValueError("monomial map needs at least one exponent vector")
         return MonomialMap(len(exponents[0]), tuple(exponents))
     if isinstance(data, dict) and "exponents" in data:
-        exponents = [_vector_in(a) for a in data["exponents"]]
+        exponents = [_vector_in(a) for a in _list_in(data, "exponents")]
         dim = decode_int(data["dim"]) if "dim" in data else len(exponents[0])
         return MonomialMap(dim, tuple(exponents))
     raise ValueError("monomial map JSON must be a list of exponent vectors "
@@ -240,7 +248,10 @@ def state_from_json(data) -> PureState:
         raise ValueError("state JSON needs 'shape' and 'amplitudes'")
     shape = _vector_in(data["shape"])
     amps, floating = {}, False
-    for entry in data["amplitudes"]:
+    for entry in _list_in(data, "amplitudes"):
+        if not isinstance(entry, dict):
+            raise ValueError(f"'amplitudes' entries must be JSON objects, "
+                             f"got {entry!r}")
         idx = _vector_in(entry["index"])
         if idx in amps:
             raise ValueError(f"duplicate amplitude index {idx}")

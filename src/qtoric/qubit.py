@@ -78,10 +78,11 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
     Adjacency is read off the simplicial structure: two maximal cones are
     facet-adjacent exactly when they share all but one generator.  Every facet
     of a maximal cone must lie between exactly two maximal cones, one on each
-    side, so overlapping and incomplete fans are rejected; a fan that winds
-    around the origin more than once passes this local check.  Every
-    subset of a simplicial cone's rays spans a face of it, so a cone with
-    fewer rays is a face exactly when one maximal cone holds all its rays.
+    side, so overlapping and incomplete fans are rejected.  The maximal
+    cones then cover space k >= 1 times, and k = 1 exactly when no other
+    maximal cone holds the sum of the first one's rays.  Every subset of a
+    simplicial cone's rays spans a face of it, so a cone with fewer rays is
+    a face exactly when one maximal cone holds all its rays.
     """
     # the maximal cones of a complete simplicial fan are those with dim rays
     maximal = [t for t in fan.indices if len(t) >= fan.dim]
@@ -122,6 +123,11 @@ def chart_atlas(fan: Fan) -> ChartAtlas:
                              "not lie between two maximal cones on opposite sides")
         (i, _, _), (j, _, _) = owners
         adjacent.update({(i, j), (j, i)})
+    # an interior point of the first cone, in no other cone of a fan
+    inner = tuple(map(sum, zip(*charts[0].cone.generators)))
+    covers = sum(all(dot(u, inner) >= 0 for u in ch.coordinates) for ch in charts)
+    if covers != 1:
+        raise ValueError(f"maximal cones overlap: {covers} of them hold {inner}")
     positions = [{g: c for c, g in enumerate(gens)} for gens in inverses]
     transitions = [(i, j, _transition(inverses[i], positions[j],
                                       charts[j].coordinates))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from .rationals import ComplexRational, gaussian_integers
@@ -26,12 +27,12 @@ class PureState:
 
     Amplitude values may be exact (ints, Fractions, ComplexRational) or
     floating (float, complex); operations state which arithmetic they use.
-    A state holds one table of its nonzero amplitudes, converted once when
-    it is made: an exact state as Gaussian integers {index: (x, y)} standing
+    A state is one table of its nonzero amplitudes, converted once when it
+    is made: an exact state as Gaussian integers {index: (x, y)} standing
     for (x + iy) / D over one denominator D, any other as {index: complex}.
-    ``amplitudes`` is a view of that table: the values given to the
-    constructor or, for a state read from JSON or built by ``segre_map`` on
-    exact locals, ComplexRational or complex values built when first read.
+    ``amplitudes`` reads that table when first asked for: an exact value as
+    a Fraction if it is real, else a ComplexRational, a floating one as a
+    complex, whatever types the state was given.
     """
 
     def __init__(self, shape, amplitudes):
@@ -46,7 +47,6 @@ class PureState:
                 cleaned[idx] = value
         if not cleaned:
             raise ValueError("state must have at least one nonzero amplitude")
-        self._amplitudes = cleaned
         if all(isinstance(v, _EXACT) for v in cleaned.values()):
             self._table, self._d = gaussian_integers(_ratios(cleaned))
         else:
@@ -61,17 +61,14 @@ class PureState:
         if not table:
             raise ValueError("state must have at least one nonzero amplitude")
         state = cls.__new__(cls)
-        state.shape, state._table, state._d, state._amplitudes = shape, table, d, None
+        state.shape, state._table, state._d = shape, table, d
         return state
 
-    @property
+    @cached_property
     def amplitudes(self) -> dict:
-        if self._amplitudes is None:
-            d = self._d
-            self._amplitudes = self._table if d is None else {
-                i: ComplexRational(Fraction(x, d), Fraction(y, d))
-                for i, (x, y) in self._table.items()}
-        return self._amplitudes
+        d = self._d
+        return self._table if d is None else {
+            i: _exact_value(x, y, d) for i, (x, y) in self._table.items()}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -153,11 +150,12 @@ def segre_map(p: ProductState) -> PureState:
     Products are built by shared prefixes, ((1 * v_1[i_1]) * v_2[i_2]) * ...,
     so each index costs about two multiplications instead of m.  Exact
     locals are multiplied as Gaussian integers: party j over the lcm q_j of
-    its denominators, the state over D = prod_j q_j.
+    its denominators, the state over D = prod_j q_j.  Otherwise every local
+    is multiplied as complex floats, the arithmetic the state is held in.
     """
     if not all(isinstance(x, _EXACT) for v in p.locals for x in v):
         prods = [((), 1)]
-        for v in p.locals:
+        for v in [[complex(x) for x in v] for v in p.locals]:
             prods = [(i + (a,), u * x) for i, u in prods for a, x in enumerate(v)]
         return PureState(p.shape, dict(prods))
     prods, d = [((), (1, 0))], 1
@@ -364,8 +362,7 @@ def _gaussian_verdict(shape, table, d, tol, k) -> SeparabilityResult:
         locs[0] = [(x << k, y << k, q) if k > 0 else (x, y, q << -k)
                    for x, y, q in locs[0]]
         return SeparabilityResult(True, top, ProductState(
-            [ComplexRational(Fraction(x, q), Fraction(y, q)) for x, y, q in loc]
-            for loc in locs), None)
+            [_exact_value(x, y, q) for x, y, q in loc] for loc in locs), None)
     if top == 0:
         # every minor rounds to float 0: report the first exactly nonzero one
         where = _first_max(shape, table, _exact_nonzero, (0, 0))[1]
@@ -385,6 +382,11 @@ def _rows(shape, table, p, zero) -> list[list]:
 def _corners(table, minor, zero):
     """T[k], T[l], T[k2], T[l2] of the minor."""
     return [table.get(i, zero) for i in (minor.k, minor.l) + minor.swapped()]
+
+
+def _exact_value(x: int, y: int, d: int):
+    """(x + iy) / d: a Fraction if y is 0, else a ComplexRational."""
+    return ComplexRational(Fraction(x, d), Fraction(y, d)) if y else Fraction(x, d)
 
 
 def _gmul(u, v):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor, gcd, isfinite, sqrt
+from math import gcd, inf, isfinite, sqrt
 
 import numpy as np
 
@@ -305,32 +305,48 @@ def brute_irreducibles(gens, dim, w, ineqs, cap):
     out points expressible as a sum of two nonzero cone points.  For a
     pointed cone, with ineqs cutting it out of its span and the span out of
     Q^dim, these irreducibles are exactly the Hilbert basis elements in the
-    slab.  The slab lies in the hull of 0 and the points cap g / (w . g),
-    which bounds each coordinate; the coordinates that the equations of the
-    span fix (the pivots of its normals in reduced echelon form) are solved
-    for, not scanned.
+    slab.
+
+    The scan is bounded by the slab's own halfspaces, h . x >= 0 for h in
+    ineqs and w . x <= cap.  Fourier-Motzkin elimination of the coordinates
+    after k adds nonnegative combinations of these rows that cancel them,
+    so every row of the k-th system holds on every point of the slab: with
+    the coordinates before k fixed to a point's, its k-th coordinate lies
+    in the range the k-th system leaves, and the scan of these ranges
+    reaches every lattice point of the slab.  Each scanned point is kept
+    only if it satisfies the definition itself.
     """
-    lo = [min(0, min(Fraction(cap * g[i], dot(w, g)) for g in gens))
-          for i in range(dim)]
-    hi = [max(0, max(Fraction(cap * g[i], dot(w, g)) for g in gens))
-          for i in range(dim)]
-    m, pivots = _rref(_kernel(gens, dim), dim)
-    free = [c for c in range(dim) if c not in pivots]
-    points = []
-    for y in itertools.product(*(range(ceil(lo[c]), floor(hi[c]) + 1)
-                                 for c in free)):
-        x = [0] * dim
-        for c, v in zip(free, y):
-            x[c] = v
-        for row, p in zip(m, pivots):
-            x[p] = -sum(row[c] * x[c] for c in free)
-        if any(Fraction(x[p]).denominator != 1 for p in pivots):
-            continue
-        x = tuple(int(v) for v in x)
-        if not any(x) or dot(w, x) > cap:
-            continue
-        if all(dot(h, x) >= 0 for h in ineqs):
-            points.append(x)
+    # rows (a, b) stand for a . x <= b; systems[k] bounds coordinates 0..k
+    systems = [[(tuple(-x for x in h), 0) for h in ineqs] + [(tuple(w), cap)]]
+    for c in range(dim - 1, 0, -1):
+        rows = systems[0]
+        kept = {r for r in rows if r[0][c] == 0}
+        for a, b in (r for r in rows if r[0][c] > 0):
+            for a2, b2 in (r for r in rows if r[0][c] < 0):
+                s, t = -a2[c], a[c]
+                row = [s * x + t * y for x, y in zip(a, a2)] + [s * b + t * b2]
+                if any(row[:-1]):
+                    g = gcd(*row)
+                    kept.add((tuple(x // g for x in row[:-1]), row[-1] // g))
+        systems.insert(0, list(kept))
+
+    def scan(prefix):
+        k = len(prefix)
+        if k == dim:
+            yield prefix
+            return
+        lo, hi = -inf, inf
+        for a, b in systems[k]:
+            rest = b - dot(a, prefix)
+            if a[k] > 0:
+                hi = min(hi, rest // a[k])
+            elif a[k] < 0:
+                lo = max(lo, -(rest // -a[k]))
+        for v in range(lo, hi + 1):
+            yield from scan(prefix + (v,))
+
+    points = [x for x in scan(()) if any(x) and dot(w, x) <= cap
+              and all(dot(h, x) >= 0 for h in ineqs)]
     points.sort(key=lambda v: dot(w, v))
     point_set = set(points)
     out = []

@@ -699,14 +699,34 @@ class TestExitCodes:
         (("check-separable", '{"shape":[2,3],"amplitudes":'
           '[{"index":{"0":1,"1":2},"re":1}]}'),
          "expected a list of integers, got {'0': 1, '1': 2}"),
+        # a list field given as an object is not read as its keys
+        (("dual", "--cone", '{"dim":2,"generators":{}}'),
+         "'generators' must be a JSON list, got {}"),
+        (("polar", "--polytope", '{"dim":2,"vertices":"ab"}'),
+         "'vertices' must be a JSON list, got 'ab'"),
+        (("atlas", "--fan", '{"dim":2,"cones":{"x":1}}'),
+         "'cones' must be a JSON list, got {'x': 1}"),
+        (("toric-ideal", "--map", '{"dim":2,"exponents":{}}', "--degree", "2"),
+         "'exponents' must be a JSON list, got {}"),
+        (("check-separable", '{"shape":[2],"amplitudes":{"a":1}}'),
+         "'amplitudes' must be a JSON list, got {'a': 1}"),
+        (("check-separable", '{"shape":[2],"amplitudes":[[0]]}'),
+         "'amplitudes' entries must be JSON objects, got [0]"),
     ], ids=["float-int", "fan-keys", "state-keys", "empty-map",
             "bool-part", "list-part", "list-coordinate", "point-not-list",
             "mixed-vertices", "exponents-not-list", "exponent-not-list",
-            "shape-object", "state-shape-object", "index-object"])
+            "shape-object", "state-shape-object", "index-object",
+            "generators-object", "vertices-string", "cones-object",
+            "map-exponents-object", "amplitudes-object", "entry-list"])
     def test_rejection_document(self, capsys, argv, message):
         code, out = run_cli(capsys, *argv)
         assert code == 2
         assert out == jsonio.canonical_dumps({"error": message})
+
+    def test_missing_generators_read_as_none(self, capsys):
+        code, out = run_cli(capsys, "dual", "--cone", '{"dim":2}')
+        assert code == 0 and (code, out) == \
+            run_cli(capsys, "dual", "--cone", '{"dim":2,"generators":[]}')
 
     def test_verify_param_rejects_float_coordinates(self, capsys):
         code, out = run_cli(capsys, "verify-param", "--m", "1",

@@ -189,6 +189,12 @@ ATLAS_FAULTS = {
     "line": (
         _fan_doc(3, *OCTANTS, [(1, 0, 0), (-1, 0, 0)]),
         "cone ((-1, 0, 0), (1, 0, 0)) is not a face of a maximal cone"),
+    # every facet lies between two cones on opposite sides, but the five
+    # cones wind around the origin twice
+    "double-cover": (
+        _fan_doc(2, [(1, 0), (1, 1)], [(2, 1), (-3, -1)], [(1, 1), (-3, -2)],
+                 [(-3, -1), (1, 0)], [(-3, -2), (2, 1)]),
+        "maximal cones overlap: 2 of them hold (-2, -1)"),
 }
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as hs
 import oracles
 from conftest import random_complex_rational, random_product_state
 import qtoric.segre as segre
+from qtoric import jsonio
 from qtoric import (ProductState, PureState, concurrence, is_separable,
                     minor_value, segre_map, segre_minors,
                     three_qubit_generators)
@@ -38,12 +39,13 @@ def to_array(state: PureState) -> np.ndarray:
 
 
 _small = hs.fractions(-3, 3, max_denominator=4)
-# local amplitudes, zeros included; ComplexRational and float do not
-# multiply, so a state draws from one of the two families
+_exact_entries = hs.one_of(hs.integers(-3, 3), _small,
+                           hs.builds(ComplexRational, _small, _small))
+# local amplitudes, zeros included: exact values alone, or exact values
+# mixed with floats
 LOCAL_ENTRIES = (
-    hs.one_of(hs.integers(-3, 3), _small,
-              hs.builds(ComplexRational, _small, _small)),
-    hs.one_of(hs.integers(-3, 3), _small, hs.floats(-1e3, 1e3),
+    _exact_entries,
+    hs.one_of(_exact_entries, hs.floats(-1e3, 1e3),
               hs.complex_numbers(max_magnitude=1e3)))
 
 
@@ -72,25 +74,101 @@ class TestSegreMap:
     def test_matches_indexwise_product(self, locs):
         # same values and key order, zero products omitted; exact locals
         # mixing int, Fraction and ComplexRational are multiplied as Gaussian
-        # integers over one denominator, and with a floating local the
-        # products are taken as given: same types and reprs too
-        def entries(amps):
-            return [(k, type(v), repr(v)) for k, v in amps.items()]
-        expected = oracles.segre_product(locs)
+        # integers over one denominator, and with a floating local every
+        # local is multiplied as a complex float
+        exact = all(isinstance(x, segre._EXACT) for v in locs for x in v)
+        expected = oracles.segre_product(
+            locs if exact else [[complex(x) for x in v] for v in locs])
         if not expected:
             with pytest.raises(ValueError, match="nonzero amplitude"):
                 segre_map(ProductState(locs))
             return
         st = segre_map(ProductState(locs))
         assert list(st.amplitudes.items()) == list(expected.items())
-        if all(isinstance(x, segre._EXACT) for v in locs for x in v):
+        if exact:
             table, d = segre._gaussian(st)
             assert segre._is_exact(st) and list(table) == list(expected)
             assert all(oracles._exact_parts(expected[i]) ==
                        (Fraction(x, d), Fraction(y, d))
                        for i, (x, y) in table.items())
         else:
-            assert entries(st.amplitudes) == entries(expected)
+            assert all(type(v) is complex for v in st.amplitudes.values())
+
+
+def _view_types(st):
+    return {i: type(v) for i, v in st.amplitudes.items()}
+
+
+class TestOneDescription:
+    """A state holds its table alone; ``amplitudes`` reads it by one rule:
+    a real exact value as a Fraction, another exact one as a
+    ComplexRational, a floating one as a complex."""
+
+    @given(hs.lists(hs.integers(2, 3), min_size=1, max_size=3).flatmap(
+        lambda shape: hs.tuples(*(
+            hs.lists(_exact_entries, min_size=n, max_size=n).filter(any)
+            for n in shape))))
+    def test_equal_states_read_alike(self, locs):
+        shape, amps = tuple(map(len, locs)), oracles.segre_product(locs)
+        parts = {i: oracles._exact_parts(v) for i, v in amps.items()}
+        doc = {"shape": list(shape), "amplitudes": [
+            {"index": list(i), "re": str(re), "im": str(im)}
+            for i, (re, im) in parts.items()]}
+        states = [PureState(shape, amps), jsonio.state_from_json(doc),
+                  segre_map(ProductState(locs)),
+                  PureState.from_table(shape, *segre._gaussian(
+                      PureState(shape, amps)))]
+        assert all(sorted(vars(st)) == ["_d", "_table", "shape"]
+                   for st in states)
+        assert all(st.amplitudes == amps for st in states)
+        types = {i: ComplexRational if im else Fraction
+                 for i, (_, im) in parts.items()}
+        assert all(_view_types(st) == types for st in states)
+
+    def test_equal_float_states_read_alike(self):
+        locs = ((0.6, 0.8j), (1, 0.5))
+        amps = oracles.segre_product(
+            [[complex(x) for x in v] for v in locs])
+        doc = {"shape": [2, 2], "amplitudes": [
+            {"index": list(i), "re": v.real, "im": v.imag}
+            for i, v in amps.items()]}
+        states = [PureState((2, 2), amps), jsonio.state_from_json(doc),
+                  segre_map(ProductState(locs))]
+        assert all(sorted(vars(st)) == ["_d", "_table", "shape"]
+                   for st in states)
+        assert all(st.amplitudes == amps and
+                   set(_view_types(st).values()) == {complex}
+                   for st in states)
+
+    def test_json_state_scales_by_a_float(self):
+        st = jsonio.state_from_json({"shape": [2, 2], "amplitudes": [
+            {"index": [0, 0], "re": "1/2"}, {"index": [1, 1], "re": "1/2"}]})
+        assert st.amplitudes == {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}
+        for half in (st.scaled(0.5), PureState(
+                (2, 2), {(0, 0): Fraction(1, 2),
+                         (1, 1): Fraction(1, 2)}).scaled(0.5)):
+            assert half.amplitudes == {(0, 0): 0.25, (1, 1): 0.25}
+            assert set(_view_types(half).values()) == {complex}
+
+    def test_minor_of_exact_beside_float_value(self):
+        st = PureState((2, 2), {(0, 0): ComplexRational(Fraction(1, 2)),
+                                (1, 1): 0.5})
+        value = minor_value(st, segre_minors((2, 2))[0])
+        assert value == 0.25 and type(value) is complex
+
+    def test_segre_map_of_complex_rational_beside_float(self):
+        st = segre_map(ProductState(
+            [(1, ComplexRational(Fraction(1, 2), Fraction(1, 3))), (1, 0.5)]))
+        assert st.amplitudes == {(0, 0): 1, (0, 1): 0.5,
+                                 (1, 0): complex(0.5, 1 / 3),
+                                 (1, 1): complex(0.25, 1 / 6)}
+        assert set(_view_types(st).values()) == {complex}
+
+    def test_segre_map_of_fraction_beside_float(self):
+        st = segre_map(ProductState([(Fraction(1, 2), 1), (1, 0.5)]))
+        assert st.amplitudes == {(0, 0): 0.5, (0, 1): 0.25, (1, 0): 1,
+                                 (1, 1): 0.5}
+        assert set(_view_types(st).values()) == {complex}
 
 
 class TestSegreMinors:

@@ -6,13 +6,13 @@ separability testing, and the minor-norm concurrence of pure states.
 """
 
 from .geometry import (Cone, Face, Fan, Polytope, dual_cone, faces,
-                       fan_from_maximal, is_simplicial, is_strongly_convex,
-                       make_fan, normal_fan, polar, polytope_hull, pos_hull,
-                       validate_fan)
+                       fan_from_maximal, fan_product, is_simplicial,
+                       is_strongly_convex, make_fan, normal_fan, polar,
+                       polytope_hull, pos_hull, validate_fan)
 from .monoid import (LaurentMonomial, MonoidGenerators, hilbert_basis,
                      monoid_contains, monoid_generators)
-from .qubit import (Chart, ChartAtlas, Subvariety, chart_atlas,
-                    invariant_subvarieties, multiqubit_fan,
+from .qubit import (Chart, ChartAtlas, Subvariety, atlas_product, chart_atlas,
+                    invariant_subvarieties, multiqubit_atlas, multiqubit_fan,
                     multiqubit_polytope, parameterization,
                     parameterization_image, projective_space_fan,
                     verify_parameterization)
@@ -32,11 +32,12 @@ __all__ = [
     "Cone", "Face", "Fan", "LaurentMonomial", "MinorSpec", "MonoidGenerators",
     "MonomialMap", "PublishedGenerator", "Polytope", "ProductState",
     "PureState", "SeparabilityResult", "Subvariety",
-    "chart_atlas", "concurrence", "dual_cone", "evaluate_binomial", "faces",
-    "fan_from_maximal", "hilbert_basis", "homogenize",
-    "invariant_subvarieties", "is_separable", "is_simplicial",
-    "is_strongly_convex", "kernel_lattice", "make_fan", "minor_value",
-    "monoid_contains", "monoid_generators", "multiqubit_fan",
+    "atlas_product", "chart_atlas", "concurrence", "dual_cone",
+    "evaluate_binomial", "faces", "fan_from_maximal", "fan_product",
+    "hilbert_basis", "homogenize", "invariant_subvarieties", "is_separable",
+    "is_simplicial", "is_strongly_convex", "kernel_lattice", "make_fan",
+    "minor_value", "monoid_contains", "monoid_generators", "multiqubit_atlas",
+    "multiqubit_fan",
     "multiqubit_polytope", "normal_fan", "parameterization",
     "parameterization_image", "polar", "polytope_hull", "pos_hull",
     "projective_relations", "projective_space_fan", "segre_map",

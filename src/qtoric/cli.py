@@ -14,9 +14,9 @@ import sys
 from . import jsonio
 from .geometry import dual_cone, faces, normal_fan, polar
 from .monoid import hilbert_basis
-from .qubit import (chart_atlas, multiqubit_fan, multiqubit_polytope,
-                    parameterization, projective_space_fan,
-                    verify_parameterization)
+from .qubit import (chart_atlas, multiqubit_atlas, multiqubit_fan,
+                    multiqubit_polytope, parameterization,
+                    projective_space_fan, verify_parameterization)
 from .segre import concurrence, is_separable
 from .toric_ideal import projective_relations, toric_ideal_binomials
 
@@ -95,10 +95,10 @@ def _atlas(args):
     chosen = [x for x in (args.fan, args.qubits, args.projective) if x is not None]
     if len(chosen) != 1:
         raise ValueError("atlas needs exactly one of --fan, --qubits, --projective")
+    if args.qubits is not None:
+        return jsonio.atlas_dumps(multiqubit_atlas(args.qubits))
     if args.fan is not None:
         fan = jsonio.fan_from_json(_read_json_arg(args.fan))
-    elif args.qubits is not None:
-        fan = multiqubit_fan(args.qubits)
     else:
         fan = projective_space_fan(args.projective)
     return jsonio.atlas_dumps(chart_atlas(fan))

@@ -116,7 +116,8 @@ class Fan:
     the cones, sorted, and one sorted tuple of ray indices per cone, sorted.
 
     Face closure and pairwise compatibility are properties of the trusted
-    constructors (:func:`normal_fan`, :func:`fan_from_maximal`); use
+    constructors (:func:`normal_fan`, :func:`fan_from_maximal`,
+    :func:`fan_product`); use
     :func:`validate_fan` to check them explicitly.
     """
 
@@ -414,6 +415,30 @@ def normal_fan(p: Polytope) -> Fan:
     return Fan(p.dim, rays, tuple(sorted(
         tuple(i for i, t in enumerate(tights) if s & t == s)
         for s in _face_family(len(p.vertices), tights) if s)))
+
+
+def fan_product(fans) -> Fan:
+    """The product fan in Z^(d_1) x ... x Z^(d_k): one cone per tuple of
+    factor cones, generated by their generators, each in its factor's
+    coordinate block (Cox, Little and Schenck, Toric Varieties, section
+    3.1).  The factors' cones must be pointed, so that those generators are
+    the product cone's extreme rays."""
+    fans = list(fans)
+    if not fans:
+        raise ValueError("a fan product needs at least one factor")
+    dim, start, blocks = sum(f.dim for f in fans), 0, []
+    for f in fans:
+        pad = (0,) * (dim - start - f.dim)
+        blocks.append([(0,) * start + r + pad for r in f.rays])
+        start += f.dim
+    rays = sorted(r for block in blocks for r in block)
+    index = {r: i for i, r in enumerate(rays)}
+    cones = [()]
+    for f, block in zip(fans, blocks):
+        ids = [index[r] for r in block]
+        local = [tuple(ids[i] for i in t) for t in f.indices]
+        cones = [c + t for c in cones for t in local]
+    return Fan(dim, tuple(rays), tuple(sorted(tuple(sorted(c)) for c in cones)))
 
 
 def intersect_cones(a: Cone, b: Cone) -> Cone:

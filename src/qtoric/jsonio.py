@@ -97,17 +97,19 @@ def map_to_json(m: MonomialMap) -> dict:
 
 
 def map_from_json(data) -> MonomialMap:
+    """A list of exponent vectors, or {'dim':..,'exponents':..} where the
+    dimension may be left out when there is an exponent vector to read it."""
     if isinstance(data, list):
-        exponents = [_vector_in(a) for a in data]
-        if not exponents:
-            raise ValueError("monomial map needs at least one exponent vector")
-        return MonomialMap(len(exponents[0]), tuple(exponents))
-    if isinstance(data, dict) and "exponents" in data:
-        exponents = [_vector_in(a) for a in _list_in(data, "exponents")]
-        dim = decode_int(data["dim"]) if "dim" in data else len(exponents[0])
-        return MonomialMap(dim, tuple(exponents))
-    raise ValueError("monomial map JSON must be a list of exponent vectors "
-                     "or {'dim':..,'exponents':..}")
+        data = {"exponents": data}
+    if not isinstance(data, dict) or "exponents" not in data:
+        raise ValueError("monomial map JSON must be a list of exponent vectors "
+                         "or {'dim':..,'exponents':..}")
+    exponents = tuple(_vector_in(a) for a in _list_in(data, "exponents"))
+    if "dim" in data:
+        return MonomialMap(decode_int(data["dim"]), exponents)
+    if not exponents:
+        raise ValueError("monomial map needs at least one exponent vector")
+    return MonomialMap(len(exponents[0]), exponents)
 
 
 def ideal_to_json(ideal: BinomialIdeal) -> dict:
@@ -251,6 +253,9 @@ def state_from_json(data) -> PureState:
     for entry in _list_in(data, "amplitudes"):
         if not isinstance(entry, dict):
             raise ValueError(f"'amplitudes' entries must be JSON objects, "
+                             f"got {entry!r}")
+        if "index" not in entry:
+            raise ValueError(f"'amplitudes' entries need an 'index', "
                              f"got {entry!r}")
         idx = _vector_in(entry["index"])
         if idx in amps:

@@ -7,7 +7,7 @@ from functools import cached_property, reduce
 from itertools import product
 from operator import and_
 
-from .geometry import Cone, Fan, Polytope, normal_fan
+from .geometry import Cone, Fan, Polytope, fan_product, normal_fan
 from .linalg import det_adj, dot
 from .segre import ProductState, PureState, is_separable, segre_map
 
@@ -33,9 +33,9 @@ def multiqubit_polytope(m: int) -> Polytope:
 
 
 def multiqubit_fan(m: int) -> Fan:
-    """The complete fan of (CP^1)^m: the normal fan of the cube, the 2^m
-    orthants and all their faces."""
-    return normal_fan(multiqubit_polytope(m))
+    """The complete fan of (CP^1)^m: the product of m CP^1 fans, the 2^m
+    orthants and all their faces (the normal fan of the cube)."""
+    return fan_product([projective_space_fan(1)] * _party_count(m))
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,73 @@ def _transition(gens, positions, coordinates):
             for row, u in zip(rows, coordinates):
                 row[k] = dot(g, u)
     return tuple(map(tuple, rows))
+
+
+def atlas_product(atlases) -> ChartAtlas:
+    """The atlas of the product of the atlases' fans; it equals
+    ``chart_atlas`` of ``fan_product`` of those fans, and decides no cone.
+
+    A chart is one tuple of factor charts, with their generators and dual
+    bases in the factors' coordinate blocks, sorted.  Two charts are
+    adjacent when they differ in one factor whose charts are adjacent.  A
+    coordinate of another factor is one of the first chart's, so its row is
+    a unit row; the changed factor's rows are that factor's transition,
+    spread over the columns where its coordinates sort.
+    """
+    atlases = list(atlases)
+    fan = fan_product([a.fan for a in atlases])
+    dim, start, factors = fan.dim, 0, []
+    for f, atlas in enumerate(atlases):
+        pad = (0,) * (dim - start - atlas.fan.dim)
+        factors.append([([(0,) * start + g + pad for g in ch.cone.generators],
+                         [((0,) * start + u + pad, f, k)
+                          for k, u in enumerate(ch.coordinates)])
+                        for ch in atlas.charts])
+        start += atlas.fan.dim
+    # per chart: generators, (coordinate, factor, index in the factor's
+    # chart) in coordinate order, factor charts, and each factor
+    # coordinate's position
+    charts = []
+    for picks in product(*(range(len(a.charts)) for a in atlases)):
+        chosen = [factor[p] for factor, p in zip(factors, picks)]
+        duals = sorted(c for _, cs in chosen for c in cs)
+        places = [[0] * len(cs) for _, cs in chosen]
+        for place, (_, f, k) in enumerate(duals):
+            places[f][k] = place
+        charts.append((tuple(sorted(g for gs, _ in chosen for g in gs)),
+                       duals, picks, places))
+    charts.sort()
+    number = {picks: i for i, (_, _, picks, _) in enumerate(charts)}
+    leaving = [[[(b, mat) for a, b, mat in atlas.transitions if a == i]
+                for i in range(len(atlas.charts))] for atlas in atlases]
+    unit = [tuple(int(r == c) for c in range(dim)) for r in range(dim)]
+    transitions = []
+    for i, (_, _, picks, places) in enumerate(charts):
+        for f, pick in enumerate(picks):
+            for b, mat in leaving[f][pick]:
+                j = number[picks[:f] + (b,) + picks[f + 1:]]
+                transitions.append((i, j, tuple(
+                    unit[places[g][k]] if g != f
+                    else _spread(mat[k], places[f], dim)
+                    for _, g, k in charts[j][1])))
+    transitions.sort()
+    return ChartAtlas(fan, tuple(
+        Chart(Cone(dim, gens), tuple(u for u, _, _ in duals))
+        for gens, duals, _, _ in charts), tuple(transitions))
+
+
+def _spread(row, columns, dim):
+    """The row of length dim with row[k] at columns[k] and 0 elsewhere."""
+    out = [0] * dim
+    for c, x in zip(columns, row):
+        out[c] = x
+    return tuple(out)
+
+
+def multiqubit_atlas(m: int) -> ChartAtlas:
+    """The chart atlas of (CP^1)^m: the product of m CP^1 atlases."""
+    cp1 = chart_atlas(projective_space_fan(1))
+    return atlas_product([cp1] * _party_count(m))
 
 
 @dataclass(frozen=True)

@@ -94,8 +94,22 @@ class PureState:
             return math.inf
 
     def scaled(self, factor) -> "PureState":
-        return PureState(self.shape,
-                         {i: factor * v for i, v in self.amplitudes.items()})
+        """The state times factor: its table scaled exactly when the state
+        and the factor are exact, else as complex floats."""
+        d = self._d
+        if d is not None and isinstance(factor, _EXACT):
+            # a zero factor has no Gaussian integer, so the table is empty
+            scale, e = gaussian_integers(_ratios({(): factor}))
+            table = {i: _gmul(v, u) for i, v in self._table.items()
+                     for u in scale.values()}
+            g = math.gcd(d * e, *(p for v in table.values() for p in v))
+            return PureState.from_table(self.shape, {
+                i: (x // g, y // g) for i, (x, y) in table.items()}, d * e // g)
+        values = self._table if d is None else {
+            i: complex(x / d, y / d) for i, (x, y) in self._table.items()}
+        factor = complex(factor)
+        return PureState.from_table(self.shape, {
+            i: w for i, v in values.items() if (w := factor * v)})
 
 
 @dataclass

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as hs
 
-from qtoric import Binomial, MinorSpec, cli, geometry, jsonio, linalg
+from qtoric import Binomial, MinorSpec, cli, geometry, jsonio, linalg, qubit
 from qtoric.rationals import ComplexRational
 from qtoric.segre import SeparabilityResult
 from qtoric.cli import VERBS, build_parser, main
@@ -518,9 +518,27 @@ class TestTableVerbs:
 
         monkeypatch.setattr(linalg, "_eliminate", counted)
         assert run_cli(capsys, "atlas", "--qubits", "5")[0] == 0
-        # one determinant per maximal cone, and the pivots and the first
-        # simplicial cone of the cube's double description
+        # at most one determinant per maximal cone, and the pivots and the
+        # first simplicial cone of one double description
         assert len(calls) <= 2 ** 5 + 2
+
+    def test_qubit_atlas_decides_no_chart(self, capsys, monkeypatch):
+        # the determinants are those of the CP^1 fan and atlas, whatever m
+        calls = []
+        det_adj = linalg.det_adj
+
+        def counted(rows):
+            calls.append(rows)
+            return det_adj(rows)
+
+        monkeypatch.setattr(geometry, "det_adj", counted)
+        monkeypatch.setattr(qubit, "det_adj", counted)
+        counts = []
+        for m in (2, 8):
+            calls.clear()
+            assert run_cli(capsys, "atlas", "--qubits", str(m))[0] == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     @pytest.mark.parametrize("argv", [("qubit-fan", "--m", "5"),
                                       ("normal-fan", "--polytope", CUBE5)],
@@ -592,6 +610,23 @@ def _parse_errors(verb):
         bad[bad.index(typed[0]) + 1] = "x"
         cases.append([verb, *bad])
     return cases
+
+
+class TestProductPaths:
+    """qubit-fan and atlas --qubits are products of CP^1 factors; the
+    normal fan of the sign cube and chart_atlas of that fan, both generic,
+    must print the same bytes."""
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_equal_to_the_generic_paths(self, capsys, m):
+        cube = json.dumps({"dim": m, "vertices": [
+            list(v) for v in itertools.product((-1, 1), repeat=m)]})
+        fan = run_cli(capsys, "qubit-fan", "--m", str(m))
+        assert fan[0] == 0
+        assert run_cli(capsys, "normal-fan", "--polytope", cube) == fan
+        atlas = run_cli(capsys, "atlas", "--qubits", str(m))
+        assert atlas[0] == 0
+        assert run_cli(capsys, "atlas", "--fan", fan[1]) == atlas
 
 
 class TestParser:
@@ -712,16 +747,26 @@ class TestExitCodes:
          "'amplitudes' must be a JSON list, got {'a': 1}"),
         (("check-separable", '{"shape":[2],"amplitudes":[[0]]}'),
          "'amplitudes' entries must be JSON objects, got [0]"),
+        (("toric-ideal", "--map", '{"exponents":[]}', "--degree", "2"),
+         "monomial map needs at least one exponent vector"),
+        (("check-separable", '{"shape":[2],"amplitudes":[{"re":1}]}'),
+         "'amplitudes' entries need an 'index', got {'re': 1}"),
     ], ids=["float-int", "fan-keys", "state-keys", "empty-map",
             "bool-part", "list-part", "list-coordinate", "point-not-list",
             "mixed-vertices", "exponents-not-list", "exponent-not-list",
             "shape-object", "state-shape-object", "index-object",
             "generators-object", "vertices-string", "cones-object",
-            "map-exponents-object", "amplitudes-object", "entry-list"])
+            "map-exponents-object", "amplitudes-object", "entry-list",
+            "empty-map-object", "entry-without-index"])
     def test_rejection_document(self, capsys, argv, message):
         code, out = run_cli(capsys, *argv)
         assert code == 2
         assert out == jsonio.canonical_dumps({"error": message})
+
+    def test_empty_map_of_given_dimension_accepted(self, capsys):
+        code, out = run_cli(capsys, "toric-ideal", "--map",
+                            '{"dim":1,"exponents":[]}', "--degree", "2")
+        assert (code, json.loads(out)["generators"]) == (0, [])
 
     def test_missing_generators_read_as_none(self, capsys):
         code, out = run_cli(capsys, "dual", "--cone", '{"dim":2}')

@@ -1,5 +1,6 @@
 """Cones, polytopes, duals, polars, faces, and normal fans."""
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -8,9 +9,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as hs
 
 import oracles
-from qtoric import (Cone, Face, Fan, Polytope, dual_cone, faces, is_simplicial,
-                    is_strongly_convex, make_fan, multiqubit_polytope,
-                    normal_fan, polar, polytope_hull, pos_hull, validate_fan)
+from qtoric import (Cone, Face, Fan, Polytope, dual_cone, faces, fan_product,
+                    is_simplicial, is_strongly_convex, make_fan,
+                    multiqubit_polytope, normal_fan, polar, polytope_hull,
+                    pos_hull, projective_space_fan, validate_fan)
 from qtoric.geometry import _dd_rays, cone_contains, face_cone, intersect_cones
 
 
@@ -695,3 +697,56 @@ class TestHalfspaces:
         c, d = C((1, 1), (0, 1), (1, 0)), Cone(2, ((0, 1), (1, 0)))
         assert "halfspaces" in c.__dict__ and "halfspaces" not in d.__dict__
         assert c == d and hash(c) == hash(d) and repr(c) == repr(d)
+
+
+def _simplex(n):
+    """conv{0, -e_1, ..., -e_n}, whose normal fan is the CP^n fan."""
+    return polytope_hull([(0,) * n] + [tuple(-int(i == j) for i in range(n))
+                                       for j in range(n)])
+
+
+@hs.composite
+def fan_factors(draw):
+    """1-3 factors of total dimension at most 5, each a (fan, polytope) pair:
+    the CP^n fan and its simplex, or a random full-dimensional lattice
+    polytope of dimension 2 or 3 and its normal fan."""
+    factors, room = [], 5
+    for _ in range(draw(hs.integers(1, 3))):
+        if room >= 2 and draw(hs.booleans()):
+            _, points = draw(full_dimensional_points(min(3, room)))
+            p = polytope_hull(points)
+            factors.append((normal_fan(p), p))
+        elif room:
+            n = draw(hs.integers(1, min(3, room)))
+            factors.append((projective_space_fan(n), _simplex(n)))
+        room = 5 - sum(p.dim for _, p in factors)
+    assume(math.prod(len(p.vertices) for _, p in factors) <= 48)
+    return factors
+
+
+class TestFanProduct:
+    @given(fan_factors())
+    def test_normal_fan_of_the_product_polytope(self, factors):
+        fans, polytopes = zip(*factors)
+        product_polytope = polytope_hull(
+            [sum(vs, ()) for vs in product(*(p.vertices for p in polytopes))])
+        assert fan_product(fans) == normal_fan(product_polytope)
+
+    @pytest.mark.parametrize("fans", [
+        [projective_space_fan(1)] * 3,
+        [projective_space_fan(1), projective_space_fan(2)],
+        [normal_fan(polytope_hull([(0, 0), (2, 0), (0, 1), (1, 2), (-1, 1)])),
+         projective_space_fan(1)],
+    ], ids=["cp1-cube", "cp1-cp2", "pentagon-cp1"])
+    def test_valid(self, fans):
+        fan = fan_product(fans)
+        validate_fan(fan)
+        assert len(fan.indices) == math.prod(len(f.indices) for f in fans)
+
+    def test_single_factor_is_itself(self):
+        fan = normal_fan(polytope_hull([(0, 0), (2, 0), (0, 1), (1, 2)]))
+        assert fan_product([fan]) == fan
+
+    def test_needs_a_factor(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            fan_product([])

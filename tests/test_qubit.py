@@ -11,9 +11,10 @@ from hypothesis import strategies as hs
 
 import oracles
 from conftest import random_complex_rational
-from qtoric import (chart_atlas, dual_cone, evaluate_binomial,
-                    fan_from_maximal, hilbert_basis, invariant_subvarieties,
-                    make_fan, multiqubit_fan, multiqubit_polytope, normal_fan,
+from qtoric import (atlas_product, chart_atlas, dual_cone, evaluate_binomial,
+                    fan_from_maximal, fan_product, hilbert_basis,
+                    invariant_subvarieties, make_fan, multiqubit_atlas,
+                    multiqubit_fan, multiqubit_polytope, normal_fan,
                     parameterization, parameterization_image, polar,
                     polytope_hull, pos_hull, projective_space_fan,
                     segre_minors,minor_value, toric_ideal_binomials,
@@ -84,8 +85,10 @@ class TestProjectiveSpaceFan:
     (lambda: projective_space_fan(0), "projective dimension must be at least 1"),
     (lambda: multiqubit_polytope(0), "party count must be between 1 and 10"),
     (lambda: multiqubit_fan(11), "party count must be between 1 and 10"),
+    (lambda: multiqubit_atlas(0), "party count must be between 1 and 10"),
     (lambda: parameterization(11), "party count must be between 1 and 10"),
-], ids=["cp0", "polytope-0", "fan-11", "param-11"])
+    (lambda: atlas_product([]), "a fan product needs at least one factor"),
+], ids=["cp0", "polytope-0", "fan-11", "atlas-0", "param-11", "no-factor"])
 def test_size_rejected(build, message):
     with pytest.raises(ValueError) as info:
         build()
@@ -127,6 +130,10 @@ class TestMultiqubitPolytopeAndFan:
         for m in range(1, 7):
             assert [c.generators for c in multiqubit_fan(m).cones] == \
                 oracles.orthant_fan_cones(m)
+
+    def test_product_fan_is_normal_fan_of_cube(self):
+        for m in range(1, 7):
+            assert multiqubit_fan(m) == normal_fan(multiqubit_polytope(m))
 
     def test_polar_is_cross_polytope(self):
         for m in range(1, 7):
@@ -344,6 +351,32 @@ class TestChartAtlas:
         for entry in golden:
             assert cli.main(entry["argv"]) == 0
             assert capsys.readouterr().out == entry["stdout"]
+
+
+class TestAtlasProduct:
+    """The product atlas must be the one chart_atlas decides on the product
+    fan, chart numbers and transition matrices included."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_qubit_atlas_is_chart_atlas_of_its_fan(self, m):
+        assert multiqubit_atlas(m) == chart_atlas(multiqubit_fan(m))
+
+    @pytest.mark.parametrize("ns", [(1,), (2,), (1, 2), (2, 1), (2, 2),
+                                    (3, 1), (1, 1, 2), (1, 2, 1)],
+                             ids=str)
+    def test_projective_products(self, ns):
+        fans = [projective_space_fan(n) for n in ns]
+        assert atlas_product(map(chart_atlas, fans)) == \
+            chart_atlas(fan_product(fans))
+
+    def test_transitions_are_inverse_pairs(self):
+        atlas = atlas_product(chart_atlas(projective_space_fan(n))
+                              for n in (2, 1))
+        # 3 x 2 charts, each adjacent to two CP^2 and one CP^1 neighbour
+        assert len(atlas.transitions) == 3 * 2 * (2 + 1)
+        identity = tuple(tuple(int(r == c) for c in range(3)) for r in range(3))
+        for i, j, mat in atlas.transitions:
+            assert compose(atlas.transition(j, i), mat) == identity
 
 
 class TestInvariantSubvarieties:

@@ -150,6 +150,35 @@ class TestOneDescription:
             assert half.amplitudes == {(0, 0): 0.25, (1, 1): 0.25}
             assert set(_view_types(half).values()) == {complex}
 
+    @given(hs.lists(_exact_entries, min_size=1, max_size=4).filter(any),
+           _exact_entries)
+    def test_exact_factor_keeps_an_exact_table(self, values, factor):
+        st = PureState((len(values) + 1,),
+                       {(i,): v for i, v in enumerate(values)})
+        if not factor:
+            with pytest.raises(ValueError, match="at least one nonzero"):
+                st.scaled(factor)
+            return
+        scaled = st.scaled(factor)
+        expected = PureState(st.shape, {i: factor * v
+                                        for i, v in st.amplitudes.items()})
+        assert scaled._d is not None
+        assert (scaled._table, scaled._d) == (expected._table, expected._d)
+
+    def test_float_factor_gives_a_complex_table(self):
+        st = PureState((2,), {(0,): ComplexRational(1, 1),
+                              (1,): Fraction(1, 3)})
+        half = st.scaled(0.5)
+        assert half._d is None
+        assert half._table == {(0,): 0.5 + 0.5j, (1,): 1 / 6 + 0j}
+        assert set(_view_types(half).values()) == {complex}
+        assert st.scaled(2j).amplitudes == {(0,): -2 + 2j, (1,): 2j / 3}
+        floating = PureState((2,), {(0,): 0.5, (1,): 1j})
+        assert floating.scaled(Fraction(1, 2)).amplitudes == \
+            {(0,): 0.25, (1,): 0.5j}
+        assert floating.scaled(ComplexRational(0, 2)).amplitudes == \
+            {(0,): 1j, (1,): -2}
+
     def test_minor_of_exact_beside_float_value(self):
         st = PureState((2, 2), {(0, 0): ComplexRational(Fraction(1, 2)),
                                 (1, 1): 0.5})

@@ -25,8 +25,7 @@ def _read_json_arg(arg: str):
     """Accept '-' (stdin), a file path, or inline JSON."""
     if arg == "-":
         return json.loads(sys.stdin.read())
-    stripped = arg.lstrip()
-    if stripped[:1] in "[{":
+    if arg.lstrip().startswith(("[", "{")):
         return json.loads(arg)
     if os.path.exists(arg):
         with open(arg, encoding="utf-8") as fh:

@@ -121,14 +121,25 @@ def ideal_to_json(ideal: BinomialIdeal) -> dict:
                            for i, j in ideal.pairs]}
 
 
-class _Texts(dict):
-    """The canonical text of each distinct integer vector, encoded once per
-    document; a table refers to these texts, so a repeated entry costs no
-    string of its own."""
+def _int_text(x: int) -> str:
+    """The canonical text of one integer, by the rule of ``_vector_out``."""
+    return _encode(x if abs(x) <= _SAFE else str(x))
 
-    def __missing__(self, v):
-        self[v] = text = _encode(_vector_out(v))
+
+class _Texts(dict):
+    """The canonical text of each distinct integer vector, and of each
+    distinct integer, encoded once per document: a vector's text is joined
+    from those of its integers.  A table refers to these texts, so a
+    repeated entry costs no string of its own."""
+
+    def __missing__(self, key):
+        text = _int_text(key) if isinstance(key, int) else self.vector(key)
+        self[key] = text
         return text
+
+    def vector(self, v) -> str:
+        """The text of v, not kept: for a vector that is met once."""
+        return "[" + ",".join(map(self.__getitem__, v)) + "]"
 
     def join(self, vectors) -> str:
         return ",".join([self[v] for v in vectors])
@@ -143,12 +154,13 @@ def _close(parts: list[str], tail: str) -> list[str]:
 
 def ideal_dumps(ideal: BinomialIdeal) -> list[str]:
     """``canonical_dumps(ideal_to_json(ideal))`` as str parts."""
-    texts = _Texts()
-    mus = [texts[e] for e in ideal.monomials]
-    nus = [t + "}," for t in mus]
+    # the monomials are distinct: their texts need no cache of their own
+    vectors = list(map(_Texts().vector, ideal.monomials))
+    heads = ['{"mu":' + t + ',"nu":' for t in vectors]
+    tails = [t + "}," for t in vectors]
     parts = [f'{{"degreeBound":{_encode(ideal.degree_bound)},"generators":[']
     for i, j in ideal.pairs:
-        parts += '{"mu":', mus[j], ',"nu":', nus[i]
+        parts += heads[j], tails[i]
     return _close(parts, f'],"map":{_encode(map_to_json(ideal.map))}}}\n')
 
 

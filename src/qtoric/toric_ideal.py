@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, compress
+from itertools import chain, compress, repeat
 from operator import mul
 
 from .linalg import left_kernel_basis
@@ -66,21 +66,18 @@ class BinomialIdeal:
 
     def __post_init__(self):
         monomials, k = self.monomials, len(self.map.exponents)
-        bits = [1 << i for i in range(k)]
-        columns = list(zip(*self.map.exponents))
-        # per monomial: its support as a bitmask and its image (a dot product
-        # per coordinate), numbered
-        supports, image, numbers = [], [], {}
-        for e in monomials:
-            if len(e) != k:
-                raise ValueError("binomial arity mismatch with the map")
-            if min(e, default=0) < 0:
-                raise ValueError("exponents must be nonnegative")
-            supports.append(sum(compress(bits, e)))
-            z = tuple(sum(map(mul, e, column)) for column in columns)
-            image.append(numbers.setdefault(z, len(numbers)))
+        if not all(map(k.__eq__, map(len, monomials))):
+            raise ValueError("binomial arity mismatch with the map")
+        if min(chain.from_iterable(monomials), default=0) < 0:
+            raise ValueError("exponents must be nonnegative")
         if len(set(monomials)) != len(monomials):
             raise ValueError("duplicate monomials")
+        # per monomial: its support as a bitmask and its image as one int,
+        # the sum of its variables' ``_image_weights``
+        bits = [1 << i for i in range(k)]
+        supports = list(map(sum, map(compress, repeat(bits), monomials)))
+        weights = _image_weights(self.map, max(map(sum, monomials), default=0))
+        image = list(map(sum, map(map, repeat(mul), monomials, repeat(weights))))
         n = len(monomials)
         for i, j in self.pairs:
             if not (0 <= i < n and 0 <= j < n):
@@ -102,6 +99,21 @@ class BinomialIdeal:
         return tuple(Binomial(m[i], m[j]) for i, j in self.pairs)
 
 
+def _image_weights(m: MonomialMap, degree: int) -> list[int]:
+    """One int w_i per exponent vector a_i of the map, such that two
+    nonnegative combinations of total degree at most ``degree`` have equal
+    sums of the w_i exactly when they have equal sums of the a_i.
+
+    Such a sum z has |z_c| <= M = degree * max |a_ic| in every coordinate,
+    and w_i = sum_c a_ic B^c with B = 2M + 1, so the combination of the w_i
+    is sum_c z_c B^c: a numeral in base B with digits in [-M, M], and as
+    2M < B, no two such numerals have the same value.
+    """
+    base = 2 * degree * max(map(abs, chain.from_iterable(m.exponents)),
+                            default=0) + 1
+    return [sum(x * base ** c for c, x in enumerate(a)) for a in m.exponents]
+
+
 def kernel_lattice(m: MonomialMap):
     """A Z-basis of {v in Z^k : sum_i v_i a_i = 0}, basis vectors primitive."""
     return tuple(left_kernel_basis(list(m.exponents)))
@@ -112,37 +124,45 @@ def toric_ideal_binomials(m: MonomialMap, degree_bound: int) -> BinomialIdeal:
 
     Enumerates exhaustively the pairs of equal total degree d <= degree_bound
     with disjoint supports and equal image monomials; deduplicated under
-    (nu, mu) <-> (mu, nu) by ordering nu > mu lexicographically.  Each
-    monomial of degree d is built once from its multiset of d variables,
-    its image as the sum of its d exponent vectors; only a monomial whose
-    image another one shares gets an exponent tuple, a support bitmask and
-    a place in the ideal's table.
+    (nu, mu) <-> (mu, nu) by ordering nu > mu lexicographically.  The
+    multisets of d variables are built in lexicographic order from those of
+    d - 1, each image (an int, see ``_image_weights``) its prefix's image
+    plus the weight of one variable; only a monomial whose image another
+    one shares gets an exponent tuple, a support bitmask and a place in the
+    ideal's table.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
-    k = len(m.exponents)
+    weights = _image_weights(m, degree_bound)
+    k = len(weights)
     monomials, supports, pairs = [], [], []
-    for d in range(1, degree_bound + 1):
-        built = [(combo, tuple(map(sum, zip(*[m.exponents[i] for i in combo]))))
-                 for combo in combinations_with_replacement(range(k), d)]
-        shared = Counter(image for _, image in built)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for combo, image in built:
+    level = [((), 0)]  # (multiset, image) of one degree
+    for _ in range(degree_bound):
+        level = [(combo + (i,), image + weights[i])
+                 for combo, image in level
+                 for i in range(combo[-1] if combo else 0, k)]
+        shared = Counter([image for _, image in level])
+        first, images = len(monomials), []
+        for combo, image in level:
             if shared[image] > 1:
                 expo = [0] * k
                 support = 0
                 for i in combo:
                     expo[i] += 1
                     support |= 1 << i
-                groups.setdefault(image, []).append(len(monomials))
                 monomials.append(tuple(expo))
                 supports.append(support)
+                images.append(image)
         # the multisets come in lexicographic order, so their exponent
-        # tuples fall: in a pair (a, b) with a < b, a is nu, and the pairs
-        # in descending order are the binomials in ascending order
-        pairs += sorted([(a, b) for members in groups.values()
-                         for a, b in combinations(members, 2)
-                         if not supports[a] & supports[b]], reverse=True)
+        # tuples fall: in a pair (a, b) with a < b, a is nu.  Walking a
+        # downward, and its partners (the later members of its fiber)
+        # downward too, gives the binomials in ascending order
+        later: dict[int, list[int]] = {}
+        for a in reversed(range(first, len(monomials))):
+            members = later.setdefault(images[a - first], [])
+            support = supports[a]
+            pairs += [(a, b) for b in members if not support & supports[b]]
+            members.append(a)
     return BinomialIdeal(m, degree_bound, tuple(monomials), tuple(pairs))
 
 

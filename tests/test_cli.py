@@ -556,16 +556,18 @@ class TestTableVerbs:
     @pytest.mark.parametrize("argv", TABLES, ids=lambda a: a[0])
     def test_error_mid_list_prints_only_the_error(self, capsys, monkeypatch,
                                                   argv):
+        # a table's vectors are joined from the texts of their integers,
+        # each integer encoded once
         encoded = []
-        vector_out = jsonio._vector_out
+        int_text = jsonio._int_text
 
-        def fail_third(v):
-            encoded.append(v)
+        def fail_third(x):
+            encoded.append(x)
             if len(encoded) == 3:
                 raise ValueError("encoder failed")
-            return vector_out(v)
+            return int_text(x)
 
-        monkeypatch.setattr(jsonio, "_vector_out", fail_third)
+        monkeypatch.setattr(jsonio, "_int_text", fail_third)
         assert run_cli(capsys, *argv) == (2, '{"error":"encoder failed"}\n')
         assert len(encoded) == 3
 
@@ -681,6 +683,14 @@ class TestExitCodes:
         code, out = run_cli(capsys, "dual", "--cone", "no-such-file.json")
         assert code == 2
         assert "error" in json.loads(out)
+
+    @pytest.mark.parametrize("arg", ["", "   ", "nofile"], ids=repr)
+    def test_blank_input_is_neither_file_nor_json(self, capsys, monkeypatch,
+                                                  tmp_path, arg):
+        monkeypatch.chdir(tmp_path)
+        message = f"input {arg!r} is neither a file nor inline JSON"
+        assert run_cli(capsys, "dual", "--cone", arg) == \
+            (2, jsonio.canonical_dumps({"error": message}))
 
     def test_precondition_violation(self, capsys):
         code, out = run_cli(capsys, "polar", "--polytope",

@@ -45,6 +45,17 @@ class TestIntEncoding:
         doc = json.loads(jsonio.canonical_dumps(jsonio.cone_to_json(cone)))
         assert jsonio.cone_from_json(doc) == cone
 
+    # one table's texts share their integers' texts, so a value met again in
+    # another vector is read from the cache
+    @given(hs.lists(hs.lists(
+        hs.integers(-3, 3) | hs.sampled_from(
+            [s * x for s in (1, -1) for x in (2 ** 53, 2 ** 53 + 1, 2 ** 60)]),
+        max_size=25).map(tuple), max_size=8))
+    def test_texts_equal_the_reference_encoder(self, vectors):
+        texts = jsonio._Texts()
+        for v in vectors:
+            assert texts[v] == jsonio._encode(jsonio._vector_out(v))
+
 
 class TestGeometryRoundTrips:
     def test_cone(self):

@@ -1,11 +1,12 @@
 """Toric ideals: kernel lattices, degree-bounded binomials, projective relations."""
 
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hs
 
 import oracles
@@ -13,7 +14,7 @@ from conftest import random_rational
 from qtoric import (Binomial, MonomialMap, evaluate_binomial, homogenize,
                     kernel_lattice, projective_relations, segre_minors,
                     toric_ideal_binomials)
-from qtoric.toric_ideal import BinomialIdeal
+from qtoric.toric_ideal import BinomialIdeal, _image_weights
 
 
 def subset_product_map(m: int) -> MonomialMap:
@@ -195,6 +196,23 @@ class TestToricIdealProperties:
         assert [(b.nu, b.mu) for b in got] == \
             oracles.toric_binomials(exps, degree)
 
+    # the digits of (2, 0) and (-2, 1) in base 2M + 1 = 5 reach +-M
+    @example([(2, 0), (-2, 1)], 1)
+    @given(monomial_maps(), hs.integers(1, 3))
+    def test_image_weights_separate_images(self, exps, degree):
+        # every pair of multisets of at most ``degree`` variables: equal sums
+        # of weights exactly when equal sums of exponent vectors
+        m = MonomialMap(len(exps[0]), tuple(exps))
+        weights = _image_weights(m, degree)
+        combos = [c for d in range(degree + 1)
+                  for c in combinations_with_replacement(range(len(exps)), d)]
+        sums = {c: tuple(map(sum, zip(*[exps[i] for i in c]))) or (0,) * m.dim
+                for c in combos}
+        for c in combos:
+            for c2 in combos:
+                assert (sum(weights[i] for i in c) == sum(weights[i] for i in c2)) \
+                    == (sums[c] == sums[c2])
+
     @pytest.mark.parametrize("shape", [s for p in (1, 2, 3) for s in _shapes(p)],
                              ids=str)
     def test_segre_minors_span_the_quadrics_of_the_toric_ideal(self, shape):
@@ -225,6 +243,47 @@ class TestToricIdealProperties:
                   for s in segre_minors(shape)]
         assert oracles.frac_rank(toric) == oracles.frac_rank(minors) == \
             oracles.frac_rank(toric + minors)
+
+
+def _curve(d: int) -> MonomialMap:
+    """The degree-d rational normal curve: (d - i, i) for i = 0..d."""
+    return MonomialMap(2, tuple((d - i, i) for i in range(d + 1)))
+
+
+class TestPairOrder:
+    """Past the reach of the definitional oracle: the table of each degree
+    against a brute force over the multisets and over the table's pairs."""
+
+    @pytest.mark.parametrize("m", [_curve(d) for d in range(1, 13)] +
+                             [homogenize(subset_product_map(r)) for r in (3, 4)],
+                             ids=[f"curve-{d}" for d in range(1, 13)] +
+                             ["cube-3", "cube-4"])
+    def test_pairs_descend_and_equal_brute_force(self, m):
+        degree = 3
+        ideal = toric_ideal_binomials(m, degree)
+        k = len(m.exponents)
+
+        def image(e):
+            return tuple(sum(x * a[c] for x, a in zip(e, m.exponents))
+                         for c in range(m.dim))
+
+        monomials = ideal.monomials
+        images = [image(e) for e in monomials]
+        degrees = [sum(monomials[i]) for i, _ in ideal.pairs]
+        assert degrees == sorted(degrees)
+        for d in range(1, degree + 1):
+            expos = [tuple(c.count(i) for i in range(k))
+                     for c in combinations_with_replacement(range(k), d)]
+            shared = Counter(map(image, expos))
+            members = [i for i, e in enumerate(monomials) if sum(e) == d]
+            assert [monomials[i] for i in members] == \
+                sorted((e for e in expos if shared[image(e)] > 1), reverse=True)
+            brute = [(a, b) for a in members for b in members
+                     if images[a] == images[b] and monomials[a] > monomials[b]
+                     and not any(map(min, monomials[a], monomials[b]))]
+            got = [(i, j) for i, j in ideal.pairs if sum(monomials[i]) == d]
+            assert all(p > q for p, q in zip(got, got[1:]))
+            assert got == sorted(brute, reverse=True)
 
 
 class TestProjectiveRelations:

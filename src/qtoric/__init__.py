@@ -8,9 +8,8 @@ separability testing, and the minor-norm concurrence of pure states.
 from .geometry import (Cone, Face, Fan, Polytope, dual_cone, faces,
                        fan_from_maximal, fan_product, is_simplicial,
                        is_strongly_convex, make_fan, normal_fan, polar,
-                       polytope_hull, pos_hull, validate_fan)
-from .monoid import (LaurentMonomial, MonoidGenerators, hilbert_basis,
-                     monoid_contains, monoid_generators)
+                       polytope_hull, pos_hull)
+from .monoid import MonoidGenerators, hilbert_basis
 from .qubit import (Chart, ChartAtlas, Subvariety, atlas_product, chart_atlas,
                     invariant_subvarieties, multiqubit_atlas, multiqubit_fan,
                     multiqubit_polytope, parameterization,
@@ -22,25 +21,23 @@ from .segre import (MinorSpec, PublishedGenerator, ProductState, PureState,
                     minor_value, segre_map, segre_minors,
                     three_qubit_generators)
 from .toric_ideal import (Binomial, BinomialIdeal, MonomialMap,
-                          evaluate_binomial, homogenize, kernel_lattice,
-                          projective_relations, toric_ideal_binomials)
+                          homogenize, kernel_lattice, projective_relations,
+                          toric_ideal_binomials)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Binomial", "BinomialIdeal", "Chart", "ChartAtlas", "ComplexRational",
-    "Cone", "Face", "Fan", "LaurentMonomial", "MinorSpec", "MonoidGenerators",
-    "MonomialMap", "PublishedGenerator", "Polytope", "ProductState",
-    "PureState", "SeparabilityResult", "Subvariety",
-    "atlas_product", "chart_atlas", "concurrence", "dual_cone",
-    "evaluate_binomial", "faces", "fan_from_maximal", "fan_product",
-    "hilbert_basis", "homogenize", "invariant_subvarieties", "is_separable",
-    "is_simplicial", "is_strongly_convex", "kernel_lattice", "make_fan",
-    "minor_value", "monoid_contains", "monoid_generators", "multiqubit_atlas",
-    "multiqubit_fan",
-    "multiqubit_polytope", "normal_fan", "parameterization",
-    "parameterization_image", "polar", "polytope_hull", "pos_hull",
-    "projective_relations", "projective_space_fan", "segre_map",
+    "Cone", "Face", "Fan", "MinorSpec", "MonoidGenerators", "MonomialMap",
+    "PublishedGenerator", "Polytope", "ProductState", "PureState",
+    "SeparabilityResult", "Subvariety",
+    "atlas_product", "chart_atlas", "concurrence", "dual_cone", "faces",
+    "fan_from_maximal", "fan_product", "hilbert_basis", "homogenize",
+    "invariant_subvarieties", "is_separable", "is_simplicial",
+    "is_strongly_convex", "kernel_lattice", "make_fan", "minor_value",
+    "multiqubit_atlas", "multiqubit_fan", "multiqubit_polytope", "normal_fan",
+    "parameterization", "parameterization_image", "polar", "polytope_hull",
+    "pos_hull", "projective_relations", "projective_space_fan", "segre_map",
     "segre_minors", "three_qubit_generators", "toric_ideal_binomials",
-    "validate_fan", "verify_parameterization",
+    "verify_parameterization",
 ]

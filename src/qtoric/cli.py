@@ -24,13 +24,19 @@ from .toric_ideal import projective_relations, toric_ideal_binomials
 def _read_json_arg(arg: str):
     """Accept '-' (stdin), a file path, or inline JSON."""
     if arg == "-":
-        return json.loads(sys.stdin.read())
-    if arg.lstrip().startswith(("[", "{")):
-        return json.loads(arg)
-    if os.path.exists(arg):
+        text = sys.stdin.read()
+    elif arg.lstrip().startswith(("[", "{")):
+        text = arg
+    elif os.path.exists(arg):
         with open(arg, encoding="utf-8") as fh:
-            return json.load(fh)
-    raise ValueError(f"input {arg!r} is neither a file nor inline JSON")
+            text = fh.read()
+    else:
+        raise ValueError(f"input {arg!r} is neither a file nor inline JSON")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        # the decoder recurses once per nested array or object
+        raise ValueError("input JSON is nested too deeply") from None
 
 
 def _cone(arg):

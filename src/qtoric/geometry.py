@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations
 from math import gcd
 from operator import and_
 
@@ -117,8 +116,8 @@ class Fan:
 
     Face closure and pairwise compatibility are properties of the trusted
     constructors (:func:`normal_fan`, :func:`fan_from_maximal`,
-    :func:`fan_product`); use
-    :func:`validate_fan` to check them explicitly.
+    :func:`fan_product`).  The library checks a smooth complete fan through
+    :func:`qtoric.qubit.chart_atlas`, whose charts and transitions need it.
     """
 
     dim: int
@@ -439,34 +438,3 @@ def fan_product(fans) -> Fan:
         local = [tuple(ids[i] for i in t) for t in f.indices]
         cones = [c + t for c in cones for t in local]
     return Fan(dim, tuple(rays), tuple(sorted(tuple(sorted(c)) for c in cones)))
-
-
-def intersect_cones(a: Cone, b: Cone) -> Cone:
-    """Intersection of two cones, via their halfspace descriptions."""
-    if a.dim != b.dim:
-        raise ValueError("cone dimension mismatch")
-    constraints = [h for h, _ in a.halfspaces + b.halfspaces]
-    return Cone(a.dim, tuple(r for r, _ in _dd_rays(a.dim, constraints)))
-
-
-def validate_fan(fan: Fan) -> None:
-    """Check fan invariants exactly; raises ValueError on violation.
-
-    Every face of every cone must be in the fan, and the intersection of any
-    two cones must be a face of each.  Intended for tests on small fans.
-    """
-    present = {c.generators for c in fan.cones}
-    face_sets = {}
-    for c in fan.cones:
-        fcs = {face_cone(f).generators for f in faces(c)}
-        face_sets[c.generators] = fcs
-        missing = fcs - present
-        if missing:
-            raise ValueError(f"fan is not closed under faces: missing {missing}")
-    for a, b in combinations(fan.cones, 2):
-        inter = intersect_cones(a, b)
-        if inter.generators not in face_sets[a.generators] or \
-                inter.generators not in face_sets[b.generators]:
-            raise ValueError(
-                f"intersection of {a.generators} and {b.generators} "
-                "is not a common face")

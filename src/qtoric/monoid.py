@@ -6,35 +6,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from operator import ge, mul
 
-from .geometry import Cone, is_strongly_convex, pos_hull
+from .geometry import Cone, is_strongly_convex
 from .linalg import det_adj, dot, hermite_basis, orthogonal_lattice
-
-
-@dataclass(frozen=True)
-class LaurentMonomial:
-    """coefficient * z^exponent, with possibly negative integer exponents."""
-
-    coefficient: object
-    exponent: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coefficient:
-            raise ValueError("Laurent monomial coefficient must be nonzero")
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentMonomial):
-            return NotImplemented
-        return LaurentMonomial(self.coefficient * other.coefficient,
-                               tuple(a + b for a, b in zip(self.exponent,
-                                                           other.exponent)))
-
-    def evaluate(self, point):
-        if len(point) != len(self.exponent):
-            raise ValueError("point dimension mismatch")
-        value = self.coefficient
-        for z, e in zip(point, self.exponent):
-            value = value * z ** e
-        return value
 
 
 @dataclass(frozen=True)
@@ -50,53 +23,6 @@ class MonoidGenerators:
                 raise ValueError("generator dimension mismatch")
         if list(self.generators) != sorted(set(self.generators)):
             raise ValueError("generators must be sorted and duplicate-free")
-
-
-def monoid_generators(cone: Cone, generators) -> MonoidGenerators:
-    """Validating constructor: members of the cone, minimal as a generating set."""
-    gens = sorted(set(tuple(g) for g in generators))
-    w, halfspaces = _ambient_functional(cone, "ambient cone must be strongly convex")
-    for g in gens:
-        if len(g) != cone.dim:
-            raise ValueError("point dimension mismatch")
-        if any(dot(h, g) < 0 for h in halfspaces):
-            raise ValueError(f"generator {g} lies outside the ambient cone")
-    # the empty sum generates the origin; checked first, since a zero
-    # generator would let the search below add it forever
-    if (0,) * cone.dim in gens:
-        raise ValueError(f"generator {(0,) * cone.dim} is generated by the others")
-    for i, g in enumerate(gens):
-        if _reachable(gens[:i] + gens[i + 1:], g, (w, halfspaces)):
-            raise ValueError(f"generator {g} is generated by the others")
-    return MonoidGenerators(cone, tuple(gens))
-
-
-def _ambient_functional(c: Cone, message: str):
-    """(w, halfspaces) of a strongly convex cone, read off c.halfspaces.
-
-    The dual rays are the halfspaces, and their sum w is positive on c minus
-    the origin.  Raises ValueError(message) when c contains a line.
-    """
-    if not is_strongly_convex(c):
-        raise ValueError(message)
-    halfspaces = tuple(h for h, _ in c.halfspaces)
-    return tuple(sum(col) for col in zip(*halfspaces)), halfspaces
-
-
-def monoid_contains(g: MonoidGenerators, x) -> bool:
-    """True iff x is a nonnegative-integer combination of the generators.
-
-    Searched in pos{generators}: one built directly need not lie in g.cone.
-    """
-    x = tuple(x)
-    if len(x) != g.cone.dim:
-        raise ValueError("point dimension mismatch")
-    message = "generator set does not span a pointed cone"
-    functional = _ambient_functional(pos_hull(g.generators, g.cone.dim), message)
-    # a zero generator would let the search add it forever
-    if any(dot(functional[0], v) < 1 for v in g.generators):
-        raise ValueError(message)
-    return _reachable(list(g.generators), x, functional)
 
 
 def _saturation(vectors, dim):
@@ -159,8 +85,12 @@ def hilbert_basis(c: Cone) -> MonoidGenerators:
     v - b lies in c for a kept b (Bruns & Ichim 2010): one membership test,
     H v >= H b on the halfspaces H, per kept element.
     """
-    w, halfspaces = _ambient_functional(
-        c, "cone is not strongly convex; the minimal generating set is not unique")
+    if not is_strongly_convex(c):
+        raise ValueError(
+            "cone is not strongly convex; the minimal generating set is not unique")
+    # the dual rays are the halfspaces; their sum is positive on c minus 0
+    halfspaces = tuple(h for h, _ in c.halfspaces)
+    w = tuple(sum(col) for col in zip(*halfspaces))
     if not c.generators:
         return MonoidGenerators(c, ())
     lattice = _saturation(c.generators, c.dim)
@@ -177,36 +107,3 @@ def hilbert_basis(c: Cone) -> MonoidGenerators:
             basis.append(v)
             levels.append(hv)
     return MonoidGenerators(c, tuple(sorted(basis)))
-
-
-def _reachable(gens, target, functional) -> bool:
-    """Exact test: target is a nonnegative-integer combination of gens.
-
-    Bounded depth-first search; a strictly positive functional on the pointed
-    cone pos{gens} caps every coefficient, and remainders are pruned to the
-    cone via its halfspace description.  ``functional`` is (w, halfspaces) of
-    a pointed cone containing gens, with w >= 1 on every generator.
-    """
-    w, halfspaces = functional
-    seen_fail = set()
-    stack = [(target, 0)]
-    while stack:
-        vec, idx = stack.pop()
-        if all(x == 0 for x in vec):
-            return True
-        advanced = False
-        for j in range(idx, len(gens)):
-            g = gens[j]
-            if dot(w, g) > dot(w, vec):
-                continue
-            rem = tuple(a - b for a, b in zip(vec, g))
-            if rem in seen_fail:
-                continue
-            if all(dot(h, rem) >= 0 for h in halfspaces):
-                stack.append((vec, j + 1))
-                stack.append((rem, 0))
-                advanced = True
-                break
-        if not advanced:
-            seen_fail.add(vec)
-    return False

@@ -182,18 +182,3 @@ def projective_relations(exponents, degree_bound: int) -> BinomialIdeal:
         raise ValueError("at least one exponent vector is required")
     m = MonomialMap(len(exponents[0]), tuple(exponents))
     return toric_ideal_binomials(homogenize(m), degree_bound)
-
-
-def evaluate_binomial(b: Binomial, point):
-    """prod point_i^(nu_i) - prod point_i^(mu_i), in the point's arithmetic."""
-    if len(point) != len(b.nu):
-        raise ValueError("point length does not match the number of variables")
-    left = 1
-    right = 1
-    for p, e in zip(point, b.nu):
-        if e:
-            left = left * p ** e
-    for p, e in zip(point, b.mu):
-        if e:
-            right = right * p ** e
-    return left - right

@@ -1,4 +1,5 @@
-"""Shared randomness helpers and hypothesis profiles for the test suites.
+"""Shared randomness helpers, the fan check and hypothesis profiles for the
+test suites.
 
 Property tests run without a per-example deadline: exact arithmetic on
 large integers has no fixed cost.  GitHub Actions sets ``CI``; there the
@@ -11,11 +12,13 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import settings
 
-from qtoric import ProductState
+from qtoric import ProductState, dual_cone, faces, pos_hull
+from qtoric.geometry import face_cone
 from qtoric.rationals import ComplexRational
 
 settings.register_profile("default", deadline=None)
@@ -43,3 +46,32 @@ def random_product_state(rng, shape) -> ProductState:
     """Exact product state with every local amplitude nonzero."""
     return ProductState(tuple(
         tuple(random_complex_rational(rng) for _ in range(n)) for n in shape))
+
+
+def intersect_cones(a, b):
+    """a intersect b, as the dual of the hull of both duals' generators."""
+    duals = dual_cone(a).generators + dual_cone(b).generators
+    return dual_cone(pos_hull(duals, a.dim))
+
+
+def validate_fan(fan) -> None:
+    """Check fan invariants exactly; raises ValueError on violation.
+
+    Every face of every cone must be in the fan, and the intersection of any
+    two cones must be a face of each.  Pairwise, so for small fans only.
+    """
+    present = {c.generators for c in fan.cones}
+    face_sets = {}
+    for c in fan.cones:
+        fcs = {face_cone(f).generators for f in faces(c)}
+        face_sets[c.generators] = fcs
+        missing = fcs - present
+        if missing:
+            raise ValueError(f"fan is not closed under faces: missing {missing}")
+    for a, b in combinations(fan.cones, 2):
+        inter = intersect_cones(a, b)
+        if inter.generators not in face_sets[a.generators] or \
+                inter.generators not in face_sets[b.generators]:
+            raise ValueError(
+                f"intersection of {a.generators} and {b.generators} "
+                "is not a common face")

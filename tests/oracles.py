@@ -388,6 +388,20 @@ def toric_binomials(exponents, degree):
                   key=lambda g: (sum(g[0]), g[0], g[1]))
 
 
+def monomial_value(exponent, point):
+    """prod point_i ** exponent_i, in the point's arithmetic; a point of the
+    wrong length raises ValueError."""
+    value = 1
+    for p, e in zip(point, exponent, strict=True):
+        value = value * p ** e
+    return value
+
+
+def binomial_value(b, point):
+    """x^nu - x^mu of a binomial at the point, in the point's arithmetic."""
+    return monomial_value(b.nu, point) - monomial_value(b.mu, point)
+
+
 def supporting_faces(vertices, dim):
     """Brute-force face index sets of conv(vertices) from supporting
     hyperplanes with normals in {-1,0,1}^dim, plus the improper face."""

@@ -692,6 +692,19 @@ class TestExitCodes:
         assert run_cli(capsys, "dual", "--cone", arg) == \
             (2, jsonio.canonical_dumps({"error": message}))
 
+    @pytest.mark.parametrize("source", ["inline", "file", "stdin"])
+    def test_deep_nesting_is_malformed_input(self, capsys, monkeypatch,
+                                             tmp_path, source):
+        # the decoder runs out of stack, which is the input's fault
+        text = "[" * 1000
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        arg = {"inline": text, "file": str(path), "stdin": "-"}[source]
+        message = "input JSON is nested too deeply"
+        assert run_cli(capsys, "dual", "--cone", arg) == \
+            (2, jsonio.canonical_dumps({"error": message}))
+
     def test_precondition_violation(self, capsys):
         code, out = run_cli(capsys, "polar", "--polytope",
                             '{"dim":1,"vertices":[[0],[2]]}')

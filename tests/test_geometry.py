@@ -9,11 +9,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as hs
 
 import oracles
+from conftest import intersect_cones, validate_fan
 from qtoric import (Cone, Face, Fan, Polytope, dual_cone, faces, fan_product,
                     is_simplicial, is_strongly_convex, make_fan,
                     multiqubit_polytope, normal_fan, polar, polytope_hull,
-                    pos_hull, projective_space_fan, validate_fan)
-from qtoric.geometry import _dd_rays, cone_contains, face_cone, intersect_cones
+                    pos_hull, projective_space_fan)
+from qtoric.geometry import _dd_rays, cone_contains, face_cone
 
 
 BIG = 10**30
@@ -408,15 +409,13 @@ class TestRejections:
         (lambda: polytope_hull([]),
          "ambient dimension required for an empty hull"),
         (lambda: make_fan([]), "ambient dimension required for an empty fan"),
-        (lambda: intersect_cones(C((1, 0)), C((1, 0, 0))),
-         "cone dimension mismatch"),
         (lambda: cone_contains(C((1, 0)), (1, 0, 0)),
          "point dimension mismatch"),
     ], ids=["cone-dim", "cone-generator-dim", "cone-primitive", "cone-order",
             "polytope-dim", "polytope-empty", "polytope-vertex-dim",
             "polytope-order", "face-cone-of-polytope", "empty-hull",
             "empty-polytope-hull", "empty-fan",
-            "intersect-dims", "contains-length"])
+            "contains-length"])
     def test_message(self, build, message):
         with pytest.raises(ValueError) as info:
             build()

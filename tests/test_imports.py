@@ -1,11 +1,14 @@
 """The runtime stays stdlib-only: every absolute import of the package is
-a standard-library module.  No module imports a sibling's private name."""
+a standard-library module.  No module imports a sibling's private name, no
+private definition is left without a caller, and every export resolves."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+import qtoric
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "qtoric").glob("*.py"))
 
@@ -38,3 +41,34 @@ def test_no_private_names_from_siblings(path):
 def test_every_module_is_checked():
     assert {p.name for p in SOURCES} >= {"__init__.py", "cli.py", "geometry.py",
                                          "linalg.py"}
+
+
+def _referenced(node):
+    """The name an ast.Name or ast.Attribute node refers to, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_every_private_definition_has_a_caller():
+    # a private helper that only its own body names is dead once its last
+    # public caller leaves
+    trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in SOURCES]
+    uncalled = []
+    for path, tree in zip(SOURCES, trees):
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                    not node.name.startswith("_"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(_referenced(n) == node.name and id(n) not in own
+                       for t in trees for n in ast.walk(t)):
+                uncalled.append(f"{path.name}:{node.name}")
+    assert not uncalled, uncalled
+
+
+def test_exports_resolve():
+    assert len(qtoric.__all__) == len(set(qtoric.__all__))
+    missing = [n for n in qtoric.__all__ if not hasattr(qtoric, n)]
+    assert not missing, missing

@@ -692,11 +692,12 @@ class TestExitCodes:
         assert run_cli(capsys, "dual", "--cone", arg) == \
             (2, jsonio.canonical_dumps({"error": message}))
 
+    @pytest.mark.parametrize("opener", ["[", '{"a":'], ids=["array", "object"])
     @pytest.mark.parametrize("source", ["inline", "file", "stdin"])
     def test_deep_nesting_is_malformed_input(self, capsys, monkeypatch,
-                                             tmp_path, source):
+                                             tmp_path, source, opener):
         # the decoder runs out of stack, which is the input's fault
-        text = "[" * 1000
+        text = opener * 1000
         path = tmp_path / "deep.json"
         path.write_text(text)
         monkeypatch.setattr(sys, "stdin", io.StringIO(text))

@@ -254,12 +254,25 @@ class TestHilbertBasis:
 
 
 class TestMonoidGenerators:
-    def test_incomplete_generators_miss_interior_point(self):
-        cone = pos_hull([(1, 0), (1, 2)])
-        w, ineqs = oracles.positive_functional(cone.generators, 2)
-        assert not oracles.generates([(1, 0), (1, 2)], (1, 1), w, ineqs, {})
-        basis = list(hilbert_basis(cone).generators)
-        assert oracles.generates(basis, (1, 1), w, ineqs, {})
+    @pytest.mark.parametrize("gens, x, expected", [
+        # the search meets remainders it has already failed on, and skips them
+        (((1, 0), (1, 5), (2, 5), (3, 5)), (7, 11), False),
+        ((), (1, 0), False), ((), (0, 0), True),
+        (((1, 0), (1, 2)), (1, 1), False), (((1, 0), (1, 2)), (0, 1), False),
+        (((0, 1), (1, 0)), (3, 4), True), (((0, 1), (1, 0)), (0, 0), True),
+        (((0, 1), (1, 0)), (-1, 0), False),
+    ], ids=["failed-remainder", "no-generators", "origin-no-generators",
+            "interior-point", "wedge-outside", "unimodular", "unimodular-origin",
+            "unimodular-outside"])
+    def test_search_edges(self, gens, x, expected):
+        # x from the given generators; from hilbert_basis of their cone
+        # exactly when x lies in it
+        w, ineqs = oracles.positive_functional(gens, 2)
+        assert oracles.generates(list(gens), x, w, ineqs, {}) is expected
+        basis = list(hilbert_basis(pos_hull(gens, 2)).generators)
+        w, ineqs = oracles.positive_functional(basis, 2)
+        assert oracles.generates(basis, x, w, ineqs, {}) == \
+            oracles.cone_contains(gens, 2, x)
 
     @pytest.mark.parametrize("gens, message", [
         (((1, 0, 0),), "generator dimension mismatch"),

@@ -43,16 +43,21 @@ def test_every_module_is_checked():
                                          "linalg.py"}
 
 
-def _referenced(node):
-    """The name an ast.Name or ast.Attribute node refers to, else None."""
+def _references(node, module):
+    """Whether ``node`` names a top-level definition of ``module``: a bare
+    name, or an attribute of the module itself such as ``jsonio._texts``."""
     if isinstance(node, ast.Name):
         return node.id
-    return node.attr if isinstance(node, ast.Attribute) else None
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == module:
+        return node.attr
+    return None
 
 
 def test_every_private_definition_has_a_caller():
     # a private helper that only its own body names is dead once its last
-    # public caller leaves
+    # public caller leaves; an unrelated attribute of the same name, such as
+    # ``self._close``, is not a caller
     trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
              for p in SOURCES]
     uncalled = []
@@ -62,7 +67,8 @@ def test_every_private_definition_has_a_caller():
                     not node.name.startswith("_"):
                 continue
             own = {id(n) for n in ast.walk(node)}
-            if not any(_referenced(n) == node.name and id(n) not in own
+            if not any(_references(n, path.stem) == node.name
+                       and id(n) not in own
                        for t in trees for n in ast.walk(t)):
                 uncalled.append(f"{path.name}:{node.name}")
     assert not uncalled, uncalled

@@ -227,10 +227,14 @@ def main(argv=None) -> int:
         code = 0
     except (ValueError, TypeError, KeyError, IndexError, OverflowError,
             ZeroDivisionError, json.JSONDecodeError, OSError) as exc:
-        parts, code = [jsonio.canonical_dumps({"error": str(exc)})], 2
+        code, error = 2, {"error": str(exc)}
     except Exception as exc:  # internal invariant failure
-        parts, code = [jsonio.canonical_dumps(
-            {"error": str(exc), "kind": "internal"})], 3
+        code, error = 3, {"error": str(exc), "kind": "internal"}
+    if code:
+        # a message that echoes a huge input keeps its first 1,000 characters
+        if len(error["error"]) > 1000:
+            error["error"] = error["error"][:1000] + "..."
+        parts = [jsonio.canonical_dumps(error)]
     # written only once complete, in joins of about 1 MB: a table's parts
     # are 20-60 characters, and the joined text never exists whole
     for start in range(0, len(parts), _CHUNK):

@@ -1,4 +1,4 @@
-"""Exact complex rational numbers."""
+"""Exact complex rational amplitudes, and their Gaussian-integer table."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class ComplexRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """An exact amplitude with rational parts, a ring value: +, - and * with
+    ints and Fractions (as minors and binomials need); floats are refused."""
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
@@ -58,40 +59,6 @@ class ComplexRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.magnitude_squared()
-        if d == 0:
-            raise ZeroDivisionError("division by zero complex rational")
-        n = self * o.conjugate()
-        return ComplexRational(n.re / d, n.im / d)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return (ComplexRational(1) / self) ** (-exponent)
-        result = ComplexRational(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -99,16 +66,11 @@ class ComplexRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to its real part when real, so hashed as that int or Fraction
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
-
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
-    def magnitude_squared(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))

@@ -389,11 +389,16 @@ def toric_binomials(exponents, degree):
 
 
 def monomial_value(exponent, point):
-    """prod point_i ** exponent_i, in the point's arithmetic; a point of the
-    wrong length raises ValueError."""
+    """prod point_i ** exponent_i, in the point's arithmetic: a nonnegative
+    exponent by repeated products (a ComplexRational has no powers), a
+    Laurent one by a Fraction's power; a point of the wrong length raises
+    ValueError."""
     value = 1
     for p, e in zip(point, exponent, strict=True):
-        value = value * p ** e
+        if e < 0:
+            value = value * p ** e
+        for _ in range(e):
+            value = value * p
     return value
 
 
@@ -595,8 +600,9 @@ def _exchange(mode, k, l):
 
 
 def _magnitude(value) -> float:
-    if hasattr(value, "magnitude_squared"):
-        return float(value.magnitude_squared()) ** 0.5
+    """|value| as a float, an exact value's rounded from its exact square."""
+    if isinstance(value, ComplexRational):
+        return float(value.re * value.re + value.im * value.im) ** 0.5
     return abs(complex(value))
 
 

@@ -880,6 +880,40 @@ class TestExitCodes:
         assert doc["kind"] == "internal"
         assert "invariant" in doc["error"]
 
+    @pytest.mark.parametrize("argv, doc, head", [
+        (("dual", "--cone"), {"dim": 2, "generators": [[list(range(100000))]]},
+         '{"error":"expected an integer, got [0, 1, 2, '),
+        (("check-separable",),
+         {"shape": [2], "amplitudes": [{"index": [0], "re": "x" * 200000}]},
+         "{\"error\":\"Invalid literal for Fraction: 'xxx"),
+    ], ids=["long-generator", "long-part"])
+    def test_huge_input_echoes_a_bounded_message(self, capsys, tmp_path,
+                                                 argv, doc, head):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert out.startswith(head) and out.endswith('..."}\n')
+        assert len(json.loads(out)["error"]) == 1003
+        assert len(out.encode()) < 1100
+
+    @pytest.mark.parametrize("length", [999, 1000, 1001, 5000])
+    @pytest.mark.parametrize("exc, code, tail", [
+        (ValueError, 2, {}), (RuntimeError, 3, {"kind": "internal"})],
+        ids=["rejected", "internal"])
+    def test_message_cut_at_1000_characters(self, capsys, monkeypatch,
+                                            length, exc, code, tail):
+        message = "".join(chr(ord("a") + i % 26) for i in range(length))
+
+        def fail(_):
+            raise exc(message)
+
+        monkeypatch.setattr(cli, "dual_cone", fail)
+        shown = message if length <= 1000 else message[:1000] + "..."
+        assert run_cli(capsys, "dual", "--cone",
+                       '{"dim":1,"generators":[[1]]}') == \
+            (code, jsonio.canonical_dumps({"error": shown, **tail}))
+
 
 class TestDeterminism:
     def test_every_verb_twice(self, capsys, bell_file):

@@ -1,4 +1,5 @@
-"""Exact complex rationals: arithmetic, refusal of float operands, parts."""
+"""Exact complex rationals: ring arithmetic, refusal of float operands, parts,
+hashing alongside equal ints and Fractions."""
 
 import operator
 from fractions import Fraction
@@ -18,11 +19,11 @@ class TestComplexRational:
         assert type(z.im) is Fraction and z.im == 3
 
     @pytest.mark.parametrize("value, expected", [
-        (2 / Z, ComplexRational(Fraction(16, 13), Fraction(24, 13))),
-        (-Z, ComplexRational(Fraction(-1, 2), Fraction(3, 4))),
         (1 - Z, ComplexRational(Fraction(1, 2), Fraction(3, 4))),
-        (Z ** -2, (1 / Z) * (1 / Z)),
-    ], ids=["rtruediv", "neg", "rsub", "negative-power"])
+        (Fraction(1, 3) + Z, ComplexRational(Fraction(5, 6), Fraction(-3, 4))),
+        (2 * Z, ComplexRational(1, Fraction(-3, 2))),
+        (Z * Z, ComplexRational(Fraction(-5, 16), Fraction(-3, 4))),
+    ], ids=["rsub", "radd", "rmul", "mul"])
     def test_arithmetic(self, value, expected):
         assert value == expected
 
@@ -39,8 +40,17 @@ class TestComplexRational:
         assert (ComplexRational(Fraction(1, 2)) == 0.5) is False
         assert ComplexRational(Fraction(1, 2)) == Fraction(1, 2)
 
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError, match="complex rational"):
-            Z / ComplexRational()
-        with pytest.raises(ZeroDivisionError, match="complex rational"):
-            1 / ComplexRational()
+    @pytest.mark.parametrize("real", [Fraction(1, 2), 3, 0, Fraction(-7, 3)])
+    def test_real_value_hashes_as_its_real_part(self, real):
+        z = ComplexRational(real)
+        assert z == real and hash(z) == hash(real)
+        assert real in {z} and z in {real}
+        assert {z: "z"}[real] == "z" and {real: "r"}[z] == "r"
+
+    def test_non_real_values_hash_by_both_parts(self):
+        assert {Z: 1}[ComplexRational(Fraction(2, 4), Fraction(-6, 8))] == 1
+        assert Fraction(1, 2) not in {Z}
+
+    def test_repr(self):
+        assert repr(ComplexRational(1, Fraction(-1, 3))) == \
+            "ComplexRational(1, -1/3)"

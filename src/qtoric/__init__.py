@@ -6,9 +6,8 @@ separability testing, and the minor-norm concurrence of pure states.
 """
 
 from .geometry import (Cone, Face, Fan, Polytope, dual_cone, faces,
-                       fan_from_maximal, fan_product, is_simplicial,
-                       is_strongly_convex, make_fan, normal_fan, polar,
-                       polytope_hull, pos_hull)
+                       fan_product, is_strongly_convex, make_fan, normal_fan,
+                       polar, polytope_hull, pos_hull)
 from .monoid import MonoidGenerators, hilbert_basis
 from .qubit import (Chart, ChartAtlas, Subvariety, atlas_product, chart_atlas,
                     invariant_subvarieties, multiqubit_atlas, multiqubit_fan,
@@ -32,12 +31,11 @@ __all__ = [
     "PublishedGenerator", "Polytope", "ProductState", "PureState",
     "SeparabilityResult", "Subvariety",
     "atlas_product", "chart_atlas", "concurrence", "dual_cone", "faces",
-    "fan_from_maximal", "fan_product", "hilbert_basis", "homogenize",
-    "invariant_subvarieties", "is_separable", "is_simplicial",
-    "is_strongly_convex", "kernel_lattice", "make_fan", "minor_value",
-    "multiqubit_atlas", "multiqubit_fan", "multiqubit_polytope", "normal_fan",
-    "parameterization", "parameterization_image", "polar", "polytope_hull",
-    "pos_hull", "projective_relations", "projective_space_fan", "segre_map",
-    "segre_minors", "three_qubit_generators", "toric_ideal_binomials",
-    "verify_parameterization",
+    "fan_product", "hilbert_basis", "homogenize", "invariant_subvarieties",
+    "is_separable", "is_strongly_convex", "kernel_lattice", "make_fan",
+    "minor_value", "multiqubit_atlas", "multiqubit_fan", "multiqubit_polytope",
+    "normal_fan", "parameterization", "parameterization_image", "polar",
+    "polytope_hull", "pos_hull", "projective_relations", "projective_space_fan",
+    "segre_map", "segre_minors", "three_qubit_generators",
+    "toric_ideal_binomials", "verify_parameterization",
 ]

@@ -68,20 +68,8 @@ def _projective_relations(args):
     data = _read_json_arg(args.exponents)
     if not isinstance(data, list):
         raise ValueError("--exponents must be a JSON list of integer vectors")
-    exponents = [jsonio._vector_in(vec) for vec in data]
+    exponents = [jsonio.vector_from_json(vec) for vec in data]
     return jsonio.ideal_dumps(projective_relations(exponents, args.degree))
-
-
-def _check_separable(args):
-    verdict = is_separable(_state(args.state), tol=args.tol)
-    worst = None
-    if verdict.worst_minor is not None:
-        worst = jsonio.minor_to_json(verdict.worst_minor)
-        worst["value"] = jsonio._amplitude_out(verdict.worst_value)
-    return {"separable": verdict.separable, "maxViolation": verdict.max_violation,
-            "witness": (jsonio.product_state_to_json(verdict.witness)
-                        if verdict.witness is not None else None),
-            "worstMinor": worst}
 
 
 def _concurrence(args):
@@ -149,13 +137,14 @@ VERBS = {
     "segre-minors": ("canonical two-by-two minors for a system shape",
                      [("--shape", {**_REQUIRED, "help": "JSON list, e.g. [2,2,2]"})],
                      lambda a: jsonio.segre_minors_dumps(
-                         jsonio._vector_in(_read_json_arg(a.shape)))),
+                         jsonio.vector_from_json(_read_json_arg(a.shape)))),
     "check-separable": ("separability verdict for a state file",
                         [_STATE, ("--tol", {
                             "type": float, "default": 1e-10,
                             "help": "relative tolerance against (max |amplitude|)^2 "
                                     "(default 1e-10)"})],
-                        _check_separable),
+                        lambda a: jsonio.separability_to_json(
+                            is_separable(_state(a.state), tol=a.tol))),
     "concurrence": ("minor-norm concurrence of a state file",
                     [_STATE,
                      ("--weights", {"help": "JSON list of per-minor weights"})],

@@ -19,7 +19,6 @@ orthogonal to that space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd
 from operator import and_
@@ -52,11 +51,6 @@ class Cone:
             raise ValueError("generators must be sorted and duplicate-free")
 
     @cached_property
-    def rank(self) -> int:
-        """Linear dimension of the cone."""
-        return rank_int(self.generators)
-
-    @cached_property
     def halfspaces(self):
         """Sorted (h, zero set) pairs of _dd_rays: the h generate the dual,
         a zero set is the bitmask of the generators g with h . g == 0."""
@@ -87,13 +81,6 @@ class Polytope:
             raise ValueError("vertices must be sorted and duplicate-free")
 
     @cached_property
-    def rank(self) -> int:
-        """Dimension of the affine hull."""
-        v0 = self.vertices[0]
-        diffs = [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]
-        return rank_int(diffs)
-
-    @cached_property
     def halfspaces(self):
         """The halfspaces of the cone over {1} x vertices: (c, y) stands for
         c + <y, x> >= 0, its zero set the bitmask of the vertices on it."""
@@ -115,8 +102,8 @@ class Fan:
     the cones, sorted, and one sorted tuple of ray indices per cone, sorted.
 
     Face closure and pairwise compatibility are properties of the trusted
-    constructors (:func:`normal_fan`, :func:`fan_from_maximal`,
-    :func:`fan_product`).  The library checks a smooth complete fan through
+    constructors, :func:`normal_fan` and :func:`fan_product`; :func:`make_fan`
+    is not one of them.  The library checks a smooth complete fan through
     :func:`qtoric.qubit.chart_atlas`, whose charts and transitions need it.
     """
 
@@ -193,14 +180,6 @@ def pos_hull(vectors, dim: int | None = None) -> Cone:
     if halfspaces is not None:
         cone.__dict__["halfspaces"] = halfspaces
     return cone
-
-
-def cone_contains(c: Cone, point) -> bool:
-    """Exact membership of a rational point: h . x >= 0 on the dual generators."""
-    point = tuple(Fraction(x) for x in point)
-    if len(point) != c.dim:
-        raise ValueError("point dimension mismatch")
-    return all(dot(h, point) >= 0 for h, _ in c.halfspaces)
 
 
 def _adjacency_dd(dim, constraints):
@@ -294,11 +273,6 @@ def is_strongly_convex(c: Cone) -> bool:
                   (1 << len(c.generators)) - 1) == 0
 
 
-def is_simplicial(c: Cone) -> bool:
-    """True iff the minimal generators are linearly independent."""
-    return c.rank == len(c.generators)
-
-
 def polytope_hull(points, dim: int | None = None) -> Polytope:
     """Convex hull of lattice points, reduced to its extreme points."""
     points = [tuple(p) for p in points]
@@ -374,31 +348,15 @@ def _face_family(n, tights) -> set[int]:
     return family
 
 
-def face_cone(face: Face) -> Cone:
-    """A face of a cone, as a cone (faces are generated by the tight generators)."""
-    if not isinstance(face.of, Cone):
-        raise ValueError("face_cone expects a face of a cone")
-    return Cone(face.of.dim, tuple(face.of.generators[i] for i in face.indices))
-
-
-def make_fan(cones, dim: int | None = None) -> Fan:
-    """The fan of a cone collection: its rays and its distinct cones."""
+def make_fan(cones, dim: int) -> Fan:
+    """The rays and distinct cones of a cone collection in Z^dim."""
     cones = list(cones)
-    if dim is None:
-        if not cones:
-            raise ValueError("ambient dimension required for an empty fan")
-        dim = cones[0].dim
     if any(c.dim != dim for c in cones):
         raise ValueError("cone dimension mismatch in fan")
     rays = sorted({g for c in cones for g in c.generators})
     index = {g: i for i, g in enumerate(rays)}
     return Fan(dim, tuple(rays), tuple(sorted(
         {tuple(index[g] for g in c.generators) for c in cones})))
-
-
-def fan_from_maximal(maximal) -> Fan:
-    """The fan generated by maximal cones together with all their faces."""
-    return make_fan([face_cone(f) for c in maximal for f in faces(c)])
 
 
 def normal_fan(p: Polytope) -> Fan:

@@ -16,8 +16,8 @@ from .geometry import Cone, Fan, Polytope, make_fan, polytope_hull, pos_hull
 from .monoid import MonoidGenerators
 from .qubit import ChartAtlas
 from .rationals import ComplexRational, gaussian_integers
-from .segre import (MinorSpec, ProductState, PureState, check_shape,
-                    minor_blocks)
+from .segre import (MinorSpec, ProductState, PureState, SeparabilityResult,
+                    check_shape, minor_blocks)
 from .toric_ideal import BinomialIdeal, MonomialMap
 
 _SAFE = 2 ** 53
@@ -39,7 +39,8 @@ def _vector_out(v):
     return [x if abs(x) <= _SAFE else str(x) for x in v]
 
 
-def _vector_in(v):
+def vector_from_json(v) -> tuple[int, ...]:
+    """A JSON list of integers, each an int or a decimal string."""
     if not isinstance(v, list):
         raise ValueError(f"expected a list of integers, got {v!r}")
     return tuple(map(decode_int, v))
@@ -61,7 +62,7 @@ def cone_from_json(data) -> Cone:
     if not isinstance(data, dict) or "dim" not in data:
         raise ValueError("cone JSON needs 'dim' and 'generators'")
     dim = decode_int(data["dim"])
-    gens = [_vector_in(g) for g in _list_in(data, "generators")]
+    gens = [vector_from_json(g) for g in _list_in(data, "generators")]
     return pos_hull(gens, dim)
 
 
@@ -73,7 +74,7 @@ def polytope_from_json(data) -> Polytope:
     if not isinstance(data, dict) or "dim" not in data or "vertices" not in data:
         raise ValueError("polytope JSON needs 'dim' and 'vertices'")
     dim = decode_int(data["dim"])
-    return polytope_hull([_vector_in(v) for v in _list_in(data, "vertices")], dim)
+    return polytope_hull(map(vector_from_json, _list_in(data, "vertices")), dim)
 
 
 def fan_to_json(f: Fan) -> dict:
@@ -104,7 +105,7 @@ def map_from_json(data) -> MonomialMap:
     if not isinstance(data, dict) or "exponents" not in data:
         raise ValueError("monomial map JSON must be a list of exponent vectors "
                          "or {'dim':..,'exponents':..}")
-    exponents = tuple(_vector_in(a) for a in _list_in(data, "exponents"))
+    exponents = tuple(vector_from_json(a) for a in _list_in(data, "exponents"))
     if "dim" in data:
         return MonomialMap(decode_int(data["dim"]), exponents)
     if not exponents:
@@ -260,7 +261,7 @@ def state_from_json(data) -> PureState:
     """
     if not isinstance(data, dict) or "shape" not in data or "amplitudes" not in data:
         raise ValueError("state JSON needs 'shape' and 'amplitudes'")
-    shape = _vector_in(data["shape"])
+    shape = vector_from_json(data["shape"])
     amps, floating = {}, False
     for entry in _list_in(data, "amplitudes"):
         if not isinstance(entry, dict):
@@ -269,7 +270,7 @@ def state_from_json(data) -> PureState:
         if "index" not in entry:
             raise ValueError(f"'amplitudes' entries need an 'index', "
                              f"got {entry!r}")
-        idx = _vector_in(entry["index"])
+        idx = vector_from_json(entry["index"])
         if idx in amps:
             raise ValueError(f"duplicate amplitude index {idx}")
         parts = _part_in(entry.get("re", 0)), _part_in(entry.get("im", 0))
@@ -295,6 +296,14 @@ def product_state_to_json(p: ProductState) -> dict:
 
 def minor_to_json(minor: MinorSpec) -> dict:
     return {"mode": minor.mode, "k": list(minor.k), "l": list(minor.l)}
+
+
+def separability_to_json(r: SeparabilityResult) -> dict:
+    worst = None if r.worst_minor is None else {
+        **minor_to_json(r.worst_minor), "value": _amplitude_out(r.worst_value)}
+    witness = None if r.witness is None else product_state_to_json(r.witness)
+    return {"separable": r.separable, "maxViolation": r.max_violation,
+            "witness": witness, "worstMinor": worst}
 
 
 def atlas_to_json(atlas: ChartAtlas) -> dict:

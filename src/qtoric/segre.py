@@ -71,9 +71,21 @@ class PureState:
             i: _exact_value(x, y, d) for i, (x, y) in self._table.items()}
 
     def __eq__(self, other):
+        """Equal values are equal: a float part reads as the dyadic rational
+        it is, and an infinite or nan part equals no exact value."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.shape, self.amplitudes) == (other.shape, other.amplitudes)
+        if self.shape != other.shape:
+            return False
+        if self._d is None and other._d is None:
+            return self._table == other._table
+        try:
+            (s, d), (t, e) = _gaussian(self), _gaussian(other)
+        except (OverflowError, ValueError):
+            return False  # from a float part that is not finite
+        return s.keys() == t.keys() and all(
+            x * e == t[i][0] * d and y * e == t[i][1] * d
+            for i, (x, y) in s.items())
 
     def __repr__(self):
         return f"PureState(shape={self.shape!r}, amplitudes={self.amplitudes!r})"
@@ -92,24 +104,6 @@ class PureState:
                        for x, y in self._table.values())
         except OverflowError:
             return math.inf
-
-    def scaled(self, factor) -> "PureState":
-        """The state times factor: its table scaled exactly when the state
-        and the factor are exact, else as complex floats."""
-        d = self._d
-        if d is not None and isinstance(factor, _EXACT):
-            # a zero factor has no Gaussian integer, so the table is empty
-            scale, e = gaussian_integers(_ratios({(): factor}))
-            table = {i: _gmul(v, u) for i, v in self._table.items()
-                     for u in scale.values()}
-            g = math.gcd(d * e, *(p for v in table.values() for p in v))
-            return PureState.from_table(self.shape, {
-                i: (x // g, y // g) for i, (x, y) in table.items()}, d * e // g)
-        values = self._table if d is None else {
-            i: complex(x / d, y / d) for i, (x, y) in self._table.items()}
-        factor = complex(factor)
-        return PureState.from_table(self.shape, {
-            i: w for i, v in values.items() if (w := factor * v)})
 
 
 @dataclass

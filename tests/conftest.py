@@ -1,5 +1,5 @@
-"""Shared randomness helpers, the fan check and hypothesis profiles for the
-test suites.
+"""Shared randomness helpers, fan constructors and the fan check, and hypothesis
+profiles for the test suites.
 
 Property tests run without a per-example deadline: exact arithmetic on
 large integers has no fixed cost.  GitHub Actions sets ``CI``; there the
@@ -17,8 +17,7 @@ from itertools import combinations
 import pytest
 from hypothesis import settings
 
-from qtoric import ProductState, dual_cone, faces, pos_hull
-from qtoric.geometry import face_cone
+from qtoric import Cone, ProductState, dual_cone, faces, make_fan, pos_hull
 from qtoric.rationals import ComplexRational
 
 settings.register_profile("default", deadline=None)
@@ -46,6 +45,18 @@ def random_product_state(rng, shape) -> ProductState:
     """Exact product state with every local amplitude nonzero."""
     return ProductState(tuple(
         tuple(random_complex_rational(rng) for _ in range(n)) for n in shape))
+
+
+def face_cone(face) -> Cone:
+    """A face of a cone, as the cone of its tight generators."""
+    return Cone(face.of.dim, tuple(face.of.generators[i] for i in face.indices))
+
+
+def fan_from_maximal(maximal):
+    """The cones of ``maximal`` and all their faces, as a fan of the first
+    cone's dimension; that they form a fan is checked by ``validate_fan``."""
+    cones = [face_cone(f) for c in maximal for f in faces(c)]
+    return make_fan(cones, cones[0].dim)
 
 
 def intersect_cones(a, b):

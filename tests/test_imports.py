@@ -30,11 +30,21 @@ def test_absolute_imports_are_stdlib(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_private_names_from_siblings(path):
     # a private helper shared across modules is a sign that some object
-    # does not keep what its consumers need
+    # does not keep what its consumers need; it is read either by name,
+    # ``from .jsonio import _name``, or through the module, ``from . import
+    # jsonio`` and then ``jsonio._name``
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     private = [(node.module, alias.name) for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
+    siblings = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0
+                and node.module is None for alias in node.names}
+    private += [(node.value.id, node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and node.attr.startswith("_")
+                and not node.attr.startswith("__")]
     assert not private, private
 
 

@@ -95,6 +95,15 @@ class TestSegreMap:
             assert all(type(v) is complex for v in st.amplitudes.values())
 
 
+def times(state, factor):
+    """The state times factor: exactly when both are exact, else in complex
+    floats."""
+    exact = segre._is_exact(state) and isinstance(factor, segre._EXACT)
+    return PureState(state.shape, {
+        i: factor * v if exact else complex(factor) * complex(v)
+        for i, v in state.amplitudes.items()})
+
+
 def _view_types(st):
     return {i: type(v) for i, v in st.amplitudes.items()}
 
@@ -149,45 +158,22 @@ class TestOneDescription:
         assert exact != PureState((2, 2), {(0, 0): Fraction(1, 2),
                                            (1, 1): Fraction(3, 4)})
         assert exact.__eq__(3) is NotImplemented
-
-    def test_json_state_scales_by_a_float(self):
-        st = jsonio.state_from_json({"shape": [2, 2], "amplitudes": [
-            {"index": [0, 0], "re": "1/2"}, {"index": [1, 1], "re": "1/2"}]})
-        assert st.amplitudes == {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}
-        for half in (st.scaled(0.5), PureState(
-                (2, 2), {(0, 0): Fraction(1, 2),
-                         (1, 1): Fraction(1, 2)}).scaled(0.5)):
-            assert half.amplitudes == {(0, 0): 0.25, (1, 1): 0.25}
-            assert set(_view_types(half).values()) == {complex}
-
-    @given(hs.lists(_exact_entries, min_size=1, max_size=4).filter(any),
-           _exact_entries)
-    def test_exact_factor_keeps_an_exact_table(self, values, factor):
-        st = PureState((len(values) + 1,),
-                       {(i,): v for i, v in enumerate(values)})
-        if not factor:
-            with pytest.raises(ValueError, match="at least one nonzero"):
-                st.scaled(factor)
-            return
-        scaled = st.scaled(factor)
-        expected = PureState(st.shape, {i: factor * v
-                                        for i, v in st.amplitudes.items()})
-        assert scaled._d is not None
-        assert (scaled._table, scaled._d) == (expected._table, expected._d)
-
-    def test_float_factor_gives_a_complex_table(self):
-        st = PureState((2,), {(0,): ComplexRational(1, 1),
-                              (1,): Fraction(1, 3)})
-        half = st.scaled(0.5)
-        assert half._d is None
-        assert half._table == {(0,): 0.5 + 0.5j, (1,): 1 / 6 + 0j}
-        assert set(_view_types(half).values()) == {complex}
-        assert st.scaled(2j).amplitudes == {(0,): -2 + 2j, (1,): 2j / 3}
-        floating = PureState((2,), {(0,): 0.5, (1,): 1j})
-        assert floating.scaled(Fraction(1, 2)).amplitudes == \
-            {(0,): 0.25, (1,): 0.5j}
-        assert floating.scaled(ComplexRational(0, 2)).amplitudes == \
-            {(0,): 1j, (1,): -2}
+        # equal values are equal, whether or not a value is real
+        gaussian = PureState((2,), {(0,): ComplexRational(1, 1)})
+        assert gaussian == PureState((2,), {(0,): 1 + 1j})
+        third = PureState((2,), {(0,): ComplexRational(Fraction(1, 3), 1)})
+        assert third != PureState((2,), {(0,): complex(1 / 3, 1)})
+        # segre_map holds D = 2 * 3, not the least denominator 3
+        locs = [(Fraction(1, 2), Fraction(1, 2)), (Fraction(2, 3), Fraction(4, 3))]
+        image = segre_map(ProductState(locs))
+        rebuilt = PureState(image.shape, oracles.segre_product(locs))
+        assert image._d != rebuilt._d and image == rebuilt
+        # a part that is not finite equals no exact value
+        for bad in (math.inf, math.nan, complex(1, math.inf)):
+            assert third != PureState((2,), {(0,): bad})
+        # equality reads the held tables, not the amplitudes view
+        assert all("amplitudes" not in st.__dict__
+                   for st in (exact, gaussian, third, image, rebuilt))
 
     def test_minor_of_exact_beside_float_value(self):
         st = PureState((2, 2), {(0, 0): ComplexRational(Fraction(1, 2)),
@@ -285,7 +271,7 @@ class TestSeparability:
                         for idx in product(*(range(n) for n in shape))}
                 st = PureState(shape, amps)
                 norm = math.sqrt(st.norm_squared())
-                st = st.scaled(1 / norm)
+                st = times(st, 1 / norm)
                 if oracles.best_rank_one_residual(to_array(st)) <= 0.1:
                     continue
                 found += 1
@@ -295,15 +281,15 @@ class TestSeparability:
         st = segre_map(random_product_state(rng, (2, 2, 2)))
         ent = ghz()
         for factor in (3, Fraction(1, 7)):
-            assert is_separable(st.scaled(factor), tol=1e-10).separable
+            assert is_separable(times(st, factor), tol=1e-10).separable
         for factor in (5.0, 0.01):
-            assert not is_separable(ent.scaled(factor), tol=1e-10).separable
+            assert not is_separable(times(ent, factor), tol=1e-10).separable
 
     def test_minors_scale_quadratically(self, rng):
         amps = {idx: random_complex_rational(rng)
                 for idx in product((0, 1), repeat=3)}
         st = PureState((2, 2, 2), amps)
-        scaled = st.scaled(Fraction(3))
+        scaled = times(st, Fraction(3))
         for minor in segre_minors((2, 2, 2)):
             assert minor_value(scaled, minor) == 9 * minor_value(st, minor)
 
@@ -328,13 +314,13 @@ class TestSeparability:
                              ids=["1e400", "1e-400"])
     def test_exact_verdict_survives_scaling_beyond_float_range(self, rng,
                                                                factor):
-        st = segre_map(random_product_state(rng, (2, 2, 2))).scaled(factor)
+        st = times(segre_map(random_product_state(rng, (2, 2, 2))), factor)
         verdict = is_separable(st)
         assert verdict.separable
         assert verdict.max_violation == 0.0
         assert segre_map(verdict.witness).amplitudes == st.amplitudes
         one = ComplexRational(Fraction(1))
-        ent = PureState((2, 2), {(0, 0): one, (1, 1): one}).scaled(factor)
+        ent = times(PureState((2, 2), {(0, 0): one, (1, 1): one}), factor)
         verdict = is_separable(ent)
         assert not verdict.separable
         assert (verdict.worst_minor.k, verdict.worst_minor.l) == \
@@ -343,8 +329,8 @@ class TestSeparability:
         # zero below it
         assert verdict.max_violation == (math.inf if factor > 1 else 0.0)
         tiny = ComplexRational(Fraction(1, 10 ** 400))
-        near = PureState((2, 2), {(0, 0): one, (0, 1): one, (1, 0): one,
-                                  (1, 1): one + tiny}).scaled(factor)
+        near = times(PureState((2, 2), {(0, 0): one, (0, 1): one, (1, 0): one,
+                                        (1, 1): one + tiny}), factor)
         assert not is_separable(near, tol=0.0).separable
         assert is_separable(near, tol=1e-10).separable
 
@@ -525,7 +511,7 @@ class TestConcurrence:
         amps = {idx: complex(rng.gauss(0, 1), rng.gauss(0, 1))
                 for idx in product((0, 1), repeat=2)}
         st = PureState((2, 2), amps)
-        st = st.scaled(1 / math.sqrt(st.norm_squared()))
+        st = times(st, 1 / math.sqrt(st.norm_squared()))
         base = concurrence(st)
         for theta1, theta2 in [(0.3, 1.2), (2.1, -0.7), (math.pi, 0.0)]:
             rotated = PureState((2, 2), {
@@ -538,7 +524,7 @@ class TestConcurrence:
             amps = {idx: complex(rng.gauss(0, 1), rng.gauss(0, 1))
                     for idx in product((0, 1), repeat=2)}
             st = PureState((2, 2), amps)
-            st = st.scaled(1 / math.sqrt(st.norm_squared()))
+            st = times(st, 1 / math.sqrt(st.norm_squared()))
             a, b, c, d = (st.amplitude(i) for i in
                           [(0, 0), (0, 1), (1, 0), (1, 1)])
             assert abs(concurrence(st) - 2 * abs(a * d - b * c)) < 1e-12
@@ -672,7 +658,7 @@ def rank_one_cases(shape):
         lambda t: changed(*t)).filter(lambda st: st is not None)
     return hs.tuples(hs.one_of(images, bumped), hs.sampled_from(
         [1, Fraction(10) ** 400, Fraction(1, 10 ** 400)])).map(
-        lambda t: t[0].scaled(t[1]))
+        lambda t: times(t[0], t[1]))
 
 
 class TestRankOneIdentity:

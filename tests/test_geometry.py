@@ -412,9 +412,11 @@ class TestRejections:
         (lambda: pos_hull([]), "ambient dimension required for an empty hull"),
         (lambda: polytope_hull([]),
          "ambient dimension required for an empty hull"),
+        (lambda: make_fan([C((1, 0))], 3), "cone dimension mismatch in fan"),
     ], ids=["cone-dim", "cone-generator-dim", "cone-primitive", "cone-order",
             "polytope-dim", "polytope-empty", "polytope-vertex-dim",
-            "polytope-order", "empty-hull", "empty-polytope-hull"])
+            "polytope-order", "empty-hull", "empty-polytope-hull",
+            "fan-cone-dim"])
     def test_message(self, build, message):
         with pytest.raises(ValueError) as info:
             build()
@@ -434,6 +436,14 @@ class TestValidateFanRejections:
             list(fan_from_maximal([b]).cones)
         with pytest.raises(ValueError, match="not a common face"):
             validate_fan(make_fan(cones, 2))
+
+    def test_overlapping_maximal_cones_detected(self):
+        # fan_from_maximal only collects faces; two maximal cones that
+        # overlap in an open set still make a Fan object
+        fan = fan_from_maximal([C((1, 0), (0, 1)), C((1, 0), (1, 1))])
+        assert len(fan.maximal_cones()) == 2
+        with pytest.raises(ValueError, match="not a common face"):
+            validate_fan(fan)
 
 
 class TestCanonicalForms:
@@ -471,6 +481,12 @@ class TestCanonicalForms:
         assert fan.cones == (C(dim=2), C(self.X), C(self.X, self.Y), C(self.Y))
         assert fan.maximal_cones() == (C(self.X, self.Y),)
         assert make_fan(reversed(fan.cones), fan.dim) == fan
+
+    def test_empty_fan_takes_its_dimension(self):
+        empty = make_fan([], 3)
+        assert (empty.dim, empty.rays, empty.cones) == (3, (), ())
+        with pytest.raises(TypeError):
+            make_fan([])  # there is no dimension to infer
 
     def test_polytope_hull_drops_interior_points(self):
         p = polytope_hull([(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)])

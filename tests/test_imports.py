@@ -27,13 +27,10 @@ def test_absolute_imports_are_stdlib(path):
     assert not outside, outside
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_private_names_from_siblings(path):
-    # a private helper shared across modules is a sign that some object
-    # does not keep what its consumers need; it is read either by name,
-    # ``from .jsonio import _name``, or through the module, ``from . import
-    # jsonio`` and then ``jsonio._name``
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def _private_sibling_reads(tree):
+    """The (module, name) pairs of a sibling's private names that ``tree``
+    reads: by name, ``from .jsonio import _name``, or through the module,
+    ``from . import jsonio`` and then ``jsonio._name``."""
     private = [(node.module, alias.name) for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
@@ -45,7 +42,28 @@ def test_no_private_names_from_siblings(path):
                 and isinstance(node.value, ast.Name)
                 and node.value.id in siblings and node.attr.startswith("_")
                 and not node.attr.startswith("__")]
+    return private
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_names_from_siblings(path):
+    # a private helper shared across modules is a sign that some object
+    # does not keep what its consumers need
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    private = _private_sibling_reads(tree)
     assert not private, private
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("from .jsonio import _vector_out", [("jsonio", "_vector_out")]),
+    ("from . import jsonio\njsonio._texts(1)", [("jsonio", "_texts")]),
+    ("from . import jsonio as j\nj._texts", [("j", "_texts")]),
+    ("from . import jsonio\njsonio.__name__, jsonio.decode_int", []),
+    ("import json\njson._default_encoder", []),
+], ids=["by-name", "through-module", "through-alias", "public-and-dunder",
+        "absolute-module"])
+def test_private_reads_found(source, reads):
+    assert _private_sibling_reads(ast.parse(source)) == reads
 
 
 def test_every_module_is_checked():

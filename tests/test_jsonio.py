@@ -39,6 +39,22 @@ class TestIntEncoding:
         with pytest.raises(ValueError):
             jsonio.decode_int(True)
 
+    def test_vector_reads_ints_and_decimal_strings(self):
+        big = 2 ** 60 + 1
+        assert jsonio.vector_from_json([1, "-2", str(big)]) == (1, -2, big)
+        assert jsonio.vector_from_json([]) == ()
+
+    @pytest.mark.parametrize("data, message", [
+        ({"a": 1}, "expected a list of integers, got {'a': 1}"),
+        ("[1, 2]", "expected a list of integers, got '[1, 2]'"),
+        ([1, True], "expected an integer, got a boolean"),
+        ([1.0], "expected an integer, got 1.0"),
+    ], ids=["dict", "string", "boolean", "float"])
+    def test_vector_rejects(self, data, message):
+        with pytest.raises(ValueError) as info:
+            jsonio.vector_from_json(data)
+        assert str(info.value) == message
+
     def test_big_generator_roundtrip(self):
         big = 2 ** 61 + 3
         cone = pos_hull([(big, 1), (1, 0)])
@@ -294,6 +310,20 @@ class TestStateJson:
         doc = jsonio.product_state_to_json(ps)
         assert doc == {"locals": [[{"re": "1", "im": "0"}, {"re": "2", "im": "0"}],
                                   [{"re": "3", "im": "0"}, {"re": "4", "im": "0"}]]}
+
+    def test_separability_documents(self):
+        witness = ProductState(((Fraction(1), Fraction(2)),))
+        assert jsonio.separability_to_json(segre.SeparabilityResult(
+            True, 0.0, witness, None)) == {
+                "separable": True, "maxViolation": 0.0, "worstMinor": None,
+                "witness": jsonio.product_state_to_json(witness)}
+        minor = segre.MinorSpec(0, (0, 0), (1, 1))
+        doc = jsonio.separability_to_json(segre.SeparabilityResult(
+            False, 0.5, None, minor, ComplexRational(Fraction(1, 2), -1)))
+        assert doc == {"separable": False, "maxViolation": 0.5,
+                       "witness": None,
+                       "worstMinor": {"mode": 0, "k": [0, 0], "l": [1, 1],
+                                      "value": {"re": "1/2", "im": "-1"}}}
 
     def test_torus_point_rejects_floats(self):
         with pytest.raises(ValueError, match="exact"):

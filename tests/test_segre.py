@@ -175,6 +175,22 @@ class TestOneDescription:
         assert all("amplitudes" not in st.__dict__
                    for st in (exact, gaussian, third, image, rebuilt))
 
+    @pytest.mark.parametrize("exact, floating, equal", [
+        (Fraction(1, 2), 0.5, True),
+        (ComplexRational(1, 1), 1 + 1j, True),
+        (ComplexRational(Fraction(1, 3), 1), complex(1 / 3, 1), False),
+        (Fraction(1, 2), math.inf, False),
+        (Fraction(1, 2), complex(math.nan, 0), False),
+    ], ids=["real", "gaussian", "third", "inf", "nan"])
+    def test_equality_reads_the_same_either_way_round(self, exact, floating,
+                                                       equal):
+        a = PureState((2,), {(1,): exact})
+        b = PureState((2,), {(1,): floating})
+        assert (a == b) is (b == a) is equal
+        assert (a != b) is (b != a) is (not equal)
+        # the same value at another index is another state
+        assert a != PureState((2,), {(0,): floating}) != a
+
     def test_minor_of_exact_beside_float_value(self):
         st = PureState((2, 2), {(0, 0): ComplexRational(Fraction(1, 2)),
                                 (1, 1): 0.5})

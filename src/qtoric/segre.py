@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from .rationals import ComplexRational, gaussian_integers
 
@@ -231,7 +231,9 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
     the rows of the tensor through its largest-magnitude amplitude; on a
     non-separable verdict the maximal violating minor is reported: the
     first largest as a float in ``segre_minors`` order, found by scanning
-    the nonzero columns of every flattening, and the only minor built as a
+    the nonzero columns of every flattening, less the rows that cannot beat
+    the largest so far (all but tens per flattening of a dense entangled
+    state, none of a float product state), and the only minor built as a
     ``MinorSpec``.  Only the given amplitudes are read, never a dense
     tensor.  An exact state is decided on its Gaussian integers over one
     denominator: with P its peak amplitude and R_j the slot-j rows through
@@ -312,7 +314,7 @@ def _ldexp(x: float, e: int) -> float:
 def _float_verdict(shape, table, tol, k) -> SeparabilityResult:
     """The verdict on complex floats {index: value}, a state shifted by 2^-k."""
     peak, p = max((abs(v), i) for i, v in table.items())
-    top, where = _first_max(shape, table, _float_abs, 0)
+    top, where = _first_max(shape, table, _float_abs, 0, lambda v: abs(v) + 1e-323)
     if top <= tol * peak * peak:
         rows = _rows(shape, table, p, 0j)
         return SeparabilityResult(True, top, ProductState(
@@ -354,8 +356,9 @@ def _gaussian_verdict(shape, table, d, tol, k) -> SeparabilityResult:
     for _ in rows[1:]:
         g = _gmul(g, table[p])
     rank_one = _rank_one(table, rows, g)
-    top, where = (0.0, None) if rank_one else \
-        _first_max(shape, table, _exact_abs(d2), (0, 0))
+    top, where = (0.0, None) if rank_one else _first_max(
+        shape, table, _exact_abs(d2), (0, 0),
+        lambda v: math.sqrt((v[0] * v[0] + v[1] * v[1]) / d2 + 5e-324))
     # at tol 0 the verdict is exact: a state that is not rank one has a
     # nonzero minor, even one too small for a float
     if rank_one or tol and top <= tol * peak * peak:
@@ -457,7 +460,7 @@ def _columns(table, j, n, zero) -> dict:
     return cols
 
 
-def _first_max(shape, table, values, zero):
+def _first_max(shape, table, values, zero, magnitude=None):
     """The first largest minor key and its (mode, k, l), or (0.0, None).
 
     Every mode j and local pair a < b takes rows ra, rb of the mode-j
@@ -467,8 +470,17 @@ def _first_max(shape, table, values, zero):
     as already listed under an earlier mode s; such a duplicate has the same
     two products, so its key equals the earlier one and, under strict >,
     never replaces it.  Only the columns nonzero in row a or row b are
-    walked, in complement order: the minors of the others vanish, so a
-    sparse state costs O(nnz^2) per pair.
+    walked, in complement order: the minors of the others vanish.  Bool
+    keys stop at the first True, which nothing replaces.  Given a float
+    ``magnitude`` never below |v| beyond rounding (a subnormal |v| or |v|^2
+    may round down by an ulp, which the callers add back), row i is skipped
+    while best >= 2^-1000 exceeds (|ra[i]| max |rb[i2]| + |rb[i]| max
+    |ra[i2]|)(1 + 2^-40) over i2 > i: each of its minors has |x q - y p| <=
+    |x||q| + |y||p|, and the margin covers the rounding of key and bound
+    above underflow, so its keys (or a nan, from a nan in the maxima) never
+    replace best, and the report is the full scan's.  A pair costs O(nnz)
+    per row evaluated: a few on a dense entangled state, all on a float
+    product state, whose minors are at rounding level.
     """
     best, where = 0.0, None
     for j, n in enumerate(shape):
@@ -477,13 +489,21 @@ def _first_max(shape, table, values, zero):
             kept = [(c, col[a], col[b]) for c, col in columns
                     if col[a] != zero or col[b] != zero]
             ra, rb = [u for _, u, _ in kept], [v for _, _, v in kept]
+            if magnitude:
+                ma, mb = list(map(magnitude, ra)), list(map(magnitude, rb))
+                sa, sb = (list(accumulate(m[::-1], max))[::-1] for m in (ma, mb))
             for i in range(len(kept) - 1):
+                if magnitude and best >= 2.0 ** -1000 and best > (
+                        ma[i] * sb[i + 1] + mb[i] * sa[i + 1]) * (1 + 2.0 ** -40):
+                    continue
                 keys = values(ra[i], rb[i], ra[i + 1:], rb[i + 1:])
                 top = max(keys)
                 if where is None or top > best:
                     c, c2 = kept[i][0], kept[i + 1 + keys.index(top)][0]
                     best = top
                     where = (j, c[:j] + (a,) + c[j:], c2[:j] + (b,) + c2[j:])
+                    if top is True:
+                        return best, where
     return best, where
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -813,6 +814,136 @@ def assert_nearest_root(c, q):
     assert lo * lo <= q <= hi * hi
 
 
+def assert_matches_reference(st, tol, e=0):
+    """The verdict on st 2^e against the reference on st, whose minors
+    scale by 2^(2e); the reference reads them in floats, so it is given the
+    state inside the float range."""
+    ref = st
+    if e:
+        st = times(st, Fraction(2) ** e if segre._is_exact(st) else 2.0 ** e)
+    verdict = is_separable(st, tol)
+    separable, minor, value, violation = \
+        oracles.separability_reference(ref, tol)
+    assert verdict.separable == separable
+    assert verdict.max_violation == segre._ldexp(violation, 2 * e)
+    if separable:
+        assert verdict.worst_minor is None
+        if e:
+            return
+        # the float reference divides by a power of the peak, which
+        # underflows outside the float range: it is read only inside
+        got = verdict.witness.locals
+        if segre._is_exact(st):
+            assert [[oracles._exact_parts(x) for x in v]
+                    for v in got] == oracles.witness(st)
+        elif segre._float_range_shift(st) == 0:
+            # (a float state decided on st / 2^k moves 2^k into its
+            # first local vector)
+            assert all(cmath.isclose(x, y, rel_tol=1e-12)
+                       for v, u in zip(got, oracles.witness(st))
+                       for x, y in zip(v, u))
+    else:
+        worst = verdict.worst_minor
+        assert (worst.mode, worst.k, worst.l) == minor
+        assert verdict.worst_value == segre._times_power_of_two(value, 2 * e)
+
+
+def dense(shape, values):
+    """The state with the given values at every index, in index order."""
+    return PureState(shape, dict(zip(product(*map(range, shape)), values)))
+
+
+# float parts 0 or of magnitude 2^-100 to 4: the products of a minor
+# neither underflow nor overflow, so they scale exactly by powers of two
+float_parts = hs.one_of(hs.just(0.0), hs.builds(
+    lambda sign, x: sign * x, hs.sampled_from([-1.0, 1.0]),
+    hs.floats(2.0 ** -100, 4.0)))
+dense_values = [
+    # Gaussian integers in [-2, 2]: many minors tie
+    hs.tuples(hs.integers(-2, 2), hs.integers(-2, 2)).filter(any).map(
+        lambda parts: ComplexRational(*parts)),
+    hs.one_of(float_pool, hs.builds(complex, float_parts, float_parts)).filter(
+        bool)]
+
+
+def dense_states():
+    """Every index present, at most 64 entries, all exact or all float."""
+    def states(shape):
+        size = math.prod(shape)
+        return hs.one_of(*(hs.lists(v, min_size=size, max_size=size)
+                           for v in dense_values)).map(
+            lambda values: dense(shape, values))
+    return hs.sampled_from([(2,) * m for m in range(2, 7)]
+                           + [(3, 3), (2, 3, 2)]).flatmap(states)
+
+
+def dense_qubits(m, kind):
+    """A dense m-qubit state: float parts from gauss(0, 1), or Gaussian
+    integer parts from [-9, 9] without 0."""
+    rng = random.Random(7)
+    nonzero = [k for k in range(-9, 10) if k]
+    return dense((2,) * m, [
+        complex(rng.gauss(0, 1), rng.gauss(0, 1)) if kind == "float" else
+        ComplexRational(rng.choice(nonzero), rng.choice(nonzero))
+        for _ in range(2 ** m)])
+
+
+def scan_rows(monkeypatch, st):
+    """is_separable(st, 0) and the number of rows its minor scans evaluated."""
+    calls = []
+
+    def counted(f):
+        return lambda *args: calls.append(1) or f(*args)
+    exact_abs = segre._exact_abs
+    monkeypatch.setattr(segre, "_float_abs", counted(segre._float_abs))
+    monkeypatch.setattr(segre, "_exact_nonzero", counted(segre._exact_nonzero))
+    monkeypatch.setattr(segre, "_exact_abs", lambda d2: counted(exact_abs(d2)))
+    return is_separable(st, 0), len(calls)
+
+
+_below = random.Random(505)
+# a last-row case: of these Gaussian integers the worst minor is the last
+# canonical one of (2, 2, 2, 2), in the last row of mode 3 that holds one
+_last_row = [(-1, 2), (-2, 0), (-2, 1), (0, -2), (-2, 2), (-1, -2), (0, -2),
+             (-1, -1), (-1, -1), (2, -2), (2, 2), (2, 2), (-2, 1), (1, -2),
+             (2, -1), (2, -1)]
+_cluster = [(-1) ** (i[0] * i[1] + i[1] * i[2] + i[2] * i[3])
+            for i in product((0, 1), repeat=4)]
+SKIP_EDGES = {
+    # minors near 2^-1010: a best below the floor skips nothing
+    "below-floor": dense((2, 2, 2), [
+        complex(_below.gauss(0, 1), _below.gauss(0, 1)) * 2.0 ** -505
+        for _ in range(8)]),
+    # every key is 0 or 2, tied across rows and modes
+    "ties-exact": dense((2,) * 4, _cluster),
+    "ties-float": dense((2,) * 4, map(float, _cluster)),
+    "last-row-exact": dense((2,) * 4, [ComplexRational(*v) for v in _last_row]),
+    "last-row-float": dense((2,) * 4, [complex(*v) for v in _last_row]),
+    # three local pairs per qutrit mode
+    "qutrits": dense((3, 3), [ComplexRational(k % 3 - 1, k % 4 - 2) or 5
+                              for k in range(9)]),
+    "qutrit-middle": dense((2, 3, 2), [complex(k % 5 - 2, k % 3) or 0.5
+                                       for k in range(12)]),
+    # mode 0: the minor x q - y p of row 1 has magnitude |x||q| + |y||p|,
+    # its bound, but the two round apart, and the best of row 0 lies
+    # strictly between them: without the margin row 1 would be skipped
+    "rounding-margin": PureState((2, 2, 2), {
+        (0, 0, 0): 1.8959175171112184, (1, 1, 0): 1.0,
+        (0, 0, 1): -0.5255698632967751 + 0.23787182560087172j,
+        (1, 0, 1): -0.3374142998768821 + 0.5446852044346395j,
+        (0, 1, 0): -1.7092601809466348 - 1.1473526670459362j}),
+    # a magnitude rounded below |v|, read as is, would skip a row holding
+    # the worst minor: abs of the subnormal (1 + i) 2^-1074 rounds to
+    # 2^-1074, and |a|^2 of a = 1 / q, about 1.4 2^-1074, to 2^-1074
+    "subnormal-abs": PureState((2, 2, 2), {
+        (0, 0, 1): 1.2 * 2.0 ** 26, (1, 0, 1): 2.0 ** 500,
+        (1, 1, 0): complex(5e-324, 5e-324), (1, 1, 1): 2.0 ** -600}),
+    "subnormal-square": PureState((2, 2, 2), {
+        (0, 0, 0): Fraction(11, 10 * 2 ** 537),
+        (0, 0, 1): Fraction(1, math.floor(2 ** 537 / 1.183)), (1, 1, 0): 1}),
+}
+
+
 class TestFastPaths:
     """The row-wise scan and the Cauchy-Binet sum against the per-minor
     definitions in oracles."""
@@ -822,29 +953,41 @@ class TestFastPaths:
         underflowing_states(shape), sparse_states(shape))),
         hs.sampled_from([0, 1e-10, 1e-3, 0.25]))
     def test_verdict_matches_reference(self, st, tol):
-        verdict = is_separable(st, tol)
-        separable, minor, value, violation = \
-            oracles.separability_reference(st, tol)
-        assert verdict.separable == separable
-        assert verdict.max_violation == violation
-        if separable:
-            assert verdict.worst_minor is None
-            # the float reference divides by a power of the peak, which
-            # underflows outside the float range: it is read only inside
-            got = verdict.witness.locals
-            if segre._is_exact(st):
-                assert [[oracles._exact_parts(x) for x in v]
-                        for v in got] == oracles.witness(st)
-            elif segre._float_range_shift(st) == 0:
-                # (a float state decided on st / 2^k moves 2^k into its
-                # first local vector)
-                assert all(cmath.isclose(x, y, rel_tol=1e-12)
-                           for v, u in zip(got, oracles.witness(st))
-                           for x, y in zip(v, u))
-        else:
-            worst = verdict.worst_minor
-            assert (worst.mode, worst.k, worst.l) == minor
-            assert verdict.worst_value == value
+        assert_matches_reference(st, tol)
+
+    @given(dense_states(), hs.sampled_from([0, 600, -600]))
+    def test_dense_verdict_matches_reference(self, st, e):
+        # times 2^600 or 2^-600 the state is decided on the shift path
+        for tol in (0, 1e-10, 0.25):
+            assert_matches_reference(st, tol, e)
+
+    @pytest.mark.parametrize("st", list(SKIP_EDGES.values()),
+                             ids=list(SKIP_EDGES))
+    def test_skip_rule_edges_match_reference(self, st):
+        for tol in (0, 1e-10, 0.25):
+            assert_matches_reference(st, tol)
+
+    def test_no_row_skipped_below_the_floor(self, monkeypatch):
+        # minors near 2^-1010 stay below the 2^-1000 floor of a skip: all
+        # 3 modes of 3 rows are evaluated
+        verdict, rows = scan_rows(monkeypatch, SKIP_EDGES["below-floor"])
+        assert not verdict.separable and rows == 9
+
+    def test_dense_entangled_scan_skips_most_rows(self, monkeypatch):
+        # 7 qubits: 7 modes of 63 rows, 441 for a full scan
+        for st in (dense_qubits(7, "float"), dense_qubits(7, "gaussian")):
+            verdict, rows = scan_rows(monkeypatch, st)
+            assert not verdict.separable and rows < 100
+
+    def test_nonzero_search_stops_at_first_nonzero_minor(self, monkeypatch):
+        ones = PureState((2, 2, 2), dict.fromkeys(product((0, 1), repeat=3), 1))
+        st = changed(ones, (0, 0, 0), Fraction(1, 10 ** 400))
+        verdict, rows = scan_rows(monkeypatch, st)
+        # all 9 rows of keys round to 0.0, then the first row of the
+        # nonzero search holds the first nonzero minor
+        assert rows == 9 + 1
+        assert verdict.worst_minor == next(
+            minor for minor in segre_minors(st.shape) if minor_value(st, minor))
 
     @given(hs.sampled_from([(3, 3), (2, 3, 4), (2, 2, 2, 3), (4, 4), (2, 5)])
            .flatmap(lambda shape: hs.one_of(

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from fractions import Fraction
 
 from .geometry import Cone, Fan, Polytope, make_fan, polytope_hull, pos_hull
 from .monoid import MonoidGenerators
 from .qubit import ChartAtlas
-from .rationals import ComplexRational, gaussian_integers
+from .rationals import ComplexRational
 from .segre import (MinorSpec, ProductState, PureState, SeparabilityResult,
-                    check_shape, minor_blocks)
+                    minor_blocks)
 from .toric_ideal import BinomialIdeal, MonomialMap
 
 _SAFE = 2 ** 53
@@ -237,11 +236,6 @@ def _part_in(x):
     raise ValueError(f"bad amplitude part {x!r}")
 
 
-def _complex_of(parts) -> complex:
-    """Parts (re, im) as a complex float, an exact part rounded once."""
-    return complex(*(p if isinstance(p, float) else p[0] / p[1] for p in parts))
-
-
 def state_to_json(s: PureState) -> dict:
     entries = []
     for idx in sorted(s.amplitudes):
@@ -252,17 +246,14 @@ def state_to_json(s: PureState) -> dict:
 
 
 def state_from_json(data) -> PureState:
-    """Parse a state; exact only when every amplitude part is exact.
-
-    An exact state is read straight into Gaussian integers over the lcm of
-    its parts' denominators.  A single floating part downgrades the whole
-    state to complex floats so amplitude arithmetic never mixes exact and
-    floating operands.  Each index is checked once, after the shape.
-    """
+    """Parse a state's shape, and each amplitude's index and parts (re, im):
+    an exact part as an int ratio (x, p), a float part as the float.  The
+    reader only parses; ``PureState.from_parts`` checks the shape and the
+    indices and builds the table, exact only when every part is exact."""
     if not isinstance(data, dict) or "shape" not in data or "amplitudes" not in data:
         raise ValueError("state JSON needs 'shape' and 'amplitudes'")
     shape = vector_from_json(data["shape"])
-    amps, floating = {}, False
+    parts = {}
     for entry in _list_in(data, "amplitudes"):
         if not isinstance(entry, dict):
             raise ValueError(f"'amplitudes' entries must be JSON objects, "
@@ -271,23 +262,10 @@ def state_from_json(data) -> PureState:
             raise ValueError(f"'amplitudes' entries need an 'index', "
                              f"got {entry!r}")
         idx = vector_from_json(entry["index"])
-        if idx in amps:
+        if idx in parts:
             raise ValueError(f"duplicate amplitude index {idx}")
-        parts = _part_in(entry.get("re", 0)), _part_in(entry.get("im", 0))
-        if any(isinstance(p, float) for p in parts):
-            parts, floating = _complex_of(parts), True
-        amps[idx] = parts
-    if floating:
-        amps = {i: v if isinstance(v, complex) else _complex_of(v)
-                for i, v in amps.items()}
-    shape = check_shape(shape)
-    ranges = [range(n) for n in shape]
-    for idx in amps:
-        if len(idx) != len(shape) or not all(map(operator.contains, ranges, idx)):
-            raise ValueError(f"index {idx} out of range for shape {shape}")
-    if floating:
-        return PureState.from_table(shape, {i: v for i, v in amps.items() if v})
-    return PureState.from_table(shape, *gaussian_integers(amps))
+        parts[idx] = _part_in(entry.get("re", 0)), _part_in(entry.get("im", 0))
+    return PureState.from_parts(shape, parts)
 
 
 def product_state_to_json(p: ProductState) -> dict:
@@ -299,6 +277,9 @@ def minor_to_json(minor: MinorSpec) -> dict:
 
 
 def separability_to_json(r: SeparabilityResult) -> dict:
+    if not math.isfinite(r.max_violation):
+        raise ValueError(f"maxViolation is {r.max_violation}, beyond the float range; "
+                         "scaling the state by a power of two keeps the verdict")
     worst = None if r.worst_minor is None else {
         **minor_to_json(r.worst_minor), "value": _amplitude_out(r.worst_value)}
     witness = None if r.witness is None else product_state_to_json(r.witness)

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, product
 
 from .rationals import ComplexRational, gaussian_integers
-
-_EXACT = (int, Fraction, ComplexRational)
 
 
 def check_shape(shape) -> tuple[int, ...]:
@@ -26,42 +25,25 @@ class PureState:
     """Amplitude tensor over a system shape; zero entries are omitted.
 
     Amplitude values may be exact (ints, Fractions, ComplexRational) or
-    floating (float, complex); operations state which arithmetic they use.
-    A state is one table of its nonzero amplitudes, converted once when it
-    is made: an exact state as Gaussian integers {index: (x, y)} standing
-    for (x + iy) / D over one denominator D, any other as {index: complex}.
-    ``amplitudes`` reads that table when first asked for: an exact value as
-    a Fraction if it is real, else a ComplexRational, a floating one as a
-    complex, whatever types the state was given.
+    floating (any other, read by complex()).  A state is one table of its
+    nonzero amplitudes, built by ``_build`` from their parts: Gaussian
+    integers {index: (x, y)} standing for (x + iy) / D over one denominator
+    D, or {index: complex}.  ``amplitudes`` reads that table when first
+    asked for: an exact value as a Fraction if it is real, else a
+    ComplexRational, a floating one as a complex, whatever types it was given.
     """
 
     def __init__(self, shape, amplitudes):
-        self.shape = check_shape(shape)
-        cleaned = {}
-        for idx, value in dict(amplitudes).items():
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != len(self.shape) or \
-                    any(not 0 <= i < n for i, n in zip(idx, self.shape)):
-                raise ValueError(f"index {idx} out of range for shape {self.shape}")
-            if value:
-                cleaned[idx] = value
-        if not cleaned:
-            raise ValueError("state must have at least one nonzero amplitude")
-        if all(isinstance(v, _EXACT) for v in cleaned.values()):
-            self._table, self._d = gaussian_integers(_ratios(cleaned))
-        else:
-            self._table, self._d = {i: complex(v) for i, v in cleaned.items()}, None
+        self.shape, self._table, self._d = _build(shape, {
+            tuple(map(int, i)): _parts(v) for i, v in dict(amplitudes).items()})
 
     @classmethod
-    def from_table(cls, shape, table, d=None) -> "PureState":
-        """The state of a checked shape from its table of nonzero values at
-        valid indices, as it is held: Gaussian integers {index: (x, y)} over
-        d, or {index: complex} if d is None.  Nothing is checked or
-        converted, except that the table must not be empty."""
-        if not table:
-            raise ValueError("state must have at least one nonzero amplitude")
+    def from_parts(cls, shape, parts) -> "PureState":
+        """The state of the amplitude parts {index: (re, im)}, indices int
+        tuples, each part an exact int ratio (x, p) with p > 0 or a float:
+        checked and built as the constructor builds its values' parts."""
         state = cls.__new__(cls)
-        state.shape, state._table, state._d = shape, table, d
+        state.shape, state._table, state._d = _build(shape, parts)
         return state
 
     @cached_property
@@ -155,23 +137,68 @@ class MinorSpec:
 def segre_map(p: ProductState) -> PureState:
     """Amplitude at (i_1,...,i_m) equals the product of local amplitudes.
 
-    Products are built by shared prefixes, ((1 * v_1[i_1]) * v_2[i_2]) * ...,
-    so each index costs about two multiplications instead of m.  Exact
-    locals are multiplied as Gaussian integers: party j over the lcm q_j of
-    its denominators, the state over D = prod_j q_j.  Otherwise every local
-    is multiplied as complex floats, the arithmetic the state is held in.
+    Products are built by shared prefixes, so each index costs about two
+    multiplications instead of m.  Exact locals are multiplied as Gaussian
+    integers: party j over the lcm q_j of its denominators, the state over
+    D = prod_j q_j, and held as built.  Otherwise every local is rounded to
+    complex floats, the arithmetic the state is held in.
     """
-    if not all(isinstance(x, _EXACT) for v in p.locals for x in v):
-        prods = [((), 1)]
-        for v in [[complex(x) for x in v] for v in p.locals]:
-            prods = [(i + (a,), u * x) for i, u in prods for a, x in enumerate(v)]
-        return PureState(p.shape, dict(prods))
-    prods, d = [((), (1, 0))], 1
-    for v in p.locals:
-        g, q = gaussian_integers(_ratios(dict(enumerate(v))))
-        prods = [(i + (a,), _gmul(u, x)) for i, u in prods for a, x in g.items()]
-        d *= q
-    return PureState.from_table(p.shape, dict(prods), d)
+    locs = [[_parts(x) for x in v] for v in p.locals]
+    if any(isinstance(x, float) for v in locs for parts in v for x in parts):
+        return PureState(p.shape, dict(_prefix_products(
+            [list(enumerate(map(_complex, v))) for v in locs], 1, operator.mul)))
+    tables = [gaussian_integers(dict(enumerate(v))) for v in locs]
+    state = PureState.__new__(PureState)
+    state.shape, state._d = p.shape, math.prod(q for _, q in tables)
+    state._table = dict(_prefix_products([g.items() for g, _ in tables],
+                                         (1, 0), _gmul))
+    return state
+
+
+def _parts(value) -> tuple:
+    """An amplitude value as its parts (re, im): an int, Fraction or
+    ComplexRational as exact int ratios (x, p), any other value read by
+    ``complex()`` as two floats."""
+    if isinstance(value, (int, Fraction)):
+        return value.as_integer_ratio(), (0, 1)
+    if isinstance(value, ComplexRational):
+        return value.re.as_integer_ratio(), value.im.as_integer_ratio()
+    z = complex(value)
+    return z.real, z.imag
+
+
+def _complex(parts) -> complex:
+    """Parts (re, im) as a complex float, an exact part rounded once."""
+    return complex(*(x if isinstance(x, float) else x[0] / x[1] for x in parts))
+
+
+def _build(shape, parts) -> tuple:
+    """The shape, table and D of the state of parts {index: (re, im)}: the
+    exact parts of a float state (one float part makes it one) are rounded
+    once; the shape, then every index is checked; zeros are dropped, an
+    empty table refused, the rest Gaussian integers over their lcm D."""
+    floating = any(isinstance(x, float) for v in parts.values() for x in v)
+    if floating:
+        parts = {i: _complex(v) for i, v in parts.items()}
+    shape = check_shape(shape)
+    ranges = [range(n) for n in shape]
+    for idx in parts:
+        if len(idx) != len(shape) or not all(map(operator.contains, ranges, idx)):
+            raise ValueError(f"index {idx} out of range for shape {shape}")
+    table = {i: v for i, v in parts.items()
+             if (v if floating else v[0][0] or v[1][0])}
+    if not table:
+        raise ValueError("state must have at least one nonzero amplitude")
+    return (shape, table, None) if floating else (shape, *gaussian_integers(table))
+
+
+def _prefix_products(vectors, one, mul) -> list:
+    """[(index, product)] over every choice of one (a, x) item per vector,
+    in order, each product ((one * x_1) * x_2) * ... built on its prefix's."""
+    prods = [((), one)]
+    for v in vectors:
+        prods = [(i + (a,), mul(u, x)) for i, u in prods for a, x in v]
+    return prods
 
 
 def minor_blocks(shape):
@@ -416,13 +443,11 @@ def _rank_one(table, rows, g) -> bool:
     the product of the rows' supports, so that product must have as many
     indices as T has entries, and the identity is checked on it alone.
     """
-    supports = [[a for a, v in enumerate(row) if v != (0, 0)] for row in rows]
+    supports = [[(a, v) for a, v in enumerate(row) if v != (0, 0)] for row in rows]
     if math.prod(map(len, supports)) != len(table):
         return False
-    prods = [((), (1, 0))]
-    for row, support in zip(rows, supports):
-        prods = [(i + (a,), _gmul(u, row[a])) for i, u in prods for a in support]
-    return all(_gmul(table.get(i, (0, 0)), g) == u for i, u in prods)
+    return all(_gmul(table.get(i, (0, 0)), g) == u
+               for i, u in _prefix_products(supports, (1, 0), _gmul))
 
 
 def _strides(shape) -> list[int]:
@@ -439,16 +464,9 @@ def _gaussian(state: PureState):
     dyadic rational, so a floating state is read exactly this way too."""
     if state._d is not None:
         return state._table, state._d
-    return gaussian_integers(_ratios(state._table))
-
-
-def _ratios(values: dict) -> dict:
-    """Exact or float values {key: a} as the integer ratios of their parts,
-    {key: ((x, p), (y, q))} for a = x / p + iy / q."""
-    parts = {i: (v.re, v.im) if isinstance(v, ComplexRational)
-             else (v.real, v.imag) for i, v in values.items()}
-    return {i: (a.as_integer_ratio(), b.as_integer_ratio())
-            for i, (a, b) in parts.items()}
+    return gaussian_integers({i: (v.real.as_integer_ratio(),
+                                  v.imag.as_integer_ratio())
+                              for i, v in state._table.items()})
 
 
 def _columns(table, j, n, zero) -> dict:

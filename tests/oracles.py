@@ -606,6 +606,12 @@ def _magnitude(value) -> float:
     return abs(complex(value))
 
 
+def peak_squared(state) -> Fraction:
+    """The largest |a|^2 of the state, exactly."""
+    return max(re * re + im * im for re, im in map(
+        _exact_parts, state.amplitudes.values()))
+
+
 def separability_reference(state, tol):
     """The maximal-minor verdict, by definition over the canonical listing.
 
@@ -614,8 +620,12 @@ def separability_reference(state, tol):
     state is separable when that float is at most tol * (max |amplitude|)^2,
     except that at tol 0 a nonzero minor, however small, rules it out.
     Returns (separable, (mode, k, l) or None, worst value or None,
-    max_violation).
+    max_violation).  The minors are read as floats, so the peak |a|^2 must
+    lie in [2^-1022, 2^1023): outside, a ValueError is raised.
     """
+    if not Fraction(2) ** -1022 <= peak_squared(state) < Fraction(2) ** 1023:
+        raise ValueError("the peak |a|^2 of the state lies outside "
+                         "[2^-1022, 2^1023), where minors read as floats")
     best = None
     for mode, k, l in segre_minor_listing(state.shape):
         k2, l2 = _exchange(mode, k, l)
@@ -640,24 +650,27 @@ def _is_exact(state):
                for v in state.amplitudes.values())
 
 
+def peak(state):
+    """The index of the peak: the last largest |a| in index order, |a| a
+    float (sqrt(float(|a|^2)) for an exact amplitude)."""
+    if _is_exact(state):
+        return max(state.amplitudes, key=lambda i: (sqrt(float(
+            sum(x * x for x in _exact_parts(state.amplitudes[i])))), i))
+    return max(state.amplitudes, key=lambda i: (abs(state.amplitudes[i]), i))
+
+
 def witness(state, p=None):
     """The local vectors of the witness, by definition: the rows of the
-    tensor through the entry p, the first divided by T[p]^(m-1).
-
-    Exact states are read as pairs of Fractions and divided exactly, float
-    states as complex.  By default p is the peak: the last largest |a| in
-    index order, |a| a float (sqrt(float(|a|^2)) for an exact amplitude).
-    """
+    tensor through the entry p, by default the peak, the first divided by
+    T[p]^(m-1).  Exact states are read as pairs of Fractions and divided
+    exactly, float states as complex."""
     exact = _is_exact(state)
 
     def amp(i):
         v = state.amplitude(i)
         return _exact_parts(v) if exact else complex(v)
-
-    def magnitude(v):
-        return sqrt(float(v[0] ** 2 + v[1] ** 2)) if exact else abs(v)
     if p is None:
-        p = max(state.amplitudes, key=lambda i: (magnitude(amp(i)), i))
+        p = peak(state)
     rows = [[amp(p[:j] + (a,) + p[j + 1:]) for a in range(n)]
             for j, n in enumerate(state.shape)]
     if len(rows) > 1 and exact:
@@ -725,28 +738,22 @@ def _amplitude_part_in(x):
     raise ValueError(f"bad amplitude part {x!r}")
 
 
-def _amplitude_in(data):
-    re = _amplitude_part_in(data.get("re", 0))
-    im = _amplitude_part_in(data.get("im", 0))
-    if isinstance(re, Fraction) and isinstance(im, Fraction):
-        return ComplexRational(re, im)
-    return complex(float(re), float(im))
-
-
 def state_from_json(data):
-    """The state reader by definition: each part a Fraction or a float, each
-    amplitude a ComplexRational, or a complex when a part is a float; a
-    single complex amplitude makes the whole state complex, and the
-    ``PureState`` constructor checks the shape and the indices."""
+    """The state reader by definition: each part a Fraction or a float, all
+    of them read first; each amplitude a ComplexRational, or a complex when
+    any part of the state is a float, and the ``PureState`` constructor
+    checks the shape and the indices."""
     if not isinstance(data, dict) or "shape" not in data or "amplitudes" not in data:
         raise ValueError("state JSON needs 'shape' and 'amplitudes'")
     shape = tuple(decode_int(n) for n in data["shape"])
-    amps = {}
+    parts = {}
     for entry in data["amplitudes"]:
         idx = tuple(decode_int(i) for i in entry["index"])
-        if idx in amps:
+        if idx in parts:
             raise ValueError(f"duplicate amplitude index {idx}")
-        amps[idx] = _amplitude_in(entry)
-    if any(not isinstance(v, ComplexRational) for v in amps.values()):
-        amps = {idx: complex(v) for idx, v in amps.items()}
-    return PureState(shape, amps)
+        parts[idx] = (_amplitude_part_in(entry.get("re", 0)),
+                      _amplitude_part_in(entry.get("im", 0)))
+    if any(isinstance(x, float) for v in parts.values() for x in v):
+        return PureState(shape, {idx: complex(float(re), float(im))
+                                 for idx, (re, im) in parts.items()})
+    return PureState(shape, {idx: ComplexRational(*v) for idx, v in parts.items()})

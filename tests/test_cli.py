@@ -17,7 +17,8 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as hs
 
-from qtoric import Binomial, MinorSpec, cli, geometry, jsonio, linalg, qubit
+from qtoric import (Binomial, MinorSpec, cli, geometry, is_separable, jsonio,
+                    linalg, qubit)
 from qtoric.rationals import ComplexRational
 from qtoric.segre import SeparabilityResult
 from qtoric.cli import VERBS, build_parser, main
@@ -180,6 +181,35 @@ class TestVerbs:
             assert doc["separable"] is True
             assert doc["maxViolation"] == 0.0
             assert doc["witness"] is not None
+
+    @pytest.mark.parametrize("amps, separable", [
+        # an exact Bell pair: the minor 10^320 is beyond the float range
+        ([([0, 0], str(10 ** 160)), ([1, 1], str(10 ** 160))], False),
+        # separable at the default tolerance, with a witness, but its minor
+        # of about 10^400 2^-40 is beyond the float range too
+        ([([0, 0], 1e200), ([0, 1], 1e200), ([1, 0], 1e200),
+          ([1, 1], 1e200 * (1 + 2.0 ** -40))], True),
+    ], ids=["exact-bell", "float-product"])
+    def test_check_separable_violation_beyond_float_range(self, capsys, amps,
+                                                          separable):
+        doc = {"shape": [2, 2],
+               "amplitudes": [{"index": i, "re": re} for i, re in amps]}
+        code, out = run_cli(capsys, "check-separable", json.dumps(doc))
+        assert code == 2
+        assert json.loads(out) == {"error": (
+            "maxViolation is inf, beyond the float range; scaling the state "
+            "by a power of two keeps the verdict")}
+        verdict = is_separable(jsonio.state_from_json(doc))
+        assert verdict.separable is separable
+        assert verdict.max_violation == math.inf
+        assert (verdict.witness is not None) is separable
+        # the state over 2^600 is in range, with the same verdict
+        halved = {"shape": [2, 2], "amplitudes": [
+            {"index": i, "re": re / 2 ** 600 if isinstance(re, float)
+             else str(Fraction(re) / 2 ** 600)} for i, re in amps]}
+        code, out = run_cli(capsys, "check-separable", json.dumps(halved))
+        assert code == 0
+        assert json.loads(out)["separable"] is separable
 
     @pytest.mark.parametrize("verb", ["check-separable", "concurrence"])
     def test_duplicate_amplitude_index_rejected(self, capsys, verb):

@@ -22,6 +22,8 @@ from qtoric import (ProductState, PureState, concurrence, is_separable,
 from qtoric.rationals import ComplexRational
 
 SQ2 = 1 / math.sqrt(2)
+# the value types a state holds exactly
+EXACT = (int, Fraction, ComplexRational)
 
 
 def bell():
@@ -77,7 +79,7 @@ class TestSegreMap:
         # mixing int, Fraction and ComplexRational are multiplied as Gaussian
         # integers over one denominator, and with a floating local every
         # local is multiplied as a complex float
-        exact = all(isinstance(x, segre._EXACT) for v in locs for x in v)
+        exact = all(isinstance(x, EXACT) for v in locs for x in v)
         expected = oracles.segre_product(
             locs if exact else [[complex(x) for x in v] for v in locs])
         if not expected:
@@ -99,7 +101,7 @@ class TestSegreMap:
 def times(state, factor):
     """The state times factor: exactly when both are exact, else in complex
     floats."""
-    exact = segre._is_exact(state) and isinstance(factor, segre._EXACT)
+    exact = segre._is_exact(state) and isinstance(factor, EXACT)
     return PureState(state.shape, {
         i: factor * v if exact else complex(factor) * complex(v)
         for i, v in state.amplitudes.items()})
@@ -126,8 +128,9 @@ class TestOneDescription:
             for i, (re, im) in parts.items()]}
         states = [PureState(shape, amps), jsonio.state_from_json(doc),
                   segre_map(ProductState(locs)),
-                  PureState.from_table(shape, *segre._gaussian(
-                      PureState(shape, amps)))]
+                  PureState.from_parts(shape, {
+                      i: tuple(x.as_integer_ratio() for x in p)
+                      for i, p in parts.items()})]
         assert all(sorted(vars(st)) == ["_d", "_table", "shape"]
                    for st in states)
         assert all(st.amplitudes == amps for st in states)
@@ -211,6 +214,54 @@ class TestOneDescription:
         assert st.amplitudes == {(0, 0): 0.5, (0, 1): 0.25, (1, 0): 1,
                                  (1, 1): 0.5}
         assert set(_view_types(st).values()) == {complex}
+
+    @given(hs.sampled_from([(2,), (3,), (2, 2), (2, 3)]).flatmap(
+        lambda shape: hs.tuples(hs.just(shape), hs.dictionaries(
+            # now and then one slot past the shape: an index out of range
+            hs.one_of(*[indices(shape)] * 4, indices(tuple(n + 1 for n in shape))),
+            MIXED_VALUES, min_size=1, max_size=5))))
+    @example(((2,), {(0,): 1.0, (1,): Fraction(1, 10 ** 400)}))
+    def test_constructor_and_reader_build_alike(self, case):
+        # one builder: the values and the document of the same amplitudes
+        # give the same table over the same denominator, or the same error
+        shape, values = case
+        doc = {"shape": list(shape), "amplitudes": [
+            {"index": list(i), **_document_parts(v)} for i, v in values.items()]}
+        built = [_built(lambda: PureState(shape, values)),
+                 _built(lambda: jsonio.state_from_json(doc))]
+        if isinstance(built[0], tuple):
+            assert built[0] == built[1]
+            return
+        st, read = built
+        assert st.shape == read.shape and st._d == read._d
+        assert list(st._table.items()) == list(read._table.items())
+        assert st == read
+
+
+# amplitude values of every kind, zeros included, and exact values that
+# round to 0 or overflow beside a float
+MIXED_VALUES = hs.one_of(
+    _exact_entries, hs.just(0.0), hs.just(Fraction(0)),
+    hs.floats(-1e3, 1e3), hs.complex_numbers(max_magnitude=1e3),
+    hs.sampled_from([Fraction(1, 10 ** 400), ComplexRational(0, 10 ** 400),
+                     Fraction(-10 ** 400, 3)]))
+
+
+def _document_parts(value):
+    """The JSON parts of an amplitude value: exact parts as 'p/q' strings,
+    float parts as numbers."""
+    if isinstance(value, (int, Fraction, ComplexRational)):
+        return dict(zip(("re", "im"), map(str, oracles._exact_parts(value))))
+    z = complex(value)
+    return {"re": z.real, "im": z.imag}
+
+
+def _built(make):
+    """make(), or the type and message of the error it raises."""
+    try:
+        return make()
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
 
 
 class TestSegreMinors:
@@ -814,25 +865,70 @@ def assert_nearest_root(c, q):
     assert lo * lo <= q <= hi * hi
 
 
+def exact_image(locs):
+    """The Segre image of local vectors, each value read exactly."""
+    return oracles.segre_product(
+        [[ComplexRational(*oracles._exact_parts(x)) for x in v] for v in locs])
+
+
+def assert_image(locs, expected, exact):
+    """The Segre image of locs, read exactly, is the table expected of
+    ComplexRationals: equal if exact, else within 1e-9 relative per entry."""
+    image = exact_image(locs)
+    if exact:
+        assert image == expected
+        return
+    assert image.keys() == expected.keys()
+    for i, v in expected.items():
+        gap = image[i] - v
+        assert (gap.re ** 2 + gap.im ** 2) * 10 ** 18 <= v.re ** 2 + v.im ** 2
+
+
+def exact_amplitudes_of(st):
+    return {i: ComplexRational(*oracles._exact_parts(v))
+            for i, v in st.amplitudes.items()}
+
+
+def assert_witness_image(st, locs, p=None):
+    """The Segre image of the witness locs is that of the witness of st by
+    definition, through the entry p (by default the peak), both read
+    exactly, as ``assert_image`` compares them.  Of a rank-one state it is
+    the state itself."""
+    rows = oracles.witness(PureState(st.shape, exact_amplitudes_of(st)), p)
+    assert_image(locs, exact_image([[ComplexRational(*x) for x in row]
+                                    for row in rows]), segre._is_exact(st))
+
+
 def assert_matches_reference(st, tol, e=0):
     """The verdict on st 2^e against the reference on st, whose minors
     scale by 2^(2e); the reference reads them in floats, so it is given the
-    state inside the float range."""
+    state inside the float range, and the witness of st 2^e is checked by
+    its Segre image."""
     ref = st
     if e:
         st = times(st, Fraction(2) ** e if segre._is_exact(st) else 2.0 ** e)
     verdict = is_separable(st, tol)
+    n = oracles.peak_squared(ref)
+    if not Fraction(2) ** -1022 <= n < Fraction(2) ** 1023:
+        # the reference is given ref / 2^k, whose peak |a|^2 is near 1 and
+        # whose minors scale by 2^(-2k); exactly, as the float states here
+        # leave the range only below it, and scaling them up rounds nothing
+        k = (n.numerator.bit_length() - n.denominator.bit_length()) // 2
+        ref, e = times(ref, Fraction(2) ** -k if segre._is_exact(ref)
+                       else 2.0 ** -k), e + k
     separable, minor, value, violation = \
         oracles.separability_reference(ref, tol)
     assert verdict.separable == separable
     assert verdict.max_violation == segre._ldexp(violation, 2 * e)
     if separable:
         assert verdict.worst_minor is None
+        got = verdict.witness.locals
         if e:
+            # the peak of st 2^e, whose magnitude rounds outside the range
+            assert_witness_image(st, got, oracles.peak(ref))
             return
         # the float reference divides by a power of the peak, which
         # underflows outside the float range: it is read only inside
-        got = verdict.witness.locals
         if segre._is_exact(st):
             assert [[oracles._exact_parts(x) for x in v]
                     for v in got] == oracles.witness(st)
@@ -966,6 +1062,21 @@ class TestFastPaths:
     def test_skip_rule_edges_match_reference(self, st):
         for tol in (0, 1e-10, 0.25):
             assert_matches_reference(st, tol)
+
+    @pytest.mark.parametrize("e", [600, -600])
+    def test_shift_path_witness_rebuilds_product_states(self, rng, e):
+        # times 2^600 or 2^-600 a product state of 1-4 parties is decided on
+        # the shift path: its witness's Segre image is the state
+        for _ in range(75):
+            shape = tuple(rng.randint(2, 3) for _ in range(rng.randint(1, 4)))
+            st = segre_map(random_product_state(rng, shape))
+            for scaled in (times(st, Fraction(2) ** e),
+                           times(st, 2.0 ** e)):
+                verdict = is_separable(scaled)
+                assert verdict.separable
+                assert_image(verdict.witness.locals,
+                             exact_amplitudes_of(scaled),
+                             segre._is_exact(scaled))
 
     def test_no_row_skipped_below_the_floor(self, monkeypatch):
         # minors near 2^-1010 stay below the 2^-1000 floor of a skip: all

@@ -223,7 +223,9 @@ def _part_in(x):
         num, slash, den = x.partition("/")
         if x.isascii() and num.removeprefix("-").isdigit() and \
                 (den.isdigit() or not slash) and int(den or 1):
-            return int(num), int(den or 1)
+            num, den = int(num), int(den or 1)
+            g = math.gcd(num, den)
+            return num // g, den // g
         return Fraction(x).as_integer_ratio()
     if isinstance(x, bool):
         raise ValueError("amplitude parts must be numbers or 'p/q' strings")

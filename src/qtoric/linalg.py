@@ -1,8 +1,8 @@
 """Exact integer linear algebra underpinning the geometry layer.
 
 Field eliminations (determinant, adjugate, rank, pivot columns) share one
-fraction-free Bareiss loop on Python ints; lattice kernels, Hermite bases and
-orthogonal lattices share one unimodular row echelon instead.
+fraction-free Bareiss loop on Python ints; Hermite bases and orthogonal
+lattices (the integer kernel) share one unimodular row echelon instead.
 """
 
 from __future__ import annotations
@@ -107,28 +107,6 @@ def rank_int(rows) -> int:
     return len(pivot_columns(rows))
 
 
-def left_kernel_basis(rows):
-    """Z-basis of {v : sum_i v_i * rows[i] == 0}, each vector primitive.
-
-    The result is a basis of the full integer kernel lattice (the right
-    blocks of the rows of echelon [rows | I] whose left block is zero),
-    sign-normalised so the first nonzero entry is positive, sorted.
-    """
-    n = len(rows[0]) if rows else 0
-    m = [list(r) + [int(i == j) for j in range(len(rows))]
-         for i, r in enumerate(rows)]
-    integer_row_echelon(m, n)
-    basis = []
-    for row in m:
-        if any(row[:n]):
-            continue
-        v = row[n:]
-        if next(x for x in v if x) < 0:
-            v = [-x for x in v]
-        basis.append(tuple(v))
-    return sorted(basis)
-
-
 def hermite_basis(rows):
     """The basis in Hermite normal form of the lattice the integer rows span.
 
@@ -148,10 +126,17 @@ def hermite_basis(rows):
 
 
 def orthogonal_lattice(vectors, dim):
-    """The Hermite basis of {y in Z^dim : v . y == 0 for every v}: the left
-    kernel of the transpose, dim rows even when there are no vectors."""
-    return hermite_basis(left_kernel_basis(
-        [[v[j] for v in vectors] for j in range(dim)]))
+    """The Hermite basis of {y in Z^dim : v . y == 0 for every v}.
+
+    Echelon [V^T | I] on the columns of the vectors: the right blocks of the
+    rows whose left block ends zero span the whole integer kernel, since the
+    right block is unimodular.  With no vectors, that is Z^dim.
+    """
+    n = len(vectors)
+    rows = [[v[j] for v in vectors] + [int(i == j) for i in range(dim)]
+            for j in range(dim)]
+    integer_row_echelon(rows, n)
+    return hermite_basis([row[n:] for row in rows if not any(row[:n])])
 
 
 def det_adj(mat):

@@ -216,37 +216,6 @@ def multiqubit_atlas(m: int) -> ChartAtlas:
     return atlas_product([cp1] * _party_count(m))
 
 
-@dataclass(frozen=True)
-class Subvariety:
-    """A torus-invariant subvariety of a multi-qubit fan, with a display label."""
-
-    cone: Cone
-    kind: str
-    description: str
-
-
-def invariant_subvarieties(fan: Fan) -> tuple[Subvariety, ...]:
-    """Ray and fixed-point subvarieties of multiqubit_fan(m), 1 <= m <= 10.
-
-    Ray +e_j pins factor j to 0, ray -e_j pins it to the point at infinity;
-    each orthant is a torus fixed point.  Any other fan is unsupported.
-    """
-    m = fan.dim
-    if not (1 <= m <= 10 and fan == multiqubit_fan(m)):
-        raise ValueError("unsupported fan: expected multiqubit_fan(m), 1 <= m <= 10")
-    out, pins = [], {}
-    for g in fan.rays:
-        axis = next(i for i, x in enumerate(g) if x != 0)
-        pins[g] = axis, "0" if g[axis] > 0 else "inf"
-        parts = ["CP1"] * m
-        parts[axis] = "{" + pins[g][1] + "}"
-        out.append(Subvariety(Cone(m, (g,)), "ray", " x ".join(parts)))
-    for cone in fan.maximal_cones():
-        point = ", ".join(p for _, p in sorted(pins[g] for g in cone.generators))
-        out.append(Subvariety(cone, "fixed_point", f"({point})"))
-    return tuple(out)
-
-
 def parameterization(m: int) -> tuple[tuple[int, ...], ...]:
     """The 2^m subset-product exponent vectors of {0,1}^m, lexicographic.
 

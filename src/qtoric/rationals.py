@@ -1,8 +1,7 @@
-"""Exact complex rational amplitudes, and their Gaussian-integer table."""
+"""The exact amplitude value type: a complex number with rational parts."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,12 +76,3 @@ class ComplexRational:
 
     def __repr__(self):
         return f"ComplexRational({self.re!s}, {self.im!s})"
-
-
-def gaussian_integers(ratios: dict):
-    """Complex rationals {key: ((x, p), (y, q))}, standing for x / p + iy / q,
-    as the nonzero Gaussian integers {key: (X, Y)} standing for (X + iY) / D,
-    and D: the lcm of every p and q."""
-    d = math.lcm(*(n for (_, p), (_, q) in ratios.values() for n in (p, q)))
-    return {i: (x * (d // p), y * (d // q))
-            for i, ((x, p), (y, q)) in ratios.items() if x or y}, d

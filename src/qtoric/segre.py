@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, product
 
-from .rationals import ComplexRational, gaussian_integers
+from .rationals import ComplexRational
 
 
 def check_shape(shape) -> tuple[int, ...]:
@@ -147,7 +147,7 @@ def segre_map(p: ProductState) -> PureState:
     if any(isinstance(x, float) for v in locs for parts in v for x in parts):
         return PureState(p.shape, dict(_prefix_products(
             [list(enumerate(map(_complex, v))) for v in locs], 1, operator.mul)))
-    tables = [gaussian_integers(dict(enumerate(v))) for v in locs]
+    tables = [_gaussian_integers(dict(enumerate(v))) for v in locs]
     state = PureState.__new__(PureState)
     state.shape, state._d = p.shape, math.prod(q for _, q in tables)
     state._table = dict(_prefix_products([g.items() for g, _ in tables],
@@ -172,6 +172,15 @@ def _complex(parts) -> complex:
     return complex(*(x if isinstance(x, float) else x[0] / x[1] for x in parts))
 
 
+def _gaussian_integers(ratios: dict):
+    """Complex rationals {key: ((x, p), (y, q))}, standing for x / p + iy / q,
+    as the nonzero Gaussian integers {key: (X, Y)} standing for (X + iY) / D,
+    and D: the lcm of every p and q."""
+    d = math.lcm(*(n for (_, p), (_, q) in ratios.values() for n in (p, q)))
+    return {i: (x * (d // p), y * (d // q))
+            for i, ((x, p), (y, q)) in ratios.items() if x or y}, d
+
+
 def _build(shape, parts) -> tuple:
     """The shape, table and D of the state of parts {index: (re, im)}: the
     exact parts of a float state (one float part makes it one) are rounded
@@ -189,7 +198,7 @@ def _build(shape, parts) -> tuple:
              if (v if floating else v[0][0] or v[1][0])}
     if not table:
         raise ValueError("state must have at least one nonzero amplitude")
-    return (shape, table, None) if floating else (shape, *gaussian_integers(table))
+    return (shape, table, None) if floating else (shape, *_gaussian_integers(table))
 
 
 def _prefix_products(vectors, one, mul) -> list:
@@ -464,7 +473,7 @@ def _gaussian(state: PureState):
     dyadic rational, so a floating state is read exactly this way too."""
     if state._d is not None:
         return state._table, state._d
-    return gaussian_integers({i: (v.real.as_integer_ratio(),
+    return _gaussian_integers({i: (v.real.as_integer_ratio(),
                                   v.imag.as_integer_ratio())
                               for i, v in state._table.items()})
 

@@ -8,8 +8,6 @@ from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import mul
 
-from .linalg import left_kernel_basis
-
 
 @dataclass(frozen=True)
 class MonomialMap:
@@ -112,11 +110,6 @@ def _image_weights(m: MonomialMap, degree: int) -> list[int]:
     base = 2 * degree * max(map(abs, chain.from_iterable(m.exponents)),
                             default=0) + 1
     return [sum(x * base ** c for c, x in enumerate(a)) for a in m.exponents]
-
-
-def kernel_lattice(m: MonomialMap):
-    """A Z-basis of {v in Z^k : sum_i v_i a_i = 0}, basis vectors primitive."""
-    return tuple(left_kernel_basis(list(m.exponents)))
 
 
 def toric_ideal_binomials(m: MonomialMap, degree_bound: int) -> BinomialIdeal:

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hs
 
 import oracles
@@ -377,6 +377,8 @@ class TestStateDecoder:
     reader through Fraction and ComplexRational values."""
 
     @given(state_documents())
+    @example({"shape": [2, 2], "amplitudes": [
+        {"index": [0, 0], "re": "2/10"}, {"index": [1, 1], "re": "6/30"}]})
     def test_table_describes_the_oracle_state(self, doc):
         st, expected = (_decoded(read, doc) for read in
                         (jsonio.state_from_json, oracles.state_from_json))
@@ -384,6 +386,7 @@ class TestStateDecoder:
             assert st == expected
             return
         assert st.shape == expected.shape
+        assert st._d == expected._d
         assert segre._is_exact(st) == segre._is_exact(expected)
         if segre._is_exact(st):
             table, d = segre._gaussian(st)

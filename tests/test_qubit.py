@@ -12,8 +12,8 @@ from hypothesis import strategies as hs
 import oracles
 from conftest import fan_from_maximal, random_complex_rational, validate_fan
 from qtoric import (atlas_product, chart_atlas, dual_cone, fan_product,
-                    hilbert_basis, invariant_subvarieties, make_fan,
-                    multiqubit_atlas, multiqubit_fan, multiqubit_polytope,
+                    hilbert_basis, make_fan, multiqubit_atlas,
+                    multiqubit_fan, multiqubit_polytope,
                     normal_fan, parameterization, parameterization_image, polar,
                     polytope_hull, pos_hull, projective_space_fan,
                     segre_minors,minor_value, toric_ideal_binomials,
@@ -375,28 +375,6 @@ class TestAtlasProduct:
         identity = tuple(tuple(int(r == c) for c in range(3)) for r in range(3))
         for i, j, mat in atlas.transitions:
             assert compose(atlas.transition(j, i), mat) == identity
-
-
-class TestInvariantSubvarieties:
-    def test_two_qubit_labels(self):
-        subs = invariant_subvarieties(multiqubit_fan(2))
-        rays = [s for s in subs if s.kind == "ray"]
-        points = [s for s in subs if s.kind == "fixed_point"]
-        assert len(rays) == 4 and len(points) == 4
-        assert {s.description for s in rays} == \
-            {"{0} x CP1", "{inf} x CP1", "CP1 x {0}", "CP1 x {inf}"}
-        assert {s.description for s in points} == \
-            {"(0, 0)", "(0, inf)", "(inf, 0)", "(inf, inf)"}
-
-    def test_counts(self):
-        for m in (1, 2, 3, 4, 5):
-            subs = invariant_subvarieties(multiqubit_fan(m))
-            assert sum(1 for s in subs if s.kind == "ray") == 2 * m
-            assert sum(1 for s in subs if s.kind == "fixed_point") == 2 ** m
-
-    def test_unsupported_fan_rejected(self):
-        with pytest.raises(ValueError, match="unsupported"):
-            invariant_subvarieties(projective_space_fan(2))
 
 
 class TestParameterization:

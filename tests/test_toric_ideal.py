@@ -11,13 +11,21 @@ from hypothesis import strategies as hs
 
 import oracles
 from conftest import random_rational
-from qtoric import (Binomial, MonomialMap, homogenize, kernel_lattice,
-                    projective_relations, segre_minors, toric_ideal_binomials)
+from qtoric import (Binomial, MonomialMap, homogenize, projective_relations,
+                    segre_minors, toric_ideal_binomials)
+from qtoric.linalg import orthogonal_lattice
 from qtoric.toric_ideal import BinomialIdeal, _image_weights
 
 
 def subset_product_map(m: int) -> MonomialMap:
     return MonomialMap(m, tuple(product((0, 1), repeat=m)))
+
+
+def kernel_lattice(m: MonomialMap):
+    """A Z-basis of {v in Z^k : sum_i v_i a_i = 0}: the lattice orthogonal
+    to the dim coordinate rows of the exponent vectors a_1, ..., a_k."""
+    return tuple(orthogonal_lattice(
+        [[a[c] for a in m.exponents] for c in range(m.dim)], len(m.exponents)))
 
 
 def in_integer_span(basis, v) -> bool:

@@ -170,43 +170,68 @@ VERBS = {
 _CHUNK = 1 << 15
 
 
-def _add_verb(parser: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
-    """Add the arguments of the verb's VERBS row and its operation to a parser."""
-    _, arguments, operation = VERBS[verb]
-    for name, keywords in arguments:
-        parser.add_argument(name, **keywords)
-    parser.set_defaults(operation=operation)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The whole parser, for top-level help, unknown verbs and arguments a
-    verb does not take; ``parse_args`` leaves it unchanged."""
+    """The whole parser, for help and for every call that is not plain;
+    ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qtoric",
         description="Exact toric geometry applied to multipartite quantum states. "
                     "Inputs are file paths, inline JSON, or '-' for stdin; "
                     "output is canonical JSON on stdout.")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (help_text, _, _) in VERBS.items():
-        _add_verb(sub.add_parser(verb, help=help_text), verb)
+    for verb, (help_text, arguments, operation) in VERBS.items():
+        verb_parser = sub.add_parser(verb, help=help_text)
+        for name, keywords in arguments:
+            verb_parser.add_argument(name, **keywords)
+        verb_parser.set_defaults(operation=operation)
     return parser
 
 
-def _verb_parser(verb: str) -> argparse.ArgumentParser:
-    """The sub-parser of one verb alone, with the prog argparse gives it."""
-    return _add_verb(argparse.ArgumentParser(prog=f"qtoric {verb}"), verb)
+def _plain_args(verb: str, argv) -> argparse.Namespace | None:
+    """The namespace the whole parser gives a plain call of the verb, less
+    ``verb``, read from its VERBS row; None for any other call.  A call is
+    plain when each argument appears at most once, each option by its full
+    name and followed by a value that is '-' or does not start with '-',
+    every type conversion succeeds and every required argument is present."""
+    _, rows, operation = VERBS[verb]
+    keywords = dict(rows)
+    positionals = [name for name in keywords if not name.startswith("-")]
+    given, tokens = {}, iter(argv)
+    for token in tokens:
+        if token.startswith("-") and token != "-":
+            name, token = token, next(tokens, "--")
+        elif positionals:
+            name = positionals.pop(0)
+        else:
+            return None
+        if name not in keywords or name in given or \
+                token.startswith("-") and token != "-":
+            return None
+        given[name] = token
+    args = argparse.Namespace(operation=operation)
+    for name, kw in rows:
+        if name in given:
+            try:
+                value = kw.get("type", str)(given[name])
+            except (TypeError, ValueError):
+                return None
+        elif kw.get("required") or not name.startswith("-"):
+            return None
+        else:
+            value = kw.get("default")
+        setattr(args, name.lstrip("-"), value)
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # a call builds only its verb's sub-parser; leftover arguments are
-        # parsed again by the whole parser, which reports them with its usage
-        args = extra = None
+        # a plain call is read from its verb's row and builds no parser; the
+        # whole parser reads every other call and prints all help and errors
+        args = None
         if argv and argv[0] in VERBS:
-            args, extra = _verb_parser(argv[0]).parse_known_args(argv[1:])
-        if args is None or extra:
+            args = _plain_args(argv[0], argv[1:])
+        if args is None:
             args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)

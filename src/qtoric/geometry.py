@@ -307,7 +307,12 @@ def polar(p: Polytope) -> Polytope:
 
 
 def _indices(mask) -> tuple[int, ...]:
-    return tuple(i for i, b in enumerate(reversed(bin(mask))) if b == "1")
+    """The set bits of mask, lowest first, one step per bit."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
 
 
 def faces(obj) -> tuple[Face, ...]:

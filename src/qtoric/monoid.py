@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from operator import ge, mul
 
 from .geometry import Cone, is_strongly_convex
@@ -79,11 +80,12 @@ def hilbert_basis(c: Cone) -> MonoidGenerators:
     pieces, and a point with some t_i = 1 is b_i plus a half-open point), one
     per coset.  They are reduced to the irreducible elements in the order
     of a positive degree w: the Hilbert basis is among them, so every
-    nonzero monoid element has degree at least that of the first, lo, and
-    a candidate of degree below 2 lo is irreducible without a test.  The
-    monoid is saturated, so any other candidate v is reducible exactly when
-    v - b lies in c for a kept b (Bruns & Ichim 2010): one membership test,
-    H v >= H b on the halfspaces H, per kept element.
+    nonzero monoid element has degree at least that of the first, lo.  The
+    monoid is saturated, so a candidate v is reducible exactly when v - b
+    lies in c for a kept b (Bruns & Ichim 2010).  Then v - b is a nonzero
+    monoid element, so only the kept b of degree at most deg v - lo are
+    tested (none below 2 lo): one membership test, H v >= H b on the
+    halfspaces H, each.
     """
     if not is_strongly_convex(c):
         raise ValueError(
@@ -98,12 +100,13 @@ def hilbert_basis(c: Cone) -> MonoidGenerators:
     for subset in combinations(c.generators, len(lattice)):
         candidates.update(_parallelepiped_points(subset, lattice))
     ordered = sorted(candidates, key=lambda v: (dot(w, v), v))
-    least_sum = 2 * dot(w, ordered[0])
-    basis, levels = [], []
+    lo = dot(w, ordered[0])
+    basis, levels, degrees = [], [], []
     for v in ordered:
-        hv = [dot(h, v) for h in halfspaces]
-        if dot(w, v) < least_sum or \
-                not any(all(map(ge, hv, hb)) for hb in levels):
+        hv, deg = [dot(h, v) for h in halfspaces], dot(w, v)
+        below = islice(levels, bisect_right(degrees, deg - lo))
+        if not any(all(map(ge, hv, hb)) for hb in below):
             basis.append(v)
             levels.append(hv)
+            degrees.append(deg)
     return MonoidGenerators(c, tuple(sorted(basis)))

@@ -9,7 +9,7 @@ import math
 import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -645,6 +645,25 @@ def _parse_errors(verb):
     return cases
 
 
+_GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+def _respellings(argv):
+    """A plain call spelt --opt=value, and with each option cut as in
+    _verb_argvs (a one-letter option stays whole)."""
+    options = {n for n, _ in VERBS[argv[0]][1] if n.startswith("--")}
+    equals, abbreviated, tokens = [argv[0]], [argv[0]], iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            value = next(tokens)
+            equals.append(f"{token}={value}")
+            abbreviated += [token[:max(3, len(token) - 2)], value]
+        else:
+            equals.append(token)
+            abbreviated.append(token)
+    return equals, abbreviated
+
+
 class TestProductPaths:
     """qubit-fan and atlas --qubits are products of CP^1 factors; the
     normal fan of the sign cube and chart_atlas of that fan, both generic,
@@ -681,13 +700,54 @@ class TestParser:
         assert got[1].out or got[1].err
 
     @pytest.mark.parametrize("verb", VERBS)
-    def test_verb_parser_parses_like_the_whole_parser(self, verb):
-        for rest in _verb_argvs(verb):
-            args, extra = cli._verb_parser(verb).parse_known_args(rest)
-            whole = build_parser().parse_args([verb, *rest])
-            assert extra == [] and vars(whole) == {**vars(args), "verb": verb}
+    def test_plain_args_parse_like_the_whole_parser(self, verb):
+        """The plain spelling is read from the row; --opt=value, abbreviated
+        options and repeats are left to the whole parser."""
+        plain, *others = _verb_argvs(verb)
+        whole = build_parser().parse_args([verb, *plain])
+        args = cli._plain_args(verb, plain)
+        assert vars(whole) == {**vars(args), "verb": verb}
+        for rest in others:
+            if rest != plain:
+                assert cli._plain_args(verb, rest) is None
+        # argparse converts every repeat, so a bad first value is an error
+        assert cli._plain_args(verb, plain + plain) is None
 
-    def test_valid_call_builds_one_parser(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("verb", VERBS)
+    @given(data=hs.data())
+    def test_plain_args_agree_with_the_whole_parser(self, verb, data):
+        """Any argv the row reads as plain, the whole parser reads alike."""
+        names = [n for n, _ in VERBS[verb][1] if n.startswith("--")]
+        values = ["-", "-1", "", "--", "-h", "--help", " -x", "nan", "0", "2",
+                  "1e-3", "[[1,0],[1,2]]", '{"dim":2,"generators":[[1,0]]}']
+        words = names + [n[:4] for n in names] + values + [
+            f"{n}={v}" for n in names for v in ("2", "nan", "-1", "[2,2]")]
+        argv = data.draw(hs.lists(hs.sampled_from(words), max_size=6))
+        plain = cli._plain_args(verb, argv)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                whole = vars(build_parser().parse_args([verb, *argv]))
+        except SystemExit:
+            assert plain is None
+            return
+        if plain is not None:
+            assert whole.pop("verb") == verb
+            assert whole.keys() == vars(plain).keys()
+            for key, value in vars(plain).items():  # nan equals nan here
+                other = whole[key]
+                assert value == other or value != value and other != other
+
+    @pytest.mark.parametrize("argv", [e["argv"] for e in _GOLDEN], ids=str)
+    def test_fallback_spellings_print_the_same(self, capsys, argv):
+        """--opt=value and abbreviated options reach the whole parser and
+        print what the plain spelling prints."""
+        expected = run_cli(capsys, *argv)
+        for spelt in _respellings(argv):
+            assert run_cli(capsys, *spelt) == expected
+
+    def test_plain_call_builds_no_parser(self, capsys, monkeypatch):
+        """A plain valid call of each verb builds no parser; the same call
+        spelt --opt=value builds the whole parser and nothing else."""
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -696,9 +756,14 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        code, _ = run_cli(capsys, "dual", "--cone",
-                          '{"dim":2,"generators":[[1,0],[1,2]]}')
-        assert code == 0 and built == ["qtoric dual"]
+        whole = ["qtoric"] + [f"qtoric {verb}" for verb in VERBS]
+        calls = {e["argv"][0]: e["argv"] for e in reversed(_GOLDEN)}
+        calls["concurrence"] = calls["concurrence"] + ["--weights", "[1]"]
+        for verb, argv in calls.items():
+            assert run_cli(capsys, *argv)[0] == 0 and built == [], argv
+            equals = _respellings(argv)[0]
+            assert run_cli(capsys, *equals)[0] == 0 and built == whole, equals
+            built.clear()
 
 
 class TestExitCodes:

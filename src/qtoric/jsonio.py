@@ -214,19 +214,29 @@ def _amplitude_out(value) -> dict:
     return {"re": z.real + 0.0, "im": z.imag + 0.0}  # -0.0 + 0.0 is 0.0
 
 
+def _fraction_in(x) -> Fraction:
+    """Fraction(x), a string read by the grammar of Python 3.10 on every
+    version: 3.11 added '_' between digits, 3.12 spaces beside the '/'."""
+    if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        if "_" in x or slash and (num[-1:].isspace() or den[:1].isspace()):
+            raise ValueError(f"Invalid literal for Fraction: {x!r}")
+    return Fraction(x)
+
+
 def _part_in(x):
     """An amplitude part: an exact (numerator, denominator) pair, or a
     finite float."""
     if isinstance(x, str):
         # a plain ASCII [-]digits[/digits] needs no Fraction; every other
-        # string is read, or refused, by Fraction alone
+        # string is read, or refused, by _fraction_in alone
         num, slash, den = x.partition("/")
         if x.isascii() and num.removeprefix("-").isdigit() and \
                 (den.isdigit() or not slash) and int(den or 1):
             num, den = int(num), int(den or 1)
             g = math.gcd(num, den)
             return num // g, den // g
-        return Fraction(x).as_integer_ratio()
+        return _fraction_in(x).as_integer_ratio()
     if isinstance(x, bool):
         raise ValueError("amplitude parts must be numbers or 'p/q' strings")
     if isinstance(x, int):
@@ -309,7 +319,7 @@ def _rational_part_in(x) -> Fraction:
     if isinstance(x, bool) or isinstance(x, float):
         raise ValueError("torus coordinates must be exact: use 'p/q' strings")
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        return _fraction_in(x)
     raise ValueError(f"bad exact rational {x!r}")
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, groupby, pairwise, repeat
 from operator import mul
 
 
@@ -50,17 +50,17 @@ class Binomial:
 
 @dataclass(frozen=True)
 class BinomialIdeal:
-    """The binomials x^monomials[i] - x^monomials[j], one per (i, j) in pairs.
+    """The binomials x^nu - x^mu of a table of monomials: one per two
+    monomials of one degree with equal images and disjoint supports.
 
-    Each exponent tuple is stored once, however many binomials share it, so
-    the checks that concern one monomial run once per monomial and those
-    that concern one binomial are a few comparisons of ints and tuples.
+    The table ascends by degree and strictly descends within one degree, so
+    its monomials are distinct and the lower index of a pair is nu.  Each
+    exponent tuple is stored once, however many binomials share it.
     """
 
     map: MonomialMap
     degree_bound: int
     monomials: tuple[tuple[int, ...], ...]
-    pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         monomials, k = self.monomials, len(self.map.exponents)
@@ -68,27 +68,33 @@ class BinomialIdeal:
             raise ValueError("binomial arity mismatch with the map")
         if min(chain.from_iterable(monomials), default=0) < 0:
             raise ValueError("exponents must be nonnegative")
-        if len(set(monomials)) != len(monomials):
-            raise ValueError("duplicate monomials")
-        # per monomial: its support as a bitmask and its image as one int,
-        # the sum of its variables' ``_image_weights``
-        bits = [1 << i for i in range(k)]
+        for (d, a), (e, b) in pairwise(zip(map(sum, monomials), monomials)):
+            if d > e or d == e and a <= b:
+                raise ValueError("monomials must ascend by degree and "
+                                 "strictly descend within one degree")
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """(i, j) for each binomial x^monomials[i] - x^monomials[j], in
+        ascending order: degree by degree, each monomial walked downward
+        against the later members of its fiber (the monomials of its degree
+        with its image, one int by ``_image_weights``)."""
+        monomials = self.monomials
+        bits = [1 << i for i in range(len(self.map.exponents))]
         supports = list(map(sum, map(compress, repeat(bits), monomials)))
-        weights = _image_weights(self.map, max(map(sum, monomials), default=0))
+        degrees = list(map(sum, monomials))
+        weights = _image_weights(self.map, max(degrees, default=0))
         image = list(map(sum, map(map, repeat(mul), monomials, repeat(weights))))
-        n = len(monomials)
-        for i, j in self.pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError("monomial index out of range")
-            if supports[i] & supports[j]:
-                raise ValueError("nu and mu must have disjoint supports")
-            if monomials[i] <= monomials[j]:
-                raise ValueError("binomial sides must satisfy nu > mu")
-            if image[i] != image[j]:
-                b = Binomial(monomials[i], monomials[j])
-                raise ValueError(f"binomial {b} is not a relation of the map")
-        if len(set(self.pairs)) != len(self.pairs):
-            raise ValueError("duplicate generators")
+        pairs, end = [], 0
+        for _, run in groupby(degrees):
+            first, end = end, end + len(list(run))
+            later: dict[int, list[int]] = {}
+            for a in reversed(range(first, end)):
+                members = later.setdefault(image[a], [])
+                support = supports[a]
+                pairs += [(a, b) for b in members if not support & supports[b]]
+                members.append(a)
+        return tuple(pairs)
 
     @cached_property
     def generators(self) -> tuple[Binomial, ...]:
@@ -115,48 +121,31 @@ def _image_weights(m: MonomialMap, degree: int) -> list[int]:
 def toric_ideal_binomials(m: MonomialMap, degree_bound: int) -> BinomialIdeal:
     """All binomial relations xi^nu - xi^mu of the map, degree-balanced.
 
-    Enumerates exhaustively the pairs of equal total degree d <= degree_bound
-    with disjoint supports and equal image monomials; deduplicated under
-    (nu, mu) <-> (mu, nu) by ordering nu > mu lexicographically.  The
-    multisets of d variables are built in lexicographic order from those of
-    d - 1, each image (an int, see ``_image_weights``) its prefix's image
-    plus the weight of one variable; only a monomial whose image another
-    one shares gets an exponent tuple, a support bitmask and a place in the
-    ideal's table.
+    Enumerates exhaustively the monomials of total degree d <= degree_bound
+    that share their image with another one; the ideal pairs those of
+    disjoint supports.  The multisets of d variables are built in
+    lexicographic order from those of d - 1, each image (an int, see
+    ``_image_weights``) its prefix's image plus the weight of one variable,
+    so their exponent tuples fall, as the ideal's table must within a degree.
     """
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
     weights = _image_weights(m, degree_bound)
     k = len(weights)
-    monomials, supports, pairs = [], [], []
+    monomials = []
     level = [((), 0)]  # (multiset, image) of one degree
     for _ in range(degree_bound):
         level = [(combo + (i,), image + weights[i])
                  for combo, image in level
                  for i in range(combo[-1] if combo else 0, k)]
         shared = Counter([image for _, image in level])
-        first, images = len(monomials), []
         for combo, image in level:
             if shared[image] > 1:
                 expo = [0] * k
-                support = 0
                 for i in combo:
                     expo[i] += 1
-                    support |= 1 << i
                 monomials.append(tuple(expo))
-                supports.append(support)
-                images.append(image)
-        # the multisets come in lexicographic order, so their exponent
-        # tuples fall: in a pair (a, b) with a < b, a is nu.  Walking a
-        # downward, and its partners (the later members of its fiber)
-        # downward too, gives the binomials in ascending order
-        later: dict[int, list[int]] = {}
-        for a in reversed(range(first, len(monomials))):
-            members = later.setdefault(images[a - first], [])
-            support = supports[a]
-            pairs += [(a, b) for b in members if not support & supports[b]]
-            members.append(a)
-    return BinomialIdeal(m, degree_bound, tuple(monomials), tuple(pairs))
+    return BinomialIdeal(m, degree_bound, tuple(monomials))
 
 
 def homogenize(m: MonomialMap) -> MonomialMap:

@@ -10,6 +10,7 @@ over numpy.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import gcd, inf, isfinite, sqrt
 
@@ -373,19 +374,34 @@ def toric_binomials(exponents, degree):
     sum_i mu_i a_i, listed from the full product {0..degree}^k and sorted by
     (degree, nu, mu).
     """
-    k = len(exponents)
+    k, dim = len(exponents), len(exponents[0])
     monomials = [e for e in itertools.product(range(degree + 1), repeat=k)
                  if 0 < sum(e) <= degree]
-
-    def image(e):
-        return tuple(sum(x * a[c] for x, a in zip(e, exponents))
-                     for c in range(len(exponents[0])))
-
     return sorted(((nu, mu) for nu in monomials for mu in monomials
                    if nu > mu and sum(nu) == sum(mu)
                    and not any(x and y for x, y in zip(nu, mu))
-                   and image(nu) == image(mu)),
+                   and monomial_image(exponents, dim, nu) ==
+                   monomial_image(exponents, dim, mu)),
                   key=lambda g: (sum(g[0]), g[0], g[1]))
+
+
+def monomial_image(exponents, dim, e):
+    """sum_i e_i a_i in Z^dim: the exponent vector of the image of x^e."""
+    return tuple(sum(x * a[c] for x, a in zip(e, exponents))
+                 for c in range(dim))
+
+
+def table_pairs(exponents, dim, monomials):
+    """Every index pair i < j of a table of monomials with equal degree,
+    equal image and disjoint supports, sorted by (degree, nu, mu), where nu
+    is monomials[i]."""
+    pairs = [(i, j) for i, j in itertools.combinations(range(len(monomials)), 2)
+             if sum(monomials[i]) == sum(monomials[j])
+             and not any(x and y for x, y in zip(monomials[i], monomials[j]))
+             and monomial_image(exponents, dim, monomials[i]) ==
+             monomial_image(exponents, dim, monomials[j])]
+    return sorted(pairs, key=lambda p: (sum(monomials[p[0]]), monomials[p[0]],
+                                        monomials[p[1]]))
 
 
 def monomial_value(exponent, point):
@@ -728,6 +744,10 @@ def _amplitude_part_in(x):
     if isinstance(x, bool):
         raise ValueError("amplitude parts must be numbers or 'p/q' strings")
     if isinstance(x, str):
+        # read by Python 3.10's grammar on every version: 3.11 added '_'
+        # between digits, 3.12 spaces beside the '/'
+        if "_" in x or re.search(r"\s/|/\s", x):
+            raise ValueError(f"Invalid literal for Fraction: {x!r}")
         return Fraction(x)
     if isinstance(x, int):
         return Fraction(x)

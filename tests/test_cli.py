@@ -885,6 +885,20 @@ class TestExitCodes:
         assert code == 2
         assert out == jsonio.canonical_dumps({"error": message})
 
+    # Fraction reads '_' between digits from Python 3.11 on and spaces beside
+    # the '/' from 3.12 on; the readers refuse both on every version
+    @pytest.mark.parametrize("text", ["1_0/3", "1/1_0", "2 / 3", "2/ 3", "2 /3"])
+    @pytest.mark.parametrize("argv", [
+        lambda t: ("check-separable", json.dumps(
+            {"shape": [2], "amplitudes": [{"index": [0], "re": t}]})),
+        lambda t: ("verify-param", "--m", "1", "--z", json.dumps([t])),
+    ], ids=["check-separable", "verify-param"])
+    def test_fraction_grammar_of_python_3_10(self, capsys, argv, text):
+        code, out = run_cli(capsys, *argv(text))
+        assert code == 2
+        assert out == jsonio.canonical_dumps(
+            {"error": f"Invalid literal for Fraction: {text!r}"})
+
     def test_empty_map_of_given_dimension_accepted(self, capsys):
         code, out = run_cli(capsys, "toric-ideal", "--map",
                             '{"dim":1,"exponents":[]}', "--degree", "2")

@@ -150,7 +150,8 @@ class TestIdealDumps:
     def test_exponents_beyond_2_53(self):
         big = 2 ** 53 + 1
         ideal = BinomialIdeal(MonomialMap(1, ((0,), (0,))), 2,
-                              ((big, 0), (0, big)), ((0, 1),))
+                              ((big, 0), (0, big)))
+        assert ideal.pairs == ((0, 1),)
         text = "".join(jsonio.ideal_dumps(ideal))
         assert text == jsonio.canonical_dumps(jsonio.ideal_to_json(ideal))
         assert f'"nu":["{big}",0]' in text

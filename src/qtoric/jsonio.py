@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 from .geometry import Cone, Fan, Polytope, make_fan, polytope_hull, pos_hull
@@ -34,8 +35,14 @@ def decode_int(x) -> int:
     raise ValueError(f"expected an integer, got {x!r}")
 
 
+def _digits(x: int) -> str:
+    """str(x), written by Decimal beyond 2^53: Python 3.10.7 and later
+    refuse str() of an int past 4,300 digits, Decimal's text has no limit."""
+    return str(x) if abs(x) <= _SAFE else str(Decimal(x))
+
+
 def _vector_out(v):
-    return [x if abs(x) <= _SAFE else str(x) for x in v]
+    return [x if abs(x) <= _SAFE else _digits(x) for x in v]
 
 
 def vector_from_json(v) -> tuple[int, ...]:
@@ -123,7 +130,7 @@ def ideal_to_json(ideal: BinomialIdeal) -> dict:
 
 def _int_text(x: int) -> str:
     """The canonical text of one integer, by the rule of ``_vector_out``."""
-    return _encode(x if abs(x) <= _SAFE else str(x))
+    return _encode(x if abs(x) <= _SAFE else _digits(x))
 
 
 class _Texts(dict):
@@ -205,11 +212,17 @@ def segre_minors_dumps(shape) -> list[str]:
     return _close(parts, f'],"shape":{_encode(list(shape))}}}\n')
 
 
+def _fraction_text(q: Fraction) -> str:
+    """str(q), its parts written by ``_digits``."""
+    num, den = map(_digits, q.as_integer_ratio())
+    return num if den == "1" else f"{num}/{den}"
+
+
 def _amplitude_out(value) -> dict:
     if isinstance(value, ComplexRational):
-        return {"re": str(value.re), "im": str(value.im)}
+        return {"re": _fraction_text(value.re), "im": _fraction_text(value.im)}
     if isinstance(value, (int, Fraction)):
-        return {"re": str(Fraction(value)), "im": "0"}
+        return {"re": _fraction_text(Fraction(value)), "im": "0"}
     z = complex(value)
     return {"re": z.real + 0.0, "im": z.imag + 0.0}  # -0.0 + 0.0 is 0.0
 

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, groupby, pairwise, repeat
+from itertools import chain
 from operator import mul
 
 
@@ -50,51 +50,57 @@ class Binomial:
 
 @dataclass(frozen=True)
 class BinomialIdeal:
-    """The binomials x^nu - x^mu of a table of monomials: one per two
-    monomials of one degree with equal images and disjoint supports.
+    """The binomial relations x^nu - x^mu of the map of total degree at
+    most the bound: one per two monomials of one degree with equal images
+    and disjoint supports.
 
-    The table ascends by degree and strictly descends within one degree, so
-    its monomials are distinct and the lower index of a pair is nu.  Each
-    exponent tuple is stored once, however many binomials share it.
+    Built exhaustively, degree by degree.  The multisets of d variables are
+    built in lexicographic order from those of d - 1, each image (an int,
+    see ``_image_weights``) its prefix's image plus the weight of one
+    variable, so their exponent tuples fall.  ``monomials`` keeps those
+    whose image another one shares, ascending by degree and falling within
+    one, each stored once however many binomials share it; ``pairs`` holds
+    (i, j) for each binomial x^monomials[i] - x^monomials[j], in ascending
+    order: degree by degree, each monomial walked downward against the
+    later members of its fiber (the monomials of its degree with its image).
     """
 
     map: MonomialMap
     degree_bound: int
-    monomials: tuple[tuple[int, ...], ...]
+    monomials: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
+                                                   compare=False)
+    pairs: tuple[tuple[int, int], ...] = field(init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
-        monomials, k = self.monomials, len(self.map.exponents)
-        if not all(map(k.__eq__, map(len, monomials))):
-            raise ValueError("binomial arity mismatch with the map")
-        if min(chain.from_iterable(monomials), default=0) < 0:
-            raise ValueError("exponents must be nonnegative")
-        for (d, a), (e, b) in pairwise(zip(map(sum, monomials), monomials)):
-            if d > e or d == e and a <= b:
-                raise ValueError("monomials must ascend by degree and "
-                                 "strictly descend within one degree")
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """(i, j) for each binomial x^monomials[i] - x^monomials[j], in
-        ascending order: degree by degree, each monomial walked downward
-        against the later members of its fiber (the monomials of its degree
-        with its image, one int by ``_image_weights``)."""
-        monomials = self.monomials
-        bits = [1 << i for i in range(len(self.map.exponents))]
-        supports = list(map(sum, map(compress, repeat(bits), monomials)))
-        degrees = list(map(sum, monomials))
-        weights = _image_weights(self.map, max(degrees, default=0))
-        image = list(map(sum, map(map, repeat(mul), monomials, repeat(weights))))
-        pairs, end = [], 0
-        for _, run in groupby(degrees):
-            first, end = end, end + len(list(run))
-            later: dict[int, list[int]] = {}
-            for a in reversed(range(first, end)):
-                members = later.setdefault(image[a], [])
-                support = supports[a]
-                pairs += [(a, b) for b in members if not support & supports[b]]
-                members.append(a)
-        return tuple(pairs)
+        if self.degree_bound < 1:
+            raise ValueError("degree bound must be at least 1")
+        weights = _image_weights(self.map, self.degree_bound)
+        k = len(weights)
+        monomials, pairs = [], []
+        level = [((), 0)]  # (multiset, image) of one degree
+        for _ in range(self.degree_bound):
+            level = [(combo + (i,), image + weights[i])
+                     for combo, image in level
+                     for i in range(combo[-1] if combo else 0, k)]
+            shared = Counter([image for _, image in level])
+            kept = [(combo, image) for combo, image in level
+                    if shared[image] > 1]
+            a = len(monomials) + len(kept)
+            later: dict[int, list[tuple[int, int]]] = {}
+            for combo, image in reversed(kept):
+                a -= 1
+                support = sum({1 << i for i in combo})
+                members = later.setdefault(image, [])
+                pairs += [(a, b) for b, other in members if not support & other]
+                members.append((a, support))
+            for combo, _ in kept:
+                expo = [0] * k
+                for i in combo:
+                    expo[i] += 1
+                monomials.append(tuple(expo))
+        object.__setattr__(self, "monomials", tuple(monomials))
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     @cached_property
     def generators(self) -> tuple[Binomial, ...]:
@@ -119,33 +125,9 @@ def _image_weights(m: MonomialMap, degree: int) -> list[int]:
 
 
 def toric_ideal_binomials(m: MonomialMap, degree_bound: int) -> BinomialIdeal:
-    """All binomial relations xi^nu - xi^mu of the map, degree-balanced.
-
-    Enumerates exhaustively the monomials of total degree d <= degree_bound
-    that share their image with another one; the ideal pairs those of
-    disjoint supports.  The multisets of d variables are built in
-    lexicographic order from those of d - 1, each image (an int, see
-    ``_image_weights``) its prefix's image plus the weight of one variable,
-    so their exponent tuples fall, as the ideal's table must within a degree.
-    """
-    if degree_bound < 1:
-        raise ValueError("degree bound must be at least 1")
-    weights = _image_weights(m, degree_bound)
-    k = len(weights)
-    monomials = []
-    level = [((), 0)]  # (multiset, image) of one degree
-    for _ in range(degree_bound):
-        level = [(combo + (i,), image + weights[i])
-                 for combo, image in level
-                 for i in range(combo[-1] if combo else 0, k)]
-        shared = Counter([image for _, image in level])
-        for combo, image in level:
-            if shared[image] > 1:
-                expo = [0] * k
-                for i in combo:
-                    expo[i] += 1
-                monomials.append(tuple(expo))
-    return BinomialIdeal(m, degree_bound, tuple(monomials))
+    """All binomial relations xi^nu - xi^mu of the map, degree-balanced, up
+    to the degree bound: the ``BinomialIdeal`` of the map and the bound."""
+    return BinomialIdeal(m, degree_bound)
 
 
 def homogenize(m: MonomialMap) -> MonomialMap:

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -161,6 +162,36 @@ class TestVerbs:
         doc = json.loads(out)
         assert doc["separable"] is True
         assert doc["witness"] is not None
+
+    def test_integers_past_the_str_limit(self, capsys):
+        # Python 3.10.7 and later refuse str() of an int past 4,300 digits,
+        # which these exact answers have
+        def text(q):
+            num, den = map(Decimal, Fraction(q).as_integer_ratio())
+            return f"{num}" if den == 1 else f"{num}/{den}"
+
+        a, b = 10 ** 3000 + 7, 10 ** 3000 + 13
+        gens = [[a, 1, 0], [0, b, 1], [1, 0, a]]
+        code, out = run_cli(capsys, "dual", "--cone", json.dumps(
+            {"dim": 3, "generators": [list(map(str, g)) for g in gens]}))
+        assert code == 0, out
+        dual = geometry.dual_cone(geometry.pos_hull(gens, 3))
+        assert max(abs(x) for g in dual.generators for x in g) > 10 ** 5000
+        assert json.loads(out)["generators"] == \
+            [[x if abs(x) <= 2 ** 53 else text(x) for x in g]
+             for g in dual.generators]
+        u, v = (10 ** 1500 + 3, 10 ** 1499 + 7), (10 ** 1500 + 11, 10 ** 1498 + 13)
+        state = {"shape": [2, 2], "amplitudes": [
+            {"index": [i, j], "re": str(u[i] * v[j])}
+            for i in range(2) for j in range(2)]}
+        code, out = run_cli(capsys, "check-separable", json.dumps(state))
+        assert code == 0, out
+        witness = is_separable(jsonio.state_from_json(state)).witness
+        assert max(abs(getattr(z, "re", z).numerator)
+                   for local in witness.locals for z in local) > 10 ** 4300
+        assert json.loads(out)["witness"]["locals"] == [
+            [{"re": text(getattr(z, "re", z)), "im": text(getattr(z, "im", 0))}
+             for z in local] for local in witness.locals]
 
     def test_check_separable_mixed_amplitude_kinds(self, capsys):
         mixed = {"shape": [2, 2],

@@ -17,7 +17,7 @@ from qtoric import (chart_atlas, make_fan, multiqubit_fan, multiqubit_polytope,
                     PureState)
 from qtoric import cli, jsonio, segre
 from qtoric.rationals import ComplexRational
-from qtoric.toric_ideal import BinomialIdeal
+from qtoric.toric_ideal import Binomial, BinomialIdeal
 
 
 class TestIntEncoding:
@@ -148,14 +148,14 @@ class TestIdealDumps:
             '{"dim":1,"exponents":[[1],["1152921504606846976"]]}}\n'
 
     def test_exponents_beyond_2_53(self):
-        big = 2 ** 53 + 1
-        ideal = BinomialIdeal(MonomialMap(1, ((0,), (0,))), 2,
-                              ((big, 0), (0, big)))
-        assert ideal.pairs == ((0, 1),)
+        # 2^60 * 3 2^60 = (2^61)^2: the map's entries are written as strings
+        m = MonomialMap(1, ((2 ** 60,), (2 ** 61,), (3 * 2 ** 60,)))
+        ideal = BinomialIdeal(m, 2)
+        assert ideal.generators == (Binomial((1, 0, 1), (0, 2, 0)),)
         text = "".join(jsonio.ideal_dumps(ideal))
         assert text == jsonio.canonical_dumps(jsonio.ideal_to_json(ideal))
-        assert f'"nu":["{big}",0]' in text
-
+        assert f'"exponents":[["{2 ** 60}"],["{2 ** 61}"],["{3 * 2 ** 60}"]]' \
+            in text
 
 @hs.composite
 def shapes(draw):

@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, compress, product
+from itertools import combinations_with_replacement, product
 from math import gcd, prod
 
 import pytest
@@ -44,7 +44,12 @@ class TestRejections:
         (lambda: MonomialMap(2, ((1,),)), "exponent dimension mismatch"),
         (lambda: projective_relations([], 2),
          "at least one exponent vector is required"),
-    ], ids=["map-dim", "exponent-dim", "no-exponents"])
+        (lambda: BinomialIdeal(MonomialMap(1, ((1,),)), 0),
+         "degree bound must be at least 1"),
+        (lambda: BinomialIdeal(MonomialMap(1, ((1,),)), -1),
+         "degree bound must be at least 1"),
+    ], ids=["map-dim", "exponent-dim", "no-exponents", "degree-0",
+            "degree-minus-1"])
     def test_message(self, build, message):
         with pytest.raises(ValueError) as info:
             build()
@@ -260,39 +265,33 @@ def small_maps(draw):
     return MonomialMap(dim, tuple(draw(hs.lists(vector, max_size=6))))
 
 
-@hs.composite
-def ordered_tables(draw):
-    """A small map and distinct monomials in the ideal's order: ascending by
-    degree, descending within one.  Some of the degree-2 table of the map,
-    all scaled by 1 or by 2^53 + 1 (a relation scaled is a relation), and
-    some monomials of entries at most 3."""
-    m = draw(small_maps())
-    table = toric_ideal_binomials(m, 2).monomials
-    scale = draw(hs.sampled_from([1, 2 ** 53 + 1]))
-    keep = draw(hs.lists(hs.booleans(), min_size=len(table), max_size=len(table)))
-    monomials = {tuple(scale * x for x in e) for e in compress(table, keep)}
-    monomials |= draw(hs.sets(hs.tuples(*[hs.integers(0, 3)] * len(m.exponents)),
-                              max_size=6))
-    return m, tuple(sorted(monomials, key=lambda e: (sum(e), [-x for x in e])))
-
-
 class TestDerivedPairs:
-    """An ideal's pairs against a brute force over every index pair of its
-    table: equal degree, equal image and disjoint supports."""
+    """An ideal's table against a brute force over the multisets of each
+    degree, and its pairs against one over every index pair of its table:
+    equal degree, equal image and disjoint supports."""
+
+    @given(small_maps(), hs.integers(1, 3))
+    def test_enumerated_monomials(self, m, degree):
+        ideal = toric_ideal_binomials(m, degree)
+        assert ideal == BinomialIdeal(m, degree)
+        assert hash(ideal) == hash(BinomialIdeal(m, degree))
+        assert ideal != BinomialIdeal(m, degree + 1)
+        k, table = len(m.exponents), []
+        for d in range(1, degree + 1):
+            expos = [tuple(c.count(i) for i in range(k))
+                     for c in combinations_with_replacement(range(k), d)]
+            images = [oracles.monomial_image(m.exponents, m.dim, e)
+                      for e in expos]
+            shared = Counter(images)
+            table += sorted((e for e, z in zip(expos, images) if shared[z] > 1),
+                            reverse=True)
+        assert list(ideal.monomials) == table
 
     @given(small_maps(), hs.integers(1, 3))
     def test_enumerated_tables(self, m, degree):
         ideal = toric_ideal_binomials(m, degree)
         assert list(ideal.pairs) == \
             oracles.table_pairs(m.exponents, m.dim, ideal.monomials)
-
-    @example((MonomialMap(2, ()), ()))
-    @example((MonomialMap(1, ((0,), (0,))), ((2 ** 53 + 1, 0), (0, 2 ** 53 + 1))))
-    @given(ordered_tables())
-    def test_hand_built_tables(self, table):
-        m, monomials = table
-        assert list(BinomialIdeal(m, 1, monomials).pairs) == \
-            oracles.table_pairs(m.exponents, m.dim, monomials)
 
 
 def _curve(d: int) -> MonomialMap:
@@ -394,31 +393,13 @@ class TestBinomialInvariants:
 
     def test_ideal_derives_its_generators(self):
         m = MonomialMap(1, ((1,), (2,), (3,)))
-        quadric = ((1, 0, 1), (0, 2, 0))
-        ideal = BinomialIdeal(m, 2, quadric)
-        assert ideal.generators == (Binomial(*quadric),)
-        with pytest.raises(ValueError, match="arity mismatch"):
-            BinomialIdeal(m, 2, ((1, 0), (0, 1)))
-        # x1 x2 has the image z^3 and x3^2 the image z^6: no relation
-        table = ((1, 1, 0),) + quadric + ((0, 0, 2),)
-        assert BinomialIdeal(m, 2, table).pairs == ((1, 2),)
+        assert BinomialIdeal(m, 2).generators == \
+            (Binomial((1, 0, 1), (0, 2, 0)),)
         # x1 x2 x3 and x2^3 have the image z^6 but share x2
-        assert BinomialIdeal(m, 3, ((1, 1, 1), (0, 3, 0))).pairs == ()
-
-    @pytest.mark.parametrize("table", [
-        ((1, 0, 1), (0, 2, 0), (1, 0, 1)), ((1, 0, 1), (1, 0, 1)),
-        ((0, 2, 0), (1, 0, 1)), ((1, 1, 1), (1, 0, 1))],
-        ids=["duplicate", "repeated", "ascending", "degree-falls"])
-    def test_ideal_checks_the_order_of_its_table(self, table):
-        m = MonomialMap(1, ((1,), (2,), (3,)))
-        with pytest.raises(ValueError, match="monomials must ascend by degree "
-                                             "and strictly descend within one"):
-            BinomialIdeal(m, 3, table)
-
-    def test_ideal_checks_each_monomial(self):
-        m = MonomialMap(1, ((1,), (2,), (3,)))
-        with pytest.raises(ValueError, match="nonnegative"):
-            BinomialIdeal(m, 2, ((2, 0, 0), (0, -1, 2)))
+        ideal = BinomialIdeal(m, 3)
+        table = ideal.monomials
+        i, j = table.index((1, 1, 1)), table.index((0, 3, 0))
+        assert (i, j) not in ideal.pairs
 
 
 def _binomial_as_quadric_row(b: Binomial, k: int):

@@ -401,6 +401,25 @@ class TestBinomialInvariants:
         i, j = table.index((1, 1, 1)), table.index((0, 3, 0))
         assert (i, j) not in ideal.pairs
 
+    @pytest.mark.parametrize("m, degree", [
+        (MonomialMap(2, ()), 3),
+        (MonomialMap(1, ((0,), (0,))), 3),
+        (MonomialMap(1, ((2 ** 53 + 1,), (2 ** 53 + 1,), (2 ** 54 + 2,))), 2),
+        (MonomialMap(1, ((1,), (2,), (3,))), 3),
+        (MonomialMap(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))), 3)],
+        ids=["empty-map", "zero-columns", "entries-beyond-2-53", "curve",
+             "unit-vectors"])
+    def test_derived_table_is_ordered(self, m, degree):
+        # the table the ideal builds itself is in the order its pairs assume
+        ideal = BinomialIdeal(m, degree)
+        table = ideal.monomials
+        assert all(len(e) == len(m.exponents) and min(e, default=0) >= 0
+                   and 1 <= sum(e) <= degree for e in table)
+        assert all((sum(e), [-x for x in e]) < (sum(f), [-x for x in f])
+                   for e, f in zip(table, table[1:]))
+        assert list(ideal.pairs) == \
+            oracles.table_pairs(m.exponents, m.dim, table)
+
 
 def _binomial_as_quadric_row(b: Binomial, k: int):
     monomials = {}

@@ -33,7 +33,7 @@ def _read_json_arg(arg: str):
     else:
         raise ValueError(f"input {arg!r} is neither a file nor inline JSON")
     try:
-        return json.loads(text)
+        return jsonio.loads(text)
     except RecursionError:
         # the decoder recurses once per nested array or object
         raise ValueError("input JSON is nested too deeply") from None

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 from math import gcd
 from operator import and_
 
@@ -223,8 +224,8 @@ def _adjacency_dd(dim, constraints):
                 # p and q span a 2-face iff they are the only rays on the
                 # smallest face holding both; its constraints have rank dim - 2
                 common = zp & zq
-                if common.bit_count() >= dim - 2 and \
-                        sum(z & common == common for z in zero_sets) == 2:
+                if common.bit_count() >= dim - 2 and list(map(
+                        common.__and__, zero_sets)).count(common) == 2:
                     comb = primitive([sp * x - sq * y for x, y in zip(q, p)])
                     kept.append((comb, common | bit))
         rays = kept
@@ -320,21 +321,81 @@ def faces(obj) -> tuple[Face, ...]:
 
     A polytope has the faces of the cone over {1} x vertices, one dimension
     lower, apex excluded; a strongly convex cone's apex {0} has no indices.
-    dim F is one more than the largest proper face F & T over the facets T;
-    only a face with none (the apex, the lineality space) takes a rank.
+    On a simple object each face is read once off the star of its lowest
+    generator, as the AND of a subset S of the facets there, of dimension
+    rank - |S| in the cone: vertices x 2^(rank - 1) subsets at most.  On any
+    other, the closure of intersections with the facets lists them, at
+    faces x facets; dim F is one more than the largest proper face F & T
+    over the facets T, and only a face with none (the apex, the lineality
+    space) takes a rank.
     """
     lift = isinstance(obj, Polytope)
     gens = [(1,) + v for v in obj.vertices] if lift else obj.generators
     tights = [z for _, z in obj.halfspaces]
-    dims = {}
-    for s in sorted(_face_family(len(gens), tights), key=int.bit_count):
-        below = [dims[t] for t in (s & tight for tight in tights) if t in dims]
-        dims[s] = (1 + max(below) if below
-                   else rank_int([gens[i] for i in _indices(s)]))
-    result = [Face(obj, _indices(s), d - lift)
-              for s, d in dims.items() if d >= lift]
+    rank = obj.dim + lift
+    stars = _vertex_stars(len(gens), tights, rank)
+    if stars is None:
+        dims = {}
+        for s in sorted(_face_family(len(gens), tights), key=int.bit_count):
+            below = [dims[t] for t in (s & tight for tight in tights)
+                     if t in dims]
+            dims[s] = (1 + max(below) if below
+                       else rank_int([gens[i] for i in _indices(s)]))
+        found = dims.items()
+    else:
+        every, found = (1 << len(gens)) - 1, [(0, 0)]
+        for i, (at, down) in enumerate(stars):
+            star = [(reduce(and_, (tights[j] for j in down), every),
+                     rank - len(down))]
+            for j in at:
+                if j not in down:
+                    t = tights[j]
+                    star += [(s & t, d - 1) for s, d in star]
+            # on a cone a face here may have a lower generator, whose star
+            # lists it
+            below = (1 << i) - 1
+            found += [(s, d) for s, d in star if not s & below]
+    result = [Face(obj, _indices(s), d - lift) for s, d in found if d >= lift]
     result.sort(key=lambda f: (f.dim, f.indices))
     return tuple(result)
+
+
+def _vertex_stars(n, tights, rank):
+    """Per generator of a simple object, the facets through it and those of
+    them whose edge leads to a lower generator, as facet indices; None for
+    any other object.
+
+    The object, a cone of the given rank on n generators or the cone over a
+    polytope, is simple when its facets meet in the apex and each generator
+    g lies on exactly rank - 1 of them.  Through g each subset S of them
+    then meets in its own face, of dimension rank - |S|, and leaving out one
+    facet leaves an edge (a 2-face of the cone) from g to one other
+    generator.  A face whose lowest generator is g contains no edge that
+    leads lower, so its S holds every facet of those edges.  On a polytope
+    the vertex order is lexicographic, a linear functional's, so every such
+    S has g as its lowest vertex (Ziegler, Lectures on Polytopes, 1995,
+    sections 2.5 and 8.2); a cone's order is no functional's, and some S
+    there have a lower generator.  The test reads each generator's facets
+    once and stops at the first generator on another number of them.
+    """
+    every = (1 << n) - 1
+    if reduce(and_, tights, every):
+        return None
+    stars = []
+    for i in range(n):
+        bit = 1 << i
+        at = [j for j, t in enumerate(tights) if t & bit]
+        if len(at) != rank - 1:
+            return None
+        stars.append(at)
+    for i, at in enumerate(stars):
+        ts = [tights[j] for j in at]
+        head = list(accumulate(ts, and_, initial=every))
+        tail = list(accumulate(reversed(ts), and_, initial=every))[::-1]
+        below = (1 << i) - 1
+        stars[i] = at, [j for k, j in enumerate(at)
+                         if head[k] & tail[k + 1] & below]
+    return stars
 
 
 def _face_family(n, tights) -> set[int]:
@@ -365,7 +426,14 @@ def make_fan(cones, dim: int) -> Fan:
 
 
 def normal_fan(p: Polytope) -> Fan:
-    """Fan of outer normal cones N(F) over the nonempty faces F of p."""
+    """Fan of outer normal cones N(F) over the nonempty faces F of p.
+
+    N(F) is spanned by the outer normals of the facets through F.  On a
+    simple polytope these are read off the star of F's lowest vertex, every
+    subset of its dim facets that holds the facets of its lower edges:
+    vertices x 2^dim subsets at most.  On any other, the closure of
+    intersections with the facets lists the faces, at faces x facets.
+    """
     # p is lower-dimensional iff the dual has lines, tight on every vertex
     if any(z.bit_count() == len(p.vertices) for _, z in p.halfspaces):
         raise ValueError("polytope is not full-dimensional")
@@ -374,9 +442,20 @@ def normal_fan(p: Polytope) -> Fan:
                                for r, z in p.halfspaces))
     # the outer normals of the facets containing F are distinct and are the
     # extreme rays of N(F): no redundancy check is needed
-    return Fan(p.dim, rays, tuple(sorted(
-        tuple(i for i, t in enumerate(tights) if s & t == s)
-        for s in _face_family(len(p.vertices), tights) if s)))
+    stars = _vertex_stars(len(p.vertices), tights, p.dim + 1)
+    if stars is None:
+        cones = [tuple(i for i, t in enumerate(tights) if s & t == s)
+                 for s in _face_family(len(p.vertices), tights) if s]
+    else:
+        # built from the highest facet index down, so each tuple comes sorted
+        cones = []
+        for at, down in stars:
+            star = [()]
+            for j in reversed(at):
+                grown = [(j,) + c for c in star]
+                star = grown if j in down else star + grown
+            cones += star
+    return Fan(p.dim, rays, tuple(sorted(cones)))
 
 
 def fan_product(fans) -> Fan:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -25,13 +26,42 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                            allow_nan=False).encode
 
 
+_MAX_DIGITS = 4300
+_DIGIT_RUN = re.compile(r"\d(?:_?\d)*")
+
+
+def _short_numbers(text: str) -> str:
+    """text, refused when a number in it has more than 4,300 digits.
+
+    Python refuses to convert such a number to an int, which guards against
+    conversion time quadratic in its length, but words the refusal
+    differently by version; this one message is the same on every version.
+    """
+    if len(text) > _MAX_DIGITS and any(
+            len(run) - run.count("_") > _MAX_DIGITS
+            for run in _DIGIT_RUN.findall(text)):
+        raise ValueError(f"integer input has more than {_MAX_DIGITS} digits")
+    return text
+
+
+def loads(text: str):
+    """json.loads(text), a number past 4,300 digits refused by
+    ``_short_numbers``: the check runs only on a document the decoder
+    refused, so a valid one pays nothing for it."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        _short_numbers(text)
+        raise
+
+
 def decode_int(x) -> int:
     if isinstance(x, bool):
         raise ValueError("expected an integer, got a boolean")
     if isinstance(x, int):
         return x
     if isinstance(x, str):
-        return int(x)
+        return int(_short_numbers(x))
     raise ValueError(f"expected an integer, got {x!r}")
 
 
@@ -234,6 +264,7 @@ def _fraction_in(x) -> Fraction:
         num, slash, den = x.partition("/")
         if "_" in x or slash and (num[-1:].isspace() or den[:1].isspace()):
             raise ValueError(f"Invalid literal for Fraction: {x!r}")
+        _short_numbers(x)
     return Fraction(x)
 
 
@@ -243,7 +274,7 @@ def _part_in(x):
     if isinstance(x, str):
         # a plain ASCII [-]digits[/digits] needs no Fraction; every other
         # string is read, or refused, by _fraction_in alone
-        num, slash, den = x.partition("/")
+        num, slash, den = _short_numbers(x).partition("/")
         if x.isascii() and num.removeprefix("-").isdigit() and \
                 (den.isdigit() or not slash) and int(den or 1):
             num, den = int(num), int(den or 1)

@@ -8,6 +8,7 @@ lattices (the integer kernel) share one unimodular row echelon instead.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 
 def primitive(v) -> tuple:
@@ -15,11 +16,11 @@ def primitive(v) -> tuple:
     g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _xgcd(a: int, b: int):

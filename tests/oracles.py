@@ -478,6 +478,60 @@ def polytope_faces(vertices, dim):
     return family
 
 
+def cone_faces(gens, dim):
+    """Faces of the full-dimensional pointed cone pos(gens), as {generator
+    index set: dimension}, the apex (no index, dimension 0) included.
+
+    The facet normals are the dual cone's extreme rays, by brute force;
+    every face is an intersection of facets, so closing their tight sets
+    under intersection is exhaustive, and a face's dimension is its rank.
+    """
+    family = {frozenset(range(len(gens)))}
+    for h in extreme_rays(gens, dim):
+        family.add(frozenset(i for i, g in enumerate(gens) if dot(h, g) == 0))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.combinations(list(family), 2):
+            if a & b not in family:
+                family.add(a & b)
+                changed = True
+    return {s: frac_rank([gens[i] for i in s]) for s in family}
+
+
+def simplex_product_faces(simplices):
+    """Faces of the product of simplices, each given by its affinely
+    independent vertices, as {set of product points: dimension}.
+
+    A face of a product is a product of faces, and every nonempty vertex
+    subset of a simplex spans a face of one dimension less than its size.
+    """
+    per_factor = [[sub for k in range(1, len(s) + 1)
+                   for sub in itertools.combinations(s, k)]
+                  for s in simplices]
+    return {frozenset(sum(point, ()) for point in itertools.product(*subs)):
+            sum(len(sub) - 1 for sub in subs)
+            for subs in itertools.product(*per_factor)}
+
+
+def normal_fan_cones(vertices, dim, lattice):
+    """The normal fan of a full-dimensional polytope from its faces, given as
+    {vertex index set: dimension}: per nonempty face, the outer normals of
+    the facets containing it, each normal maximised on its facet.  Returns
+    the sorted generator tuples, in the order a Fan sorts its cones."""
+    normals = []
+    for s, d in lattice.items():
+        if d == dim - 1:
+            v0 = vertices[min(s)]
+            h = _kernel_ray([tuple(a - b for a, b in zip(vertices[i], v0))
+                             for i in s], dim)
+            if any(dot(h, v) > dot(h, v0) for v in vertices):
+                h = tuple(-x for x in h)
+            normals.append((s, h))
+    return sorted(tuple(sorted(h for t, h in normals if s <= t))
+                  for s in lattice if s)
+
+
 def polygon_normal_fan_maximal(vertices):
     """Independent 2-D normal fan: walk the polygon boundary and pair
     consecutive outer edge normals.  Returns the maximal cones as canonical

@@ -193,6 +193,31 @@ class TestVerbs:
             [{"re": text(getattr(z, "re", z)), "im": text(getattr(z, "im", 0))}
              for z in local] for local in witness.locals]
 
+    @pytest.mark.parametrize("digits", [4300, 4301])
+    def test_integer_input_at_the_str_limit(self, capsys, digits):
+        # past 4,300 digits Python refuses int() of a string with a message
+        # that differs by version ("(4300)" on 3.10, "(4300 digits)" from
+        # 3.11), so qtoric refuses first, in one message; 4,300 read exactly
+        n = "1" * digits
+        cone = '{"dim":3,"generators":[[%s,1,0],[0,1,0],[0,0,1]]}'
+        state = {"shape": [2, 2],
+                 "amplitudes": [{"index": [0, 0], "re": f"{n}/3"}]}
+        calls = [("dual", "--cone", cone % n),
+                 ("dual", "--cone", cone % f'"{n}"'),
+                 ("check-separable", json.dumps(state))]
+        outs = [run_cli(capsys, *argv) for argv in calls]
+        if digits > 4300:
+            refusal = jsonio.canonical_dumps(
+                {"error": "integer input has more than 4300 digits"})
+            assert outs == [(2, refusal)] * 3
+            return
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        assert json.loads(outs[0][1])["generators"] == \
+            [[-1, n, 0], [0, 0, 1], [1, 0, 0]]
+        assert outs[2][0] == 0
+        (a, _), (b, _) = json.loads(outs[2][1])["witness"]["locals"]
+        assert Fraction(a["re"]) * Fraction(b["re"]) == Fraction(int(n), 3)
+
     def test_check_separable_mixed_amplitude_kinds(self, capsys):
         mixed = {"shape": [2, 2],
                  "amplitudes": [{"index": [0, 0], "re": "1/2", "im": "0"},

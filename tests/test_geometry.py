@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
@@ -11,10 +12,10 @@ from hypothesis import strategies as hs
 import oracles
 from conftest import face_cone, fan_from_maximal, intersect_cones, validate_fan
 from qtoric import (Cone, Face, Fan, Polytope, dual_cone, faces, fan_product,
-                    is_strongly_convex, make_fan, multiqubit_polytope,
-                    normal_fan, polar, polytope_hull, pos_hull,
-                    projective_space_fan)
-from qtoric.geometry import _dd_rays
+                    geometry, is_strongly_convex, make_fan,
+                    multiqubit_polytope, normal_fan, polar, polytope_hull,
+                    pos_hull, projective_space_fan)
+from qtoric.geometry import _dd_rays, _vertex_stars
 
 
 BIG = 10**30
@@ -762,3 +763,181 @@ class TestFanProduct:
     def test_needs_a_factor(self):
         with pytest.raises(ValueError, match="at least one factor"):
             fan_product([])
+
+
+def takes_vertex_stars(obj):
+    """True when faces and normal_fan read obj off its vertex stars."""
+    lift = isinstance(obj, Polytope)
+    n = len(obj.vertices) if lift else len(obj.generators)
+    return _vertex_stars(n, [z for _, z in obj.halfspaces],
+                         obj.dim + lift) is not None
+
+
+def through_the_closure(fn, obj):
+    """fn(obj) with the vertex stars turned off, so that the closure of
+    intersections with the facets lists the faces."""
+    with mock.patch.object(geometry, "_vertex_stars", lambda *args: None):
+        return fn(obj)
+
+
+def face_table(obj):
+    """faces(obj) as {index set: dimension}, each face once, in (dimension,
+    indices) order."""
+    listed = [(f.dim, f.indices) for f in faces(obj)]
+    assert listed == sorted(set(listed))
+    return {frozenset(indices): dim for dim, indices in listed}
+
+
+def lifted_faces(p):
+    """The faces of a full-dimensional polytope by the cone oracle on the
+    cone over {1} x p, apex dropped."""
+    lattice = oracles.cone_faces([(1,) + v for v in p.vertices], p.dim + 1)
+    return {s: dim - 1 for s, dim in lattice.items() if s}
+
+
+def check_polytope(p, table, simple):
+    """faces(p) and normal_fan(p) against p's faces from an oracle, on the
+    path ``simple`` names, and the same bytes through the closure."""
+    assert takes_vertex_stars(p) == simple
+    assert face_table(p) == table
+    assert [c.generators for c in normal_fan(p).cones] == \
+        oracles.normal_fan_cones(p.vertices, p.dim, table)
+    assert faces(p) == through_the_closure(faces, p)
+    assert normal_fan(p) == through_the_closure(normal_fan, p)
+
+
+def check_product(simplices):
+    """check_polytope on the product of the simplices, a simple polytope."""
+    p = polytope_hull([sum(v, ()) for v in product(*simplices)])
+    index = {v: i for i, v in enumerate(p.vertices)}
+    check_polytope(p, {frozenset(index[v] for v in s): dim for s, dim in
+                       oracles.simplex_product_faces(simplices).items()},
+                   simple=True)
+
+
+def check_cone(c, simple):
+    """faces(c) against the cone oracle, on the path ``simple`` names, and
+    the same through the closure."""
+    assert takes_vertex_stars(c) == simple
+    assert face_table(c) == oracles.cone_faces(c.generators, c.dim)
+    assert faces(c) == through_the_closure(faces, c)
+
+
+@hs.composite
+def simplex_products(draw):
+    """Products of 1-5 factors of total dimension at most 5, each the segment
+    [-1, 1] or [0, 1] or a random lattice simplex of dimension 1-3: prisms,
+    cubes, and products of simplices and segments."""
+    simplices, room = [], 5
+    while room and (not simplices or draw(hs.booleans())):
+        n = draw(hs.integers(1, min(3, room)))
+        if n == 1 and draw(hs.booleans()):
+            simplices.append(draw(hs.sampled_from([[(-1,), (1,)],
+                                                   [(0,), (1,)]])))
+        else:
+            pts = draw(vectors(n, lo=-2, hi=2, min_size=n + 1,
+                               max_size=n + 1))
+            assume(oracles.frac_rank([tuple(a - b for a, b in zip(v, pts[0]))
+                                      for v in pts]) == n)
+            simplices.append(pts)
+        room -= n
+    return simplices
+
+
+OCTAHEDRON = [tuple(s * int(i == j) for j in range(3))
+              for i in range(3) for s in (1, -1)]
+
+
+@hs.composite
+def simple_hulls(draw):
+    """Random simple 3-d polytopes: the polar, scaled onto the lattice, of
+    the hull of the octahedron and random points, which is simplicial when
+    the points fall in general position."""
+    q = polytope_hull(OCTAHEDRON + draw(vectors(3, min_size=1, max_size=5)))
+    # the origin is interior to q, so each facet c + <y, x> >= 0 has c > 0
+    # and the polar's vertex y / c
+    scale = math.lcm(*(r[0] for r, _ in q.halfspaces))
+    p = polytope_hull([tuple(x * (scale // r[0]) for x in r[1:])
+                       for r, _ in q.halfspaces])
+    assume(takes_vertex_stars(p))
+    return p
+
+
+SPHERE6 = [v for v in product(range(-3, 4), repeat=4)
+           if sum(x * x for x in v) == 6]
+
+
+def _cross_polytope(m):
+    return [tuple(s * int(i == j) for j in range(m))
+            for i in range(m) for s in (1, -1)]
+
+
+class TestVertexStars:
+    """A simple object, each generator on rank - 1 facets, reads its faces
+    and normal fan off the vertex stars; every other object runs the
+    closure, and both give the oracles' faces."""
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("values", [(-1, 1), (0, 1)], ids=["pm1", "01"])
+    def test_cubes(self, m, values):
+        check_product([[(x,) for x in values]] * m)
+
+    @given(simplex_products())
+    def test_products_of_simplices_and_segments(self, simplices):
+        check_product(simplices)
+
+    @given(simple_hulls())
+    def test_random_simple_3d_hulls(self, p):
+        table = lifted_faces(p)
+        assert set(table) == oracles.polytope_faces(p.vertices, 3)
+        check_polytope(p, table, simple=True)
+
+    @pytest.mark.parametrize("points", [
+        _cross_polytope(3), _cross_polytope(4), _cross_polytope(5),
+        [(-1, -1, 0), (-1, 1, 0), (1, -1, 0), (1, 1, 0), (0, 0, 1)],
+    ], ids=["cross3", "cross4", "cross5", "square-pyramid"])
+    def test_non_simple_polytopes_keep_the_closure(self, points):
+        # the pyramid's apex, third in vertex order, is its only vertex on
+        # more than 3 facets
+        p = polytope_hull(points)
+        check_polytope(p, lifted_faces(p), simple=False)
+
+    def test_random_4d_sphere_hulls_keep_the_closure(self, rng):
+        done = 0
+        while done < 4:
+            p = polytope_hull(rng.sample(SPHERE6, rng.randint(9, 10)))
+            if affine_dim(p) < 4:
+                continue
+            check_polytope(p, lifted_faces(p), simple=False)
+            done += 1
+
+    @given(hs.lists(hs.tuples(hs.integers(-3, 3), hs.integers(-3, 3),
+                              hs.integers(1, 3)), min_size=3, max_size=8))
+    def test_pointed_3d_cones(self, gens):
+        c = pos_hull(gens, 3)
+        assume(oracles.frac_rank(c.generators) == 3)
+        check_cone(c, simple=True)
+
+    @given(hs.integers(2, 5).flatmap(
+        lambda dim: vectors(dim, min_size=dim, max_size=dim)))
+    def test_simplicial_cones(self, gens):
+        dim = len(gens[0])
+        assume(oracles.frac_rank(gens) == dim)
+        c = pos_hull(gens, dim)
+        assert len(c.generators) == dim
+        check_cone(c, simple=True)
+
+    @given(cones())
+    def test_cones_with_lines_or_of_lower_dimension_keep_the_closure(self, c):
+        # the zero cone has no generator, so no star to test: either path
+        # lists its apex alone
+        assume(c.generators)
+        assume(not is_strongly_convex(c) or
+               oracles.frac_rank(c.generators) < c.dim)
+        assert not takes_vertex_stars(c)
+
+    @given(hs.one_of(cones(), polytopes()))
+    def test_both_paths_agree(self, obj):
+        assert faces(obj) == through_the_closure(faces, obj)
+        if isinstance(obj, Polytope) and affine_dim(obj) == obj.dim:
+            assert normal_fan(obj) == through_the_closure(normal_fan, obj)

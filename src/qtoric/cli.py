@@ -7,7 +7,6 @@ Exit status 0 on success, 2 on malformed input or a precondition violation
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -240,7 +239,7 @@ def main(argv=None) -> int:
         parts = doc if isinstance(doc, list) else [jsonio.canonical_dumps(doc)]
         code = 0
     except (ValueError, TypeError, KeyError, IndexError, OverflowError,
-            ZeroDivisionError, json.JSONDecodeError, OSError) as exc:
+            ZeroDivisionError, OSError) as exc:
         code, error = 2, {"error": str(exc)}
     except Exception as exc:  # internal invariant failure
         code, error = 3, {"error": str(exc), "kind": "internal"}

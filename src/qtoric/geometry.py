@@ -321,10 +321,10 @@ def faces(obj) -> tuple[Face, ...]:
 
     A polytope has the faces of the cone over {1} x vertices, one dimension
     lower, apex excluded; a strongly convex cone's apex {0} has no indices.
-    On a simple object each face is read once off the star of its lowest
-    generator, as the AND of a subset S of the facets there, of dimension
-    rank - |S| in the cone: vertices x 2^(rank - 1) subsets at most.  On any
-    other, the closure of intersections with the facets lists them, at
+    On a simple polytope each face is read once off the star of its lowest
+    vertex, as the AND of a subset S of the facets there, of dimension
+    dim - |S|: vertices x 2^dim subsets at most.  Every cone and every
+    other polytope runs the closure of intersections with the facets, at
     faces x facets; dim F is one more than the largest proper face F & T
     over the facets T, and only a face with none (the apex, the lineality
     space) takes a rank.
@@ -332,8 +332,7 @@ def faces(obj) -> tuple[Face, ...]:
     lift = isinstance(obj, Polytope)
     gens = [(1,) + v for v in obj.vertices] if lift else obj.generators
     tights = [z for _, z in obj.halfspaces]
-    rank = obj.dim + lift
-    stars = _vertex_stars(len(gens), tights, rank)
+    stars = _vertex_stars(len(gens), tights, obj.dim) if lift else None
     if stars is None:
         dims = {}
         for s in sorted(_face_family(len(gens), tights), key=int.bit_count):
@@ -341,53 +340,46 @@ def faces(obj) -> tuple[Face, ...]:
                      if t in dims]
             dims[s] = (1 + max(below) if below
                        else rank_int([gens[i] for i in _indices(s)]))
-        found = dims.items()
+        found = [(s, d - lift) for s, d in dims.items() if d >= lift]
     else:
-        every, found = (1 << len(gens)) - 1, [(0, 0)]
-        for i, (at, down) in enumerate(stars):
+        every, found = (1 << len(gens)) - 1, []
+        for at, down in stars:
             star = [(reduce(and_, (tights[j] for j in down), every),
-                     rank - len(down))]
+                     obj.dim - len(down))]
             for j in at:
                 if j not in down:
                     t = tights[j]
                     star += [(s & t, d - 1) for s, d in star]
-            # on a cone a face here may have a lower generator, whose star
-            # lists it
-            below = (1 << i) - 1
-            found += [(s, d) for s, d in star if not s & below]
-    result = [Face(obj, _indices(s), d - lift) for s, d in found if d >= lift]
+            found += star
+    result = [Face(obj, _indices(s), d) for s, d in found]
     result.sort(key=lambda f: (f.dim, f.indices))
     return tuple(result)
 
 
-def _vertex_stars(n, tights, rank):
-    """Per generator of a simple object, the facets through it and those of
-    them whose edge leads to a lower generator, as facet indices; None for
-    any other object.
+def _vertex_stars(n, tights, dim):
+    """Per vertex of a simple polytope in Z^dim, the facets through it and
+    those of them whose edge leads to a lower vertex, as facet indices;
+    None for any other polytope.
 
-    The object, a cone of the given rank on n generators or the cone over a
-    polytope, is simple when its facets meet in the apex and each generator
-    g lies on exactly rank - 1 of them.  Through g each subset S of them
-    then meets in its own face, of dimension rank - |S|, and leaving out one
-    facet leaves an edge (a 2-face of the cone) from g to one other
-    generator.  A face whose lowest generator is g contains no edge that
-    leads lower, so its S holds every facet of those edges.  On a polytope
-    the vertex order is lexicographic, a linear functional's, so every such
-    S has g as its lowest vertex (Ziegler, Lectures on Polytopes, 1995,
-    sections 2.5 and 8.2); a cone's order is no functional's, and some S
-    there have a lower generator.  The test reads each generator's facets
-    once and stops at the first generator on another number of them.
+    The polytope on n vertices, with its halfspaces' tight sets, is simple
+    when each vertex v lies on exactly dim facets.  Each subset S of them
+    then meets in a face of dimension dim - |S|, and leaving out one facet
+    leaves an edge from v.  A face whose lowest vertex is v holds no edge
+    leading lower, so its S holds every facet of those edges; as the vertex
+    order is lexicographic, a linear functional's, every such S has v
+    lowest (Ziegler, Lectures on Polytopes, 1995, sections 2.5 and 8.2).  A
+    k-polytope, k < dim, fails at its first vertex: at least k facets and
+    2(dim - k) lineality rows pass through it.  The test stops at the first
+    vertex on another number of facets.
     """
-    every = (1 << n) - 1
-    if reduce(and_, tights, every):
-        return None
     stars = []
     for i in range(n):
         bit = 1 << i
         at = [j for j, t in enumerate(tights) if t & bit]
-        if len(at) != rank - 1:
+        if len(at) != dim:
             return None
         stars.append(at)
+    every = (1 << n) - 1
     for i, at in enumerate(stars):
         ts = [tights[j] for j in at]
         head = list(accumulate(ts, and_, initial=every))
@@ -431,8 +423,8 @@ def normal_fan(p: Polytope) -> Fan:
     N(F) is spanned by the outer normals of the facets through F.  On a
     simple polytope these are read off the star of F's lowest vertex, every
     subset of its dim facets that holds the facets of its lower edges:
-    vertices x 2^dim subsets at most.  On any other, the closure of
-    intersections with the facets lists the faces, at faces x facets.
+    vertices x 2^dim subsets at most.  On any other polytope, the closure
+    of intersections with the facets lists the faces, at faces x facets.
     """
     # p is lower-dimensional iff the dual has lines, tight on every vertex
     if any(z.bit_count() == len(p.vertices) for _, z in p.halfspaces):
@@ -442,7 +434,7 @@ def normal_fan(p: Polytope) -> Fan:
                                for r, z in p.halfspaces))
     # the outer normals of the facets containing F are distinct and are the
     # extreme rays of N(F): no redundancy check is needed
-    stars = _vertex_stars(len(p.vertices), tights, p.dim + 1)
+    stars = _vertex_stars(len(p.vertices), tights, p.dim)
     if stars is None:
         cones = [tuple(i for i, t in enumerate(tights) if s & t == s)
                  for s in _face_family(len(p.vertices), tights) if s]

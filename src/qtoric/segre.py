@@ -12,8 +12,15 @@ from itertools import accumulate, combinations, product
 from .rationals import ComplexRational
 
 
+def _local_dimension(n) -> int:
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"local dimension {n!r} is not an integer") from None
+
+
 def check_shape(shape) -> tuple[int, ...]:
-    shape = tuple(int(n) for n in shape)
+    shape = tuple(map(_local_dimension, shape))
     if len(shape) < 1:
         raise ValueError("a system needs at least one party")
     if any(n < 2 for n in shape):

@@ -472,6 +472,20 @@ class TestSeparability:
             build()
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("build, entry", [
+        (lambda: segre_minors((2.5, 2)), "2.5"),
+        (lambda: PureState((2.9, 2), {(1, 1): 1}), "2.9"),
+        (lambda: segre.check_shape(("3", 2)), "'3'"),
+    ], ids=["minors", "state", "string"])
+    def test_non_integer_local_dimension_refused(self, build, entry):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == f"local dimension {entry} is not an integer"
+
+    def test_numpy_local_dimensions_pass(self):
+        shape = segre.check_shape((np.int64(3), np.int32(2)))
+        assert shape == (3, 2) and all(type(n) is int for n in shape)
+
     def test_result_truth_is_the_verdict(self):
         assert is_separable(segre_map(ProductState([(1, 2), (3, 4)])))
         assert not is_separable(bell())
@@ -914,8 +928,12 @@ def assert_matches_reference(st, tol, e=0):
         # whose minors scale by 2^(-2k); exactly, as the float states here
         # leave the range only below it, and scaling them up rounds nothing
         k = (n.numerator.bit_length() - n.denominator.bit_length()) // 2
-        ref, e = times(ref, Fraction(2) ** -k if segre._is_exact(ref)
-                       else 2.0 ** -k), e + k
+        if segre._is_exact(ref):
+            ref = times(ref, Fraction(2) ** -k)
+        else:
+            # in two steps, as 2^-k passes the float range below 2^-1023
+            ref = times(times(ref, 2.0 ** (-k // 2)), 2.0 ** (-k - -k // 2))
+        e += k
     separable, minor, value, violation = \
         oracles.separability_reference(ref, tol)
     assert verdict.separable == separable

@@ -96,13 +96,6 @@ def _atlas(args):
     return jsonio.atlas_dumps(chart_atlas(fan))
 
 
-def _verify_param(args):
-    z = jsonio.torus_point_from_json(_read_json_arg(args.z))
-    if len(z) != args.m:
-        raise ValueError(f"expected {args.m} torus coordinates, got {len(z)}")
-    return {"m": args.m, "onVariety": verify_parameterization(args.m, z)}
-
-
 _REQUIRED = {"required": True}
 _COUNT = {"type": int, "required": True}
 _STATE = ("state", {"help": "state JSON (path, inline, or '-')"})
@@ -162,7 +155,8 @@ VERBS = {
                       ("--z", {**_REQUIRED,
                                "help": "JSON list of nonzero exact coordinates, "
                                        "e.g. '[\"1/2\", \"-3\"]'"})],
-                     _verify_param),
+                     lambda a: {"m": a.m, "onVariety": verify_parameterization(
+                         a.m, jsonio.torus_point_from_json(_read_json_arg(a.z)))}),
 }
 
 

@@ -166,16 +166,21 @@ def _minimal_generators(vectors, dim):
     return [gens[i] for i in keep], rays
 
 
-def pos_hull(vectors, dim: int | None = None) -> Cone:
-    """Positive hull of lattice vectors, with redundant generators removed."""
+def _hull_input(vectors, dim, noun):
+    """The vectors as tuples and their dimension: dim, or the first one's."""
     vectors = [tuple(v) for v in vectors]
     if dim is None:
         if not vectors:
             raise ValueError("ambient dimension required for an empty hull")
         dim = len(vectors[0])
-    for v in vectors:
-        if len(v) != dim:
-            raise ValueError("dimension mismatch among input vectors")
+    if any(len(v) != dim for v in vectors):
+        raise ValueError(f"dimension mismatch among input {noun}")
+    return vectors, dim
+
+
+def pos_hull(vectors, dim: int | None = None) -> Cone:
+    """Positive hull of lattice vectors, with redundant generators removed."""
+    vectors, dim = _hull_input(vectors, dim, "vectors")
     gens, halfspaces = _minimal_generators(vectors, dim)
     cone = Cone(dim, tuple(gens))
     if halfspaces is not None:
@@ -276,14 +281,7 @@ def is_strongly_convex(c: Cone) -> bool:
 
 def polytope_hull(points, dim: int | None = None) -> Polytope:
     """Convex hull of lattice points, reduced to its extreme points."""
-    points = [tuple(p) for p in points]
-    if dim is None:
-        if not points:
-            raise ValueError("ambient dimension required for an empty hull")
-        dim = len(points[0])
-    for p in points:
-        if len(p) != dim:
-            raise ValueError("dimension mismatch among input points")
+    points, dim = _hull_input(points, dim, "points")
     if not points:
         raise ValueError("polytope needs at least one point")
     # the extreme points are the extreme rays of the cone over {1} x points

@@ -232,10 +232,12 @@ def parameterization_image(z_point) -> PureState:
 
 
 def verify_parameterization(m: int, z_point) -> bool:
-    """True iff the image tensor satisfies every canonical minor exactly."""
+    """True iff the image tensor satisfies every canonical minor exactly.
+    Checks, in order: m coordinates, each nonzero, and 1 <= m <= 10."""
     z = tuple(z_point)
+    if len(z) != m:
+        raise ValueError(f"expected {m} torus coordinates, got {len(z)}")
     if any(not zj for zj in z):
         raise ValueError("all torus coordinates must be nonzero")
-    if len(z) != _party_count(m):
-        raise ValueError("expected one coordinate per party")
+    _party_count(m)
     return is_separable(parameterization_image(z), 0).separable

@@ -12,15 +12,15 @@ from itertools import accumulate, combinations, product
 from .rationals import ComplexRational
 
 
-def _local_dimension(n) -> int:
+def _integer(n, name: str) -> int:
     try:
         return operator.index(n)
     except TypeError:
-        raise ValueError(f"local dimension {n!r} is not an integer") from None
+        raise ValueError(f"{name} {n!r} is not an integer") from None
 
 
 def check_shape(shape) -> tuple[int, ...]:
-    shape = tuple(map(_local_dimension, shape))
+    shape = tuple(_integer(n, "local dimension") for n in shape)
     if len(shape) < 1:
         raise ValueError("a system needs at least one party")
     if any(n < 2 for n in shape):
@@ -42,7 +42,8 @@ class PureState:
 
     def __init__(self, shape, amplitudes):
         self.shape, self._table, self._d = _build(shape, {
-            tuple(map(int, i)): _parts(v) for i, v in dict(amplitudes).items()})
+            tuple(_integer(a, "index entry") for a in i): _parts(v)
+            for i, v in dict(amplitudes).items()})
 
     @classmethod
     def from_parts(cls, shape, parts) -> "PureState":
@@ -152,8 +153,9 @@ def segre_map(p: ProductState) -> PureState:
     """
     locs = [[_parts(x) for x in v] for v in p.locals]
     if any(isinstance(x, float) for v in locs for parts in v for x in parts):
-        return PureState(p.shape, dict(_prefix_products(
-            [list(enumerate(map(_complex, v))) for v in locs], 1, operator.mul)))
+        prods = _prefix_products([list(enumerate(map(_complex, v))) for v in locs],
+                                 1, operator.mul)
+        return PureState.from_parts(p.shape, {i: (z.real, z.imag) for i, z in prods})
     tables = [_gaussian_integers(dict(enumerate(v))) for v in locs]
     state = PureState.__new__(PureState)
     state.shape, state._d = p.shape, math.prod(q for _, q in tables)
@@ -290,24 +292,23 @@ def is_separable(state: PureState, tol: float = 1e-10) -> SeparabilityResult:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     # a state whose peak |a|^2 lies outside float range is decided on
     # state / 2^k, which has the same relative verdict, and scaled back
-    if _is_exact(state):
-        table, d = _gaussian(state)
+    table, d = state._table, state._d
+    if d is not None:
         k = _gaussian_shift(table, d)
         if k < 0:
             table = {i: (x << -k, y << -k) for i, (x, y) in table.items()}
         r = _gaussian_verdict(state.shape, table, d << max(k, 0), tol, k)
     else:
         k = _float_range_shift(state)
-        amps = state._table.items()
         if k:
-            amps = [(i, _times_power_of_two(v, -k)) for i, v in amps]
-        # as PureState does, drop the amplitudes the shift takes to zero
-        r = _float_verdict(state.shape, {i: v for i, v in amps if v}, tol, k)
+            # as PureState does, drop the amplitudes the shift takes to zero
+            table = {i: w for i, v in table.items()
+                     if (w := _times_power_of_two(v, -k))}
+        r = _float_verdict(state.shape, table, tol, k)
     if k == 0:
         return r
     if r.worst_value is not None:
-        r.worst_value = complex(_ldexp(r.worst_value.real, 2 * k),
-                                _ldexp(r.worst_value.imag, 2 * k))
+        r.worst_value = _times_power_of_two(r.worst_value, 2 * k)
     r.max_violation = _ldexp(r.max_violation, 2 * k)
     return r
 
@@ -335,10 +336,6 @@ def _gaussian_shift(table, d) -> int:
         return 0
     g = math.gcd(n, d2)
     return ((n // g).bit_length() - (d2 // g).bit_length()) // 2
-
-
-def _is_exact(state: PureState) -> bool:
-    return state._d is not None
 
 
 def _times_power_of_two(x, e: int) -> complex:
@@ -589,7 +586,7 @@ def concurrence(state: PureState, weights=None) -> float:
     if not all(0 <= w < math.inf for w in weights):
         raise ValueError("weights must be finite and nonnegative")
     # minor (mode, ks[i], ls[j]) is T[ks[i]] T[ls[j]] - T[ls[i]] T[ks[j]]
-    if _is_exact(state):
+    if state._d is not None:
         values, zero = _exact_abs(d * d), (0, 0)
     else:
         values, zero, table = _float_abs, 0j, state._table

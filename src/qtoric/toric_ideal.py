@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from operator import mul
+from operator import index, mul
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,12 @@ class MonomialMap:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("ambient dimension must be positive")
-        for a in self.exponents:
+        try:
+            exponents = tuple(tuple(map(index, a)) for a in self.exponents)
+        except TypeError:
+            raise ValueError("exponents must be integers") from None
+        object.__setattr__(self, "exponents", exponents)
+        for a in exponents:
             if len(a) != self.dim:
                 raise ValueError("exponent dimension mismatch")
 

@@ -346,6 +346,20 @@ class TestVerbs:
         assert code == 0
         assert json.loads(out) == {"m": 2, "onVariety": True}
 
+    @pytest.mark.parametrize("m, z, message", [
+        (3, '["1","2"]', "expected 3 torus coordinates, got 2"),
+        (2, '["0","3","4"]', "expected 2 torus coordinates, got 3"),
+        (11, '["1","2","3"]', "expected 11 torus coordinates, got 3"),
+        (2, '["0","3"]', "all torus coordinates must be nonzero"),
+        (11, json.dumps([str(j) for j in range(1, 12)]),
+         "party count must be between 1 and 10"),
+    ], ids=["short", "long-with-zero", "long-m", "zero", "m-11"])
+    def test_verify_param_refusals(self, capsys, m, z, message):
+        # the length is checked before the coordinates and the party count
+        code, out = run_cli(capsys, "verify-param", "--m", str(m), "--z", z)
+        assert code == 2
+        assert out == '{"error":"%s"}\n' % message
+
     def test_float_witness_writes_zeros_as_numbers(self, capsys):
         code, out = run_cli(capsys, "check-separable",
                             '{"shape":[2,2],"amplitudes":[{"index":[0,0],'
@@ -899,6 +913,8 @@ class TestExitCodes:
          "torus point must be a JSON list"),
         (("polar", "--polytope", '{"dim":2,"vertices":[[1,0],[1]]}'),
          "dimension mismatch among input points"),
+        (("dual", "--cone", '{"dim":2,"generators":[[1,0],[1]]}'),
+         "dimension mismatch among input vectors"),
         (("projective-relations", "--exponents", "{}", "--degree", "2"),
          "--exponents must be a JSON list of integer vectors"),
         # a number is not a vector, nor a JSON object the list of its keys
@@ -931,7 +947,7 @@ class TestExitCodes:
          "'amplitudes' entries need an 'index', got {'re': 1}"),
     ], ids=["float-int", "fan-keys", "state-keys", "empty-map",
             "bool-part", "list-part", "list-coordinate", "point-not-list",
-            "mixed-vertices", "exponents-not-list", "exponent-not-list",
+            "mixed-vertices", "mixed-generators", "exponents-not-list", "exponent-not-list",
             "shape-object", "state-shape-object", "index-object",
             "generators-object", "vertices-string", "cones-object",
             "map-exponents-object", "amplitudes-object", "entry-list",

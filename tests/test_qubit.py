@@ -452,11 +452,13 @@ class TestParameterization:
         two, zero = ComplexRational(Fraction(2)), ComplexRational(Fraction(0))
         assert verify_parameterization(2, (two, two))
         assert verify_parameterization(10, [two] * 10)
+        # the length is checked first, then the coordinates, then m
         for m, z, message in (
-                (11, (zero,) * 3, "all torus coordinates must be nonzero"),
-                (11, (two,) * 3, "party count must be between 1 and 10"),
-                (0, (), "party count must be between 1 and 10"),
-                (2, (two,) * 3, "expected one coordinate per party")):
+                (11, (zero,) * 3, "expected 11 torus coordinates, got 3"),
+                (2, (two,) * 3, "expected 2 torus coordinates, got 3"),
+                (11, (zero,) * 11, "all torus coordinates must be nonzero"),
+                (11, (two,) * 11, "party count must be between 1 and 10"),
+                (0, (), "party count must be between 1 and 10")):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 verify_parameterization(m, z)
 

@@ -90,7 +90,7 @@ class TestSegreMap:
         assert list(st.amplitudes.items()) == list(expected.items())
         if exact:
             table, d = segre._gaussian(st)
-            assert segre._is_exact(st) and list(table) == list(expected)
+            assert st._d is not None and list(table) == list(expected)
             assert all(oracles._exact_parts(expected[i]) ==
                        (Fraction(x, d), Fraction(y, d))
                        for i, (x, y) in table.items())
@@ -101,7 +101,7 @@ class TestSegreMap:
 def times(state, factor):
     """The state times factor: exactly when both are exact, else in complex
     floats."""
-    exact = segre._is_exact(state) and isinstance(factor, EXACT)
+    exact = state._d is not None and isinstance(factor, EXACT)
     return PureState(state.shape, {
         i: factor * v if exact else complex(factor) * complex(v)
         for i, v in state.amplitudes.items()})
@@ -485,6 +485,20 @@ class TestSeparability:
     def test_numpy_local_dimensions_pass(self):
         shape = segre.check_shape((np.int64(3), np.int32(2)))
         assert shape == (3, 2) and all(type(n) is int for n in shape)
+
+    @pytest.mark.parametrize("index, entry", [
+        ((1.7, 0.2), "1.7"), (("1", 0), "'1'"),
+    ], ids=["float", "string"])
+    def test_non_integer_index_refused(self, index, entry):
+        # both were once truncated to the index (1, 0)
+        with pytest.raises(ValueError) as info:
+            PureState((2, 2), {index: 1})
+        assert str(info.value) == f"index entry {entry} is not an integer"
+
+    def test_numpy_index_entries_pass(self):
+        st = PureState((2, 3), {(np.int64(1), np.int32(2)): 1})
+        assert st.amplitudes == {(1, 2): 1}
+        assert all(type(a) is int for a in next(iter(st.amplitudes)))
 
     def test_result_truth_is_the_verdict(self):
         assert is_separable(segre_map(ProductState([(1, 2), (3, 4)])))
@@ -910,7 +924,7 @@ def assert_witness_image(st, locs, p=None):
     the state itself."""
     rows = oracles.witness(PureState(st.shape, exact_amplitudes_of(st)), p)
     assert_image(locs, exact_image([[ComplexRational(*x) for x in row]
-                                    for row in rows]), segre._is_exact(st))
+                                    for row in rows]), st._d is not None)
 
 
 def assert_matches_reference(st, tol, e=0):
@@ -920,7 +934,7 @@ def assert_matches_reference(st, tol, e=0):
     its Segre image."""
     ref = st
     if e:
-        st = times(st, Fraction(2) ** e if segre._is_exact(st) else 2.0 ** e)
+        st = times(st, Fraction(2) ** e if st._d is not None else 2.0 ** e)
     verdict = is_separable(st, tol)
     n = oracles.peak_squared(ref)
     if not Fraction(2) ** -1022 <= n < Fraction(2) ** 1023:
@@ -928,7 +942,7 @@ def assert_matches_reference(st, tol, e=0):
         # whose minors scale by 2^(-2k); exactly, as the float states here
         # leave the range only below it, and scaling them up rounds nothing
         k = (n.numerator.bit_length() - n.denominator.bit_length()) // 2
-        if segre._is_exact(ref):
+        if ref._d is not None:
             ref = times(ref, Fraction(2) ** -k)
         else:
             # in two steps, as 2^-k passes the float range below 2^-1023
@@ -947,7 +961,7 @@ def assert_matches_reference(st, tol, e=0):
             return
         # the float reference divides by a power of the peak, which
         # underflows outside the float range: it is read only inside
-        if segre._is_exact(st):
+        if st._d is not None:
             assert [[oracles._exact_parts(x) for x in v]
                     for v in got] == oracles.witness(st)
         elif segre._float_range_shift(st) == 0:
@@ -1094,7 +1108,7 @@ class TestFastPaths:
                 assert verdict.separable
                 assert_image(verdict.witness.locals,
                              exact_amplitudes_of(scaled),
-                             segre._is_exact(scaled))
+                             scaled._d is not None)
 
     def test_no_row_skipped_below_the_floor(self, monkeypatch):
         # minors near 2^-1010 stay below the 2^-1000 floor of a skip: all

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as hs
@@ -54,6 +55,25 @@ class TestRejections:
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("exponents", [
+        ((0.1,), (0.2,), (0.7,), (0.8,)), (("1",), (2,)), ((1.0,), (2,)),
+    ], ids=["fractional", "string", "integral-float"])
+    def test_non_integer_exponents_refused(self, exponents):
+        # the fractional map once had an empty ideal at degree 2 (0.1 + 0.8
+        # and 0.2 + 0.7 differ as floats), the string one a TypeError
+        with pytest.raises(ValueError) as info:
+            MonomialMap(1, exponents)
+        assert str(info.value) == "exponents must be integers"
+
+    def test_integer_like_exponents_are_stored_as_ints(self):
+        m = MonomialMap(1, [np.array([1]), [np.int64(2)], (True,), (8,)])
+        assert m.exponents == ((1,), (2,), (1,), (8,))
+        assert all(type(x) is int for a in m.exponents for x in a)
+        assert m == MonomialMap(1, ((1,), (2,), (1,), (8,)))
+        # the scaled map of the fractional one above relates x0 x3 and x1 x2
+        assert toric_ideal_binomials(MonomialMap(
+            1, ((1,), (2,), (7,), (8,))), 2).pairs
 
     def test_map_without_exponents_has_an_empty_kernel(self):
         assert kernel_lattice(MonomialMap(2, ())) == ()

@@ -270,7 +270,7 @@ def _fraction_in(x) -> Fraction:
 
 def _part_in(x):
     """An amplitude part: an exact (numerator, denominator) pair, or a
-    finite float."""
+    float, which ``PureState.from_parts`` refuses if it is not finite."""
     if isinstance(x, str):
         # a plain ASCII [-]digits[/digits] needs no Fraction; every other
         # string is read, or refused, by _fraction_in alone
@@ -286,8 +286,6 @@ def _part_in(x):
     if isinstance(x, int):
         return x, 1
     if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"amplitude parts must be finite, got {x!r}")
         return x
     raise ValueError(f"bad amplitude part {x!r}")
 

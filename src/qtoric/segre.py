@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, filterfalse, product
 
 from .rationals import ComplexRational
 
@@ -62,17 +63,14 @@ class PureState:
 
     def __eq__(self, other):
         """Equal values are equal: a float part reads as the dyadic rational
-        it is, and an infinite or nan part equals no exact value."""
+        it is."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         if self.shape != other.shape:
             return False
         if self._d is None and other._d is None:
             return self._table == other._table
-        try:
-            (s, d), (t, e) = _gaussian(self), _gaussian(other)
-        except (OverflowError, ValueError):
-            return False  # from a float part that is not finite
+        (s, d), (t, e) = _gaussian(self), _gaussian(other)
         return s.keys() == t.keys() and all(
             x * e == t[i][0] * d and y * e == t[i][1] * d
             for i, (x, y) in s.items())
@@ -193,11 +191,15 @@ def _gaussian_integers(ratios: dict):
 def _build(shape, parts) -> tuple:
     """The shape, table and D of the state of parts {index: (re, im)}: the
     exact parts of a float state (one float part makes it one) are rounded
-    once; the shape, then every index is checked; zeros are dropped, an
-    empty table refused, the rest Gaussian integers over their lcm D."""
+    once and the first part that is not finite refused; the shape, then
+    every index is checked; zeros are dropped, an empty table refused, the
+    rest Gaussian integers over their lcm D."""
     floating = any(isinstance(x, float) for v in parts.values() for x in v)
     if floating:
         parts = {i: _complex(v) for i, v in parts.items()}
+        for z in filterfalse(cmath.isfinite, parts.values()):
+            x = z.imag if math.isfinite(z.real) else z.real
+            raise ValueError(f"amplitude parts must be finite, got {x!r}")
     shape = check_shape(shape)
     ranges = [range(n) for n in shape]
     for idx in parts:
@@ -508,10 +510,10 @@ def _first_max(shape, table, values, zero, magnitude=None):
     while best >= 2^-1000 exceeds (|ra[i]| max |rb[i2]| + |rb[i]| max
     |ra[i2]|)(1 + 2^-40) over i2 > i: each of its minors has |x q - y p| <=
     |x||q| + |y||p|, and the margin covers the rounding of key and bound
-    above underflow, so its keys (or a nan, from a nan in the maxima) never
-    replace best, and the report is the full scan's.  A pair costs O(nnz)
-    per row evaluated: a few on a dense entangled state, all on a float
-    product state, whose minors are at rounding level.
+    above underflow, so its keys never replace best, and the report is the
+    full scan's.  A pair costs O(nnz) per row evaluated: a few on a dense
+    entangled state, all on a float product state, whose minors are at
+    rounding level.
     """
     best, where = 0.0, None
     for j, n in enumerate(shape):

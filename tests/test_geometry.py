@@ -2,11 +2,13 @@
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
+from operator import and_
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as hs
 
 import oracles
@@ -657,6 +659,35 @@ class TestFacesThroughTheCone:
         assert apex == Face(cone, (), 0)
         assert [(f.dim, f.indices) for f in faces(p)] == \
             [(f.dim - 1, f.indices) for f in lifted]
+
+
+@hs.composite
+def face_family_inputs(draw):
+    """A generator count n <= 8 and up to 6 tight-set bitmasks on n bits,
+    0, the full mask and repeats among them."""
+    n = draw(hs.integers(0, 8))
+    full = (1 << n) - 1
+    masks = hs.one_of(hs.integers(0, full), hs.sampled_from([0, full]))
+    tights = draw(hs.lists(masks, max_size=6))
+    if tights and draw(hs.booleans()):
+        tights.append(draw(hs.sampled_from(tights)))
+    return n, draw(hs.permutations(tights))
+
+
+class TestFaceFamily:
+    @given(face_family_inputs())
+    @example((0, []))
+    @example((5, []))
+    @example((3, [0b011, 0b011, 0b111, 0]))
+    def test_is_every_intersection_of_tight_sets(self, case):
+        # the family is the AND of each subset of the tight sets with the
+        # full mask, the empty subset giving the full mask itself
+        n, tights = case
+        full = (1 << n) - 1
+        assert geometry._face_family(n, tights) == {
+            reduce(and_, subset, full)
+            for k in range(len(tights) + 1)
+            for subset in combinations(tights, k)}
 
 
 @hs.composite

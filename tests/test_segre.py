@@ -172,9 +172,10 @@ class TestOneDescription:
         image = segre_map(ProductState(locs))
         rebuilt = PureState(image.shape, oracles.segre_product(locs))
         assert image._d != rebuilt._d and image == rebuilt
-        # a part that is not finite equals no exact value
+        # a part that is not finite makes no state to compare
         for bad in (math.inf, math.nan, complex(1, math.inf)):
-            assert third != PureState((2,), {(0,): bad})
+            with pytest.raises(ValueError, match="must be finite"):
+                PureState((2,), {(0,): bad})
         # equality reads the held tables, not the amplitudes view
         assert all("amplitudes" not in st.__dict__
                    for st in (exact, gaussian, third, image, rebuilt))
@@ -183,12 +184,17 @@ class TestOneDescription:
         (Fraction(1, 2), 0.5, True),
         (ComplexRational(1, 1), 1 + 1j, True),
         (ComplexRational(Fraction(1, 3), 1), complex(1 / 3, 1), False),
-        (Fraction(1, 2), math.inf, False),
-        (Fraction(1, 2), complex(math.nan, 0), False),
+        (Fraction(1, 2), math.inf, None),
+        (Fraction(1, 2), complex(math.nan, 0), None),
     ], ids=["real", "gaussian", "third", "inf", "nan"])
     def test_equality_reads_the_same_either_way_round(self, exact, floating,
                                                        equal):
         a = PureState((2,), {(1,): exact})
+        if equal is None:
+            # a part that is not finite is refused, so equals nothing
+            with pytest.raises(ValueError, match="must be finite"):
+                PureState((2,), {(1,): floating})
+            return
         b = PureState((2,), {(1,): floating})
         assert (a == b) is (b == a) is equal
         assert (a != b) is (b != a) is (not equal)
@@ -503,6 +509,31 @@ class TestSeparability:
     def test_result_truth_is_the_verdict(self):
         assert is_separable(segre_map(ProductState([(1, 2), (3, 4)])))
         assert not is_separable(bell())
+
+    @pytest.mark.parametrize("call, part", [
+        # once separable=True with max_violation inf, and a nan witness
+        (lambda: is_separable(PureState((2, 2), {(0, 0): math.inf,
+                                                 (1, 1): 1.0})), "inf"),
+        # once max_violation nan
+        (lambda: is_separable(PureState((2, 2), {(0, 0): math.nan,
+                                                 (1, 1): 1.0})), "nan"),
+        # once "cannot convert NaN to integer ratio"
+        (lambda: concurrence(PureState((2, 2), {(0, 0): math.nan,
+                                                (1, 1): 1.0})), "nan"),
+        # once an amplitude of inf: 1e200 * 1e200 overflows a float
+        (lambda: segre_map(ProductState([(1e200, 1.0), (1e200, 1.0)])), "inf"),
+        (lambda: PureState((2, 2), {(0, 0): 1.0, (1, 1): complex(1, -math.inf)}),
+         "-inf"),
+        # an exact part beside them, and the real part reported first
+        (lambda: PureState.from_parts((2, 2), {(0, 0): ((1, 2), 0.0),
+                                              (1, 1): (math.nan, math.inf)}),
+         "nan"),
+    ], ids=["separable-inf", "separable-nan", "concurrence-nan", "segre-map",
+            "imaginary-inf", "from-parts"])
+    def test_non_finite_part_refused(self, call, part):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"amplitude parts must be finite, got {part}"
 
     def test_zero_state_unconstructible(self):
         with pytest.raises(ValueError, match="nonzero"):
